@@ -21,7 +21,6 @@ from .tensorspace import (
     antisymmetrizer_image,
     dual_complement,
     perm_action,
-    subspace_combine,
     supertrace,
     wedge_dimension,
 )

@@ -468,6 +468,10 @@ def main(argv=None) -> int:
             raise SpecError("this command needs an algebra: give --family or --spec")
         if args.command in ("mt", "hecke-verify") and (args.p is None or args.q is None):
             raise SpecError("this command needs --p and --q")
+        if args.order < 0:
+            raise SpecError("--order must be nonnegative")
+        if getattr(args, "i_max", 0) < 0:
+            raise SpecError("--i-max must be nonnegative")
         options = {
             "order": args.order,
             "p": args.p,

@@ -27,6 +27,7 @@ from .tensorspace import (
     SuperSpace,
     TensorVector,
     all_permutations,
+    axpy,
 )
 
 
@@ -85,13 +86,7 @@ class HeckeElement:
         if isinstance(other, (int, Fraction)):
             other = HeckeElement.one(self.n, self.q).scale(other)
         self._check(other)
-        terms = dict(self.terms)
-        for s, c in other.terms.items():
-            v = terms.get(s, Fraction(0)) + c
-            if v:
-                terms[s] = v
-            else:
-                del terms[s]
+        terms = axpy(dict(self.terms), other.terms, 1)
         return HeckeElement(self.n, self.q, terms)
 
     __radd__ = __add__
@@ -243,12 +238,7 @@ class LinearOperator:
     def apply(self, v: TensorVector) -> TensorVector:
         out: dict = {}
         for w, c in v.coeffs.items():
-            for u, a in self.apply_word(w).items():
-                s = out.get(u, Fraction(0)) + c * a
-                if s:
-                    out[u] = s
-                else:
-                    del out[u]
+            axpy(out, self.apply_word(w), c)
         return TensorVector(self.space, self.degree, out)
 
     def compose(self, other: "LinearOperator") -> "LinearOperator":
@@ -257,12 +247,7 @@ class LinearOperator:
         for w, col in other.columns.items():
             out: dict = {}
             for u, c in col.items():
-                for t, a in self.apply_word(u).items():
-                    s = out.get(t, Fraction(0)) + c * a
-                    if s:
-                        out[t] = s
-                    else:
-                        del out[t]
+                axpy(out, self.apply_word(u), c)
             if out:
                 cols[w] = out
         return LinearOperator(self.space, self.degree, cols)
@@ -270,13 +255,7 @@ class LinearOperator:
     def __add__(self, other: "LinearOperator") -> "LinearOperator":
         cols = {w: dict(col) for w, col in self.columns.items()}
         for w, col in other.columns.items():
-            mine = cols.setdefault(w, {})
-            for u, c in col.items():
-                s = mine.get(u, Fraction(0)) + c
-                if s:
-                    mine[u] = s
-                else:
-                    del mine[u]
+            mine = axpy(cols.setdefault(w, {}), col, 1)
             if not mine:
                 del cols[w]
         return LinearOperator(self.space, self.degree, cols)

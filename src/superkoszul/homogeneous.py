@@ -31,6 +31,7 @@ from .tensorspace import (
     SuperSpace,
     TensorVector,
     antisymmetrizer_image,
+    axpy,
     dual_complement,
     permute_word,
     subspace_intersection,
@@ -43,51 +44,6 @@ Word = tuple
 class NonConfluentError(RuntimeError):
     """Normal forms were requested for an algebra whose rewriting system is
     not confluent; they would depend on the rewriting strategy."""
-
-
-class ReductionOperator:
-    """The projection of V^(x N) determined by a relation subspace.
-
-    Every pivot (leading) word of the relation echelon rewrites to minus the
-    tail; all other words are fixed.  The kernel of the projection is exactly
-    the relation subspace, and rewrite targets are strictly smaller words, so
-    iterated application inside longer words terminates.
-    """
-
-    def __init__(self, space: SuperSpace, degree: int, rewrite: dict):
-        self.space = space
-        self.degree = degree
-        self.rewrite = rewrite  # pivot word -> {word: coeff}, the image of the pivot
-
-    def reduced(self, word) -> bool:
-        return tuple(word) not in self.rewrite
-
-    def apply(self, v: TensorVector) -> TensorVector:
-        out: dict = {}
-
-        def bump(w, c):
-            s = out.get(w, Fraction(0)) + c
-            if s:
-                out[w] = s
-            else:
-                del out[w]
-
-        for w, c in v.coeffs.items():
-            target = self.rewrite.get(w)
-            if target is None:
-                bump(w, c)
-            else:
-                for u, a in target.items():
-                    bump(u, c * a)
-        return TensorVector(self.space, self.degree, out)
-
-    def kernel(self) -> Subspace:
-        rows = []
-        for pivot, tail in self.rewrite.items():
-            row = {w: -c for w, c in tail.items()}
-            row[pivot] = Fraction(1)
-            rows.append(row)
-        return Subspace(self.space, self.degree, rows)
 
 
 @dataclass
@@ -173,10 +129,6 @@ class HomogAlgebra:
         for pivot, row in self.R.rows.items():
             rw[pivot] = {w: -c for w, c in row.items() if w != pivot}
         return rw
-
-    def reduction_operator(self) -> ReductionOperator:
-        """The projection whose kernel is the relation subspace."""
-        return ReductionOperator(self.space, self.N, self.rewrite_map())
 
     def placement_rows(self, i: int, j: int):
         """Echelon rows of V^(x i) x R x V^(x j) (already a reduced basis)."""
@@ -368,13 +320,7 @@ class HomogAlgebra:
                 if w == window:
                     continue
                 # S(window) = -tail, i.e. window ~ -(row - window) in A
-                sub = self._nf(prefix + w + suffix, rightmost)
-                for u, a in sub.items():
-                    s = result.get(u, Fraction(0)) - c * a
-                    if s:
-                        result[u] = s
-                    else:
-                        del result[u]
+                axpy(result, self._nf(prefix + w + suffix, rightmost), -c)
         if memo is not None:
             memo[word] = result
         return result
@@ -384,17 +330,8 @@ class HomogAlgebra:
             raise ValueError("vector does not live in this algebra's generating space")
         out: dict = {}
         for w, c in v.coeffs.items():
-            for u, a in self.normal_form_word(w, rightmost).items():
-                s = out.get(u, Fraction(0)) + c * a
-                if s:
-                    out[u] = s
-                else:
-                    del out[u]
+            axpy(out, self.normal_form_word(w, rightmost), c)
         return TensorVector(self.space, v.degree, out)
-
-    def multiply_words(self, left: Word, right: Word) -> dict:
-        """Product of two basis classes in A, as a normal-form dict."""
-        return self.normal_form_word(tuple(left) + tuple(right))
 
     def __repr__(self):
         return f"HomogAlgebra({self.label}: d={self.dim_V}, N={self.N}, dim R={self.R.dim})"

@@ -4,7 +4,7 @@ checking, Tor via minimal graded-free resolutions, and Hilbert-series duality.
 The complex alternates two differentials built from one contraction map d
 (move the leading tensor letter into the algebra factor):
 
-    ... --d--> A x D_{N+1} --d^(N-1) wait, see below
+    ... --d^(N-1)--> A x D_{N+1} --d--> A x D_N --d^(N-1)--> A x D_1 --d--> A x D_0
 
 with components A x D_{nu(i)} where D_m is the degree-m graded dual of the
 dual algebra (D_m = V^(x m) below degree N, the intersection of all placements
@@ -30,7 +30,7 @@ from .homogeneous import (
     HomogAlgebra,
 )
 from .superpoly import TruncatedSeries
-from .tensorspace import RankCounter, kernel_of_vectors, matrix_rank
+from .tensorspace import RankCounter, axpy, kernel_of_vectors, matrix_rank
 
 
 def jump(N: int, i: int) -> int:
@@ -40,11 +40,6 @@ def jump(N: int, i: int) -> int:
     if i % 2 == 0:
         return (i // 2) * N
     return ((i - 1) // 2) * N + 1
-
-
-def largest_multiple_below(N: int, n: int) -> int:
-    """alpha_N(n): the largest multiple of N that is <= n."""
-    return n - (n % N)
 
 
 @dataclass
@@ -75,12 +70,7 @@ class KoszulSlice:
         for col in next_slice.columns.values():
             out: dict = {}
             for b, c in col.items():
-                for t, a in self.columns.get(index[b], {}).items():
-                    s = out.get(t, Fraction(0)) + c * a
-                    if s:
-                        out[t] = s
-                    else:
-                        del out[t]
+                axpy(out, self.columns.get(index[b], {}), c)
             if out:
                 return False
         return True

@@ -31,7 +31,7 @@ from .superpoly import (
     VariableTable,
     newton_elementary,
 )
-from .tensorspace import SuperSpace, supertrace
+from .tensorspace import SuperSpace, supertrace, wedge_dimension
 
 
 class GenericSupermatrix:
@@ -354,15 +354,6 @@ def _word_parity(word, p):
     return sum(1 for a in word if a > p) % 2
 
 
-class _ProductState:
-    """Element of A (x) B during the expansion of a product of the y_i."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms):
-        self.terms = terms  # {reduced word: SuperPolynomial}
-
-
 def diagonal_coefficients(X: GenericSupermatrix, A: HomogAlgebra, length: int):
     """All diagonal coefficients X(i) at one length: expand y_{i_1}...y_{i_l}
     in A (x) B down a prefix tree over the reduced words and read off the
@@ -372,9 +363,10 @@ def diagonal_coefficients(X: GenericSupermatrix, A: HomogAlgebra, length: int):
     fmt = X.space.format
     results: dict[tuple, SuperPolynomial] = {}
 
-    def extend(prefix, state: _ProductState):
+    def extend(prefix, terms: dict):
+        # terms: the element of A (x) B reached so far, {reduced word: SuperPolynomial}
         if len(prefix) == length:
-            results[prefix] = state.terms.get(prefix, table.zero())
+            results[prefix] = terms.get(prefix, table.zero())
             return
         depth = len(prefix)
         prefix_parity = _word_parity(prefix, p)
@@ -384,7 +376,7 @@ def diagonal_coefficients(X: GenericSupermatrix, A: HomogAlgebra, length: int):
                 continue
             # multiply the state by y_i = sum_j x_j (x) x[j,i]
             new_terms: dict[tuple, SuperPolynomial] = {}
-            for w, bpoly in state.terms.items():
+            for w, bpoly in terms.items():
                 # parity of the B-coefficient of word w after `depth` letters
                 b_parity = (A.space.word_parity(w) + prefix_parity) % 2
                 for j in range(1, X.d + 1):
@@ -398,9 +390,9 @@ def diagonal_coefficients(X: GenericSupermatrix, A: HomogAlgebra, length: int):
                         add = factor * c
                         new_terms[u] = add if cur is None else cur + add
             new_terms = {u: v for u, v in new_terms.items() if not v.is_zero()}
-            extend(nxt, _ProductState(new_terms))
+            extend(nxt, new_terms)
 
-    extend((), _ProductState({(): table.one()}))
+    extend((), {(): table.one()})
     return results
 
 
@@ -486,13 +478,12 @@ def closed_form_hilbert(p: int, q: int, N: int, K: int, kind: str = "dim") -> Tr
         if r not in (0, 1):
             continue
         if kind == "dim":
-            val = sum(_binom_pair(p, q, rr, m - rr) for rr in range(m + 1))
-            denom[m] = Fraction((-1) ** r * val)
+            denom[m] = Fraction((-1) ** r * wedge_dimension(p, q, m))
         elif kind == "sdim":
             if p >= q:
                 denom[m] = Fraction((-1) ** r * comb(p - q, m)) if m <= p - q else Fraction(0)
             else:
-                alpha = largest_multiple_below_N(N, m)
+                alpha = m - m % N
                 denom[m] = Fraction(
                     (-1) ** alpha * comb(m + q - p - 1, q - p - 1)
                 )
@@ -515,12 +506,3 @@ def closed_form_hilbert(p: int, q: int, N: int, K: int, kind: str = "dim") -> Tr
                 f"{series.coeffs[length]}, enumeration gives {expected}"
             )
     return series
-
-
-def _binom_pair(p, q, r, s):
-    odd_factor = 1 if s == 0 else comb(q + s - 1, s)
-    return comb(p, r) * odd_factor
-
-
-def largest_multiple_below_N(N: int, m: int) -> int:
-    return m - (m % N)

@@ -101,13 +101,7 @@ class TensorVector:
 
     def __add__(self, other):
         self._check(other)
-        coeffs = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            s = coeffs.get(w, Fraction(0)) + c
-            if s:
-                coeffs[w] = s
-            else:
-                del coeffs[w]
+        coeffs = axpy(dict(self.coeffs), other.coeffs, 1)
         return TensorVector(self.space, self.degree, coeffs)
 
     def __sub__(self, other):
@@ -300,8 +294,27 @@ def group_algebra_action(element, v: TensorVector) -> TensorVector:
 
 
 # ---------------------------------------------------------------------------
-# Exact row-echelon subspaces
+# Exact elimination: one sparse helper, two pivot tables
 # ---------------------------------------------------------------------------
+
+
+def axpy(dst: dict, src: dict, factor) -> dict:
+    """dst += factor * src in place, dropping entries that cancel; returns dst."""
+    for k, c in src.items():
+        s = factor * c
+        if k in dst:
+            s += dst[k]
+        if s:
+            dst[k] = s
+        else:
+            dst.pop(k, None)
+    return dst
+
+
+def _clean(vector) -> dict:
+    if isinstance(vector, TensorVector):
+        vector = vector.coeffs
+    return {w: Fraction(c) for w, c in vector.items() if c != 0}
 
 
 class Subspace:
@@ -323,78 +336,45 @@ class Subspace:
         if check_parity and not self.is_parity_homogeneous():
             raise ValueError("subspace rows must be parity-homogeneous")
 
-    # -- construction ---------------------------------------------------
-
-    @classmethod
-    def from_vectors(cls, vectors, check_parity: bool = True) -> "Subspace":
-        vectors = list(vectors)
-        if not vectors:
-            raise ValueError("cannot infer the ambient space from no vectors")
-        space, degree = vectors[0].space, vectors[0].degree
-        return cls(space, degree, (v.coeffs for v in vectors), check_parity=check_parity)
-
-    @classmethod
-    def zero(cls, space: SuperSpace, degree: int) -> "Subspace":
-        return cls(space, degree)
-
     @classmethod
     def full(cls, space: SuperSpace, degree: int) -> "Subspace":
         rows = ({w: Fraction(1)} for w in space.words(degree))
         return cls(space, degree, rows)
 
+    def _reduce(self, vector) -> tuple:
+        """(residual, coordinates) of a vector against the rows.
+
+        One pass over the vector's pivot words suffices: row tails avoid
+        every pivot, so subtracting a row never creates another pivot hit.
+        """
+        residual = _clean(vector)
+        coords = {}
+        for p in [w for w in residual if w in self.rows]:
+            coords[p] = c = residual[p]
+            axpy(residual, self.rows[p], -c)
+        return residual, coords
+
     def insert(self, row) -> bool:
         """Insert one vector (dict word->coeff); True if the rank grew."""
-        row = {w: Fraction(c) for w, c in row.items() if c != 0}
-        while row:
-            lead = min(row)
-            pivot_row = self.rows.get(lead)
-            if pivot_row is None:
-                # clear remaining pivot words from the tail; pivot-row tails
-                # are pivot-free, so each hit disappears in one subtraction
-                hits = [w for w in row if w != lead and w in self.rows]
-                for w0 in hits:
-                    factor = row.pop(w0)
-                    for w, c in self.rows[w0].items():
-                        if w == w0:
-                            continue
-                        s = row.get(w, Fraction(0)) - factor * c
-                        if s:
-                            row[w] = s
-                        else:
-                            row.pop(w, None)
-                inv = Fraction(1) / row[lead]
-                row = {w: c * inv for w, c in row.items()}
-                # clear this column from existing rows (full reduction)
-                for p in list(self._cols.get(lead, ())):
-                    other = self.rows[p]
-                    factor = other.pop(lead)
-                    self._col_del(lead, p)
-                    for w, c in row.items():
-                        if w == lead:
-                            continue
-                        s = other.get(w, Fraction(0)) - factor * c
-                        if s:
-                            if w not in other:
-                                self._col_add(w, p)
-                            other[w] = s
-                        elif w in other:
-                            del other[w]
-                            self._col_del(w, p)
-                self.rows[lead] = row
-                for w in row:
-                    if w != lead:
-                        self._col_add(w, lead)
-                return True
-            factor = row.pop(lead)
-            for w, c in pivot_row.items():
-                if w == lead:
-                    continue
-                s = row.get(w, Fraction(0)) - factor * c
-                if s:
-                    row[w] = s
+        row = self._reduce(row)[0]
+        if not row:
+            return False
+        lead = min(row)
+        inv = Fraction(1) / row[lead]
+        row = {w: c * inv for w, c in row.items()}
+        # back-substitute: clear the new pivot column from existing rows
+        for p in list(self._cols.get(lead, ())):
+            other = axpy(self.rows[p], row, -self.rows[p][lead])
+            for w in row:
+                if w in other:
+                    self._col_add(w, p)
                 else:
-                    row.pop(w, None)
-        return False
+                    self._col_del(w, p)
+        self.rows[lead] = row
+        for w in row:
+            if w != lead:
+                self._col_add(w, lead)
+        return True
 
     def _col_add(self, word, pivot):
         self._cols.setdefault(word, set()).add(pivot)
@@ -417,49 +397,20 @@ class Subspace:
 
     def reduce(self, vector) -> dict:
         """Residual of a vector after reduction by the basis rows."""
-        vector = {w: Fraction(c) for w, c in vector.items() if c != 0}
-        # reduce pivot hits in increasing word order for determinism
-        while True:
-            hits = [w for w in vector if w in self.rows]
-            if not hits:
-                return vector
-            lead = min(hits)
-            factor = vector.pop(lead)
-            for w, c in self.rows[lead].items():
-                if w == lead:
-                    continue
-                s = vector.get(w, Fraction(0)) - factor * c
-                if s:
-                    vector[w] = s
-                else:
-                    vector.pop(w, None)
+        return self._reduce(vector)[0]
 
     def contains(self, vector) -> bool:
-        if isinstance(vector, TensorVector):
-            vector = vector.coeffs
-        return not self.reduce(vector)
+        return not self._reduce(vector)[0]
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(row) for row in other.rows.values())
 
     def coordinates(self, vector) -> dict:
         """Coordinates w.r.t. the echelon rows; raises if not in the span."""
-        if isinstance(vector, TensorVector):
-            vector = vector.coeffs
-        coords = {p: vector.get(p, Fraction(0)) for p in self.rows}
-        residual = dict(vector)
-        for p, c in coords.items():
-            if c == 0:
-                continue
-            for w, rc in self.rows[p].items():
-                s = residual.get(w, Fraction(0)) - c * rc
-                if s:
-                    residual[w] = s
-                else:
-                    residual.pop(w, None)
+        residual, coords = self._reduce(vector)
         if residual:
             raise ValueError("vector is not in the subspace")
-        return {p: c for p, c in coords.items() if c != 0}
+        return coords
 
     def basis_vectors(self):
         return [
@@ -510,22 +461,9 @@ def subspace_intersection(A: Subspace, B: Subspace) -> Subspace:
     for combo in kernel_of_vectors(residuals):
         vec: dict = {}
         for k, ck in combo.items():
-            for w, c in basis[k].items():
-                s = vec.get(w, Fraction(0)) + ck * c
-                if s:
-                    vec[w] = s
-                else:
-                    del vec[w]
+            axpy(vec, basis[k], ck)
         out.insert(vec)
     return out
-
-
-def subspace_combine(kind: str, A: Subspace, B: Subspace) -> Subspace:
-    if kind == "sum":
-        return subspace_sum(A, B)
-    if kind == "intersection":
-        return subspace_intersection(A, B)
-    raise ValueError(f"unknown combination kind {kind!r}")
 
 
 def _check_ambient(A: Subspace, B: Subspace):
@@ -533,77 +471,50 @@ def _check_ambient(A: Subspace, B: Subspace):
         raise ValueError("subspaces live in different ambient tensor powers")
 
 
-def kernel_of_vectors(vectors):
-    """Kernel of the map e_k -> vectors[k], as a list of coefficient dicts.
-
-    Forward elimination with coefficient tags: a column that reduces to zero
-    yields one kernel element.
-    """
-    pivots: dict = {}  # lead -> (row, tags)
-    kernel = []
-    for k, vec in enumerate(vectors):
-        row = {w: Fraction(c) for w, c in vec.items() if c != 0}
-        tags = {k: Fraction(1)}
-        while row:
-            lead = min(row)
-            entry = pivots.get(lead)
-            if entry is None:
-                inv = Fraction(1) / row[lead]
-                pivots[lead] = (
-                    {w: c * inv for w, c in row.items()},
-                    {t: c * inv for t, c in tags.items()},
-                )
-                break
-            prow, ptags = entry
-            factor = row.pop(lead)
-            for w, c in prow.items():
-                if w == lead:
-                    continue
-                s = row.get(w, Fraction(0)) - factor * c
-                if s:
-                    row[w] = s
-                else:
-                    row.pop(w, None)
-            for t, c in ptags.items():
-                s = tags.get(t, Fraction(0)) - factor * c
-                if s:
-                    tags[t] = s
-                else:
-                    tags.pop(t, None)
-        else:
-            kernel.append(tags)
-    return kernel
-
-
 class RankCounter:
-    """Forward-only echelon used for matrix ranks (no canonical form)."""
+    """Forward-only echelon (no canonical form) for ranks and kernels.
+
+    ``insert(vec, tags)`` reduces an optional tag dict alongside the row, in
+    place; tag either every insert or none.  When the row reduces to zero
+    the tags hold the combination of earlier inputs that it equals.
+    """
 
     def __init__(self):
-        self.rows: dict = {}
+        self.rows: dict = {}  # lead -> row, coefficient 1 at the lead
+        self.tags: dict = {}  # lead -> tags of that row
 
-    def insert(self, vec) -> bool:
-        row = {w: Fraction(c) for w, c in vec.items() if c != 0}
+    def insert(self, vec, tags=None) -> bool:
+        row = _clean(vec)
         while row:
             lead = min(row)
-            pivot_row = self.rows.get(lead)
-            if pivot_row is None:
+            prow = self.rows.get(lead)
+            if prow is None:
                 inv = Fraction(1) / row[lead]
                 self.rows[lead] = {w: c * inv for w, c in row.items()}
+                if tags is not None:
+                    self.tags[lead] = {t: c * inv for t, c in tags.items()}
                 return True
-            factor = row.pop(lead)
-            for w, c in pivot_row.items():
-                if w == lead:
-                    continue
-                s = row.get(w, Fraction(0)) - factor * c
-                if s:
-                    row[w] = s
-                else:
-                    row.pop(w, None)
+            factor = -row[lead]
+            axpy(row, prow, factor)
+            if tags is not None:
+                axpy(tags, self.tags[lead], factor)
         return False
 
     @property
     def rank(self) -> int:
         return len(self.rows)
+
+
+def kernel_of_vectors(vectors):
+    """Kernel of the map e_k -> vectors[k], as a list of coefficient dicts:
+    each input that reduces to zero yields its tags as one kernel element."""
+    rc = RankCounter()
+    kernel = []
+    for k, vec in enumerate(vectors):
+        tags = {k: Fraction(1)}
+        if not rc.insert(vec, tags):
+            kernel.append(tags)
+    return kernel
 
 
 def matrix_rank(columns) -> int:

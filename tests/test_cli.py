@@ -161,3 +161,15 @@ def test_main_returns_exit_code_in_process(capsys):
     assert main(["dims", "--family", "tensor", "--p", "1", "--q", "0", "--order", "2"]) == 0
     out = capsys.readouterr().out
     assert machine_lines(out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["hilbert", "--family", "n_symmetric", "--p", "2", "--q", "0", "--order", "-1"],
+    ["dims", "--family", "n_symmetric", "--p", "2", "--q", "0", "--order", "-3"],
+    ["tor", "--family", "yang_mills", "--p", "3", "--q", "0", "--i-max", "-1"],
+])
+def test_negative_bounds_are_input_errors(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "must be nonnegative" in captured.err
+    assert not captured.out

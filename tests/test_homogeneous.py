@@ -21,6 +21,7 @@ from superkoszul.homogeneous import (
     yang_mills,
 )
 from superkoszul.tensorspace import (
+    Subspace,
     SuperSpace,
     TensorVector,
     antisymmetrizer_image,
@@ -184,27 +185,24 @@ def test_rewrite_map_of_the_even_plane():
     assert A.rewrite_map() == {(1, 2): {(2, 1): Fraction(1)}}
 
 
-def test_reduction_operator_is_a_projection_with_kernel_R():
+def test_rewrite_map_lowers_pivots_and_spans_R():
     for A in (
         n_symmetric(SuperSpace.standard(1, 1), 2),
         n_symmetric(SuperSpace.standard(2, 1), 3),
         quantum_superspace(SuperSpace.standard(1, 2), {(1, 2): Fraction(3, 4)}),
         yang_mills(SuperSpace.standard(2, 0)),
     ):
-        S = A.reduction_operator()
-        # S fixes reduced words, lowers pivots, and squares to itself
-        for w in A.space.words(A.N):
-            v = TensorVector.basis(A.space, w)
-            image = S.apply(v)
-            if S.reduced(w):
-                assert image == v
-            else:
-                assert all(u > w for u in image.coeffs)  # strictly smaller monomials
-            assert S.apply(image) == image
-        # the kernel recovers the relation subspace, so S vanishes on it
-        assert S.kernel() == A.R
-        for row in A.R.rows.values():
-            assert S.apply(TensorVector(A.space, A.N, row)).is_zero()
+        rewrite = A.rewrite_map()
+        assert set(rewrite) == set(A.R.rows)
+        rows = []
+        for pivot, tail in rewrite.items():
+            # tails are supported on strictly smaller monomials, none a pivot
+            assert all(u > pivot and u not in rewrite for u in tail)
+            row = {w: -c for w, c in tail.items()}
+            row[pivot] = Fraction(1)
+            rows.append(row)
+        # pivot minus tail recovers the relation subspace
+        assert Subspace(A.space, A.N, rows) == A.R
 
 
 def test_rewrite_map_of_an_odd_line():

@@ -14,8 +14,9 @@ from superkoszul.tensorspace import (
     all_permutations,
     antisymmetrizer_image,
     dual_complement,
+    kernel_of_vectors,
+    matrix_rank,
     perm_action,
-    subspace_combine,
     subspace_intersection,
     subspace_sum,
     supertrace,
@@ -125,8 +126,8 @@ def test_sum_and_intersection_idempotent():
     rng = random.Random(9)
     sp = SuperSpace.standard(2, 1)
     A = rand_subspace(rng, sp, 2)
-    assert subspace_combine("sum", A, A) == A
-    assert subspace_combine("intersection", A, A) == A
+    assert subspace_sum(A, A) == A
+    assert subspace_intersection(A, A) == A
 
 
 def test_dimension_formula_for_sum_and_intersection():
@@ -157,6 +158,87 @@ def test_two_sided_placements_intersect_to_wedge():
         cap = subspace_intersection(left, right)
         assert cap.dim == expected
         assert cap == antisymmetrizer_image(sp, 4)
+
+
+# -- the eliminator --------------------------------------------------------------
+
+
+def rand_vectors(rng, sp, degree, count, width=3):
+    words = list(sp.words(degree))
+    return [
+        {w: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for w in rng.sample(words, width)}
+        for _ in range(count)
+    ]
+
+
+def test_subspace_rows_do_not_depend_on_insertion_order():
+    rng = random.Random(21)
+    sp = SuperSpace((0, 0, 0))
+    for _ in range(15):
+        vectors = rand_vectors(rng, sp, 2, rng.randint(1, 7))
+        reference = Subspace(sp, 2, vectors)
+        for _ in range(3):
+            rng.shuffle(vectors)
+            assert Subspace(sp, 2, vectors).rows == reference.rows
+
+
+def test_subspace_is_fully_reduced():
+    rng = random.Random(22)
+    sp = SuperSpace.standard(2, 1)
+    for _ in range(20):
+        S = rand_subspace(rng, sp, 3, rows=rng.randint(1, 8))
+        for pivot, row in S.rows.items():
+            assert pivot == min(row)
+            assert row[pivot] == 1
+            assert all(w not in S.rows for w in row if w != pivot)
+
+
+def test_reduce_and_coordinates_reassemble_the_vector():
+    rng = random.Random(23)
+    sp = SuperSpace((0, 0, 0))
+    for _ in range(20):
+        S = Subspace(sp, 2, rand_vectors(rng, sp, 2, rng.randint(1, 6)))
+        v = rand_vectors(rng, sp, 2, 1, width=4)[0]
+        residual = S.reduce(v)
+        assert not set(residual) & set(S.rows)
+        in_span = {w: c for w, c in v.items() if c}
+        for w, c in residual.items():
+            in_span[w] = in_span.get(w, 0) - c
+        coords = S.coordinates(in_span)
+        total = dict(residual)
+        for p, c in coords.items():
+            for w, a in S.rows[p].items():
+                total[w] = total.get(w, 0) + c * a
+        assert {w: c for w, c in total.items() if c} == {w: c for w, c in v.items() if c}
+        assert S.contains(in_span)
+        if residual:
+            assert not S.contains(v)
+            with pytest.raises(ValueError):
+                S.coordinates(v)
+
+
+def test_kernel_combinations_vanish_and_count_the_nullity():
+    rng = random.Random(24)
+    sp = SuperSpace((0, 0, 0))
+    for _ in range(20):
+        vectors = rand_vectors(rng, sp, 2, rng.randint(1, 12), width=2)
+        kernel = kernel_of_vectors(vectors)
+        assert len(kernel) == len(vectors) - matrix_rank(vectors)
+        for combo in kernel:
+            assert combo
+            image: dict = {}
+            for k, ck in combo.items():
+                for w, c in vectors[k].items():
+                    image[w] = image.get(w, 0) + ck * c
+            assert not any(image.values())
+
+
+def test_matrix_rank_equals_subspace_dimension():
+    rng = random.Random(25)
+    sp = SuperSpace((0, 0, 0))
+    for _ in range(20):
+        vectors = rand_vectors(rng, sp, 2, rng.randint(0, 12), width=rng.randint(1, 4))
+        assert matrix_rank(vectors) == Subspace(sp, 2, vectors).dim
 
 
 def test_subspace_requires_parity_homogeneous_rows():
