@@ -22,7 +22,7 @@ print(f"\nconfluence report for {A.label}:")
 print(A.confluence_report())
 
 print("\nreduced words of length 3:", A.reduced_words(3))
-print("graded dimension by row reduction:", A.dim_component(3))
+print("graded dimension by row reduction:", A.graded_component(3)[1])
 
 B = custom_algebra((0, 0), 2, [[(1, (1, 1)), (-1, (1, 2))]], label="x^2 -> xy")
 print(f"\nan engineered overlap ({B.label}):")

@@ -295,6 +295,19 @@ def _cmd_confluence(report, spec, options, order):
     report.verdict_fail = not (conf.passed and extra.passed)
 
 
+def _inconclusive_without_confluence(report, A, what) -> bool:
+    """Report a non-confluent presentation as INCONCLUSIVE: products in A, and
+    so ``what``, need normal forms.  Returns True when it did."""
+    conf = confluence_check(A)
+    if conf.passed:
+        return False
+    report.say(str(conf))
+    report.say(f"verdict: inconclusive (non-confluent basis/order; {what} not computable here)")
+    report.record(verdict="INCONCLUSIVE", witness="confluence")
+    report.verdict_fail = True
+    return True
+
+
 def _cmd_koszul(report, spec, options, order):
     A = build_algebra(spec)
     report.say(f"Koszul check for {A.label} through total degree {order}")
@@ -316,12 +329,7 @@ def _cmd_koszul(report, spec, options, order):
         report.record(verdict="FAIL", witness="duality", n=bad)
         report.verdict_fail = True
         return
-    conf = confluence_check(A)
-    if not conf.passed:
-        report.say(str(conf))
-        report.say("verdict: inconclusive (non-confluent basis/order; exactness not computable here)")
-        report.record(verdict="INCONCLUSIVE", witness="confluence")
-        report.verdict_fail = True
+    if _inconclusive_without_confluence(report, A, "exactness"):
         return
     verdict = koszul_check(A, order)
     report.say(str(verdict))
@@ -337,8 +345,10 @@ def _cmd_koszul(report, spec, options, order):
 def _cmd_tor(report, spec, options, order):
     A = build_algebra(spec)
     i_max = options.get("i_max", 4)
-    table = tor_dims(A, i_max, order)
     report.say(f"Tor dimensions for {A.label} (rows i=0..{i_max}, degrees 0..{order})")
+    if _inconclusive_without_confluence(report, A, "Tor"):
+        return
+    table = tor_dims(A, i_max, order)
     report.say(str(table))
     for i in range(i_max + 1):
         for n in range(order + 1):

@@ -18,6 +18,16 @@ word; when the system is confluent the reduced words represent a basis of A
 and normal forms are well defined.  Confluence is checked once per algebra
 (see :meth:`HomogAlgebra.confluence_report`) and normal-form computations
 refuse to run without it.
+
+Graded dimensions.  :meth:`HomogAlgebra.graded_component` eliminates R_n and
+gives dim A_n = d^n - dim R_n for any presentation.  When the rewriting
+system is confluent, the reduced words are a basis of A in every degree
+(Bergman's diamond lemma; Berger, "Confluence and Koszulity", 1998), so
+:meth:`HomogAlgebra.dim_component` counts them instead from degree 2N on,
+with a transfer count over the last N-1 letters that needs no elimination
+and no word list.  Below 2N it eliminates; the overlap degrees N+1..2N-1 are
+where the confluence test works, and the first counted call checks the count
+against elimination in each of them.
 """
 
 from __future__ import annotations
@@ -39,6 +49,11 @@ from .tensorspace import (
 )
 
 Word = tuple
+
+
+class InternalInconsistencyError(AssertionError):
+    """Two independent routes to the same quantity disagreed; an
+    implementation bug."""
 
 
 class NonConfluentError(RuntimeError):
@@ -111,6 +126,7 @@ class HomogAlgebra:
         self._dual_star: dict[int, Subspace] = {}
         self._nf_memo: dict[Word, dict] = {}
         self._reduced_words: dict[int, list] = {}
+        self._count_checked = False
         self._confluence: ConfluenceReport | None = None
         self._extra: ExtraConditionReport | None = None
 
@@ -144,7 +160,23 @@ class HomogAlgebra:
         return Rn, self.dim_V ** n - Rn.dim
 
     def dim_component(self, n: int) -> int:
-        return self.graded_component(n)[1]
+        """dim A_n: the number of reduced words when n >= 2N and the rewriting
+        system is confluent (the diamond lemma makes them a basis), the
+        elimination d^n - dim R_n otherwise.  The first counted call checks
+        the count against elimination in every degree below 2N and raises
+        :class:`InternalInconsistencyError` on a mismatch."""
+        if n < 2 * self.N or not self.confluence_report().passed:
+            return self.graded_component(n)[1]
+        if not self._count_checked:
+            for m in range(2 * self.N):
+                counted, eliminated = self.count_reduced_words(m), self.graded_component(m)[1]
+                if counted != eliminated:
+                    raise InternalInconsistencyError(
+                        f"{self.label}: {counted} reduced words of length {m} "
+                        f"but dim A_{m} = {eliminated} by elimination"
+                    )
+            self._count_checked = True
+        return self.count_reduced_words(n)
 
     def dims(self, deg_max: int) -> list[int]:
         return [self.dim_component(n) for n in range(deg_max + 1)]
@@ -209,6 +241,24 @@ class HomogAlgebra:
         pivots = self.R.rows
         N = self.N
         return not any(word[k : k + N] in pivots for k in range(len(word) - N + 1))
+
+    def count_reduced_words(self, n: int) -> int:
+        """The number of reduced words of length n, by a transfer count over
+        their last N-1 letters: O(n d^N) integer additions, no word list."""
+        d, N = self.dim_V, self.N
+        if n < N:
+            return d ** n
+        pivots = self.R.rows
+        # ends[s]: reduced words of the current length whose last N-1 letters are s
+        ends = dict.fromkeys(self.space.words(N - 1), 1)
+        for _ in range(n - N + 1):
+            nxt = dict.fromkeys(ends, 0)
+            for s, c in ends.items():
+                for letter in range(1, d + 1):
+                    if s + (letter,) not in pivots:
+                        nxt[s[1:] + (letter,)] += c
+            ends = nxt
+        return sum(ends.values())
 
     def reduced_words(self, n: int) -> list:
         """All reduced words of length n, built letter by letter."""

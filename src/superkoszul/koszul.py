@@ -304,18 +304,27 @@ def extra_condition_check(A: HomogAlgebra) -> ExtraConditionReport:
 
 
 def hilbert_series(A: HomogAlgebra, K: int) -> TruncatedSeries:
-    """sum of dim A_n t^n, truncated at order K, via the graded components."""
+    """sum of dim A_n t^n, truncated at order K; see
+    :meth:`HomogAlgebra.dim_component` for how each coefficient is found."""
     return TruncatedSeries(K, [Fraction(A.dim_component(n)) for n in range(K + 1)])
 
 
 def alternating_dual_series(A: HomogAlgebra, K: int) -> TruncatedSeries:
     """sum over i of (-1)^i dim D_{nu(i)} t^{nu(i)} where D is the graded
-    dual of the dual algebra; all other coefficients vanish."""
+    dual of the dual algebra; all other coefficients vanish.
+
+    dim D_m = dim A^!_m, so from degree 2N on a confluent A^! gives it as a
+    reduced-word count; otherwise D_m is built by intersection."""
     coeffs = [Fraction(0)] * (K + 1)
+    dual = A.dual_algebra()
     i = 0
     while jump(A.N, i) <= K:
         m = jump(A.N, i)
-        coeffs[m] = Fraction((-1) ** i * A.dual_star_component(m).dim)
+        if m >= 2 * A.N and dual.confluence_report().passed:
+            dim = dual.dim_component(m)
+        else:
+            dim = A.dual_star_component(m).dim
+        coeffs[m] = Fraction((-1) ** i * dim)
         i += 1
     return TruncatedSeries(K, coeffs)
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .homogeneous import HomogAlgebra, n_symmetric
+from .homogeneous import HomogAlgebra, InternalInconsistencyError, n_symmetric
 from .superpoly import (
     SuperPolynomial,
     TruncatedSeries,
@@ -203,10 +203,6 @@ def berezinian_series(X: GenericSupermatrix, K: int) -> TruncatedSeries:
         for i in range(q)
     ]
     return _series_det(A, table, K) * _series_det(schur, table, K).inverse()
-
-
-class InternalInconsistencyError(AssertionError):
-    """The two independent routes to e_n disagreed; an implementation bug."""
 
 
 def char_function(X: GenericSupermatrix, K: int) -> list[SuperPolynomial]:

@@ -298,7 +298,7 @@ def test_criterion_8_closed_form_hilbert_series():
             A = symmetric_algebra(p, q, N)
             for length in range(7):
                 ok &= int(dim_series.coeffs[length]) == len(lambda_set(p, q, N, length))
-                ok &= len(lambda_set(p, q, N, length)) == A.dim_component(length)
+                ok &= len(lambda_set(p, q, N, length)) == A.graded_component(length)[1]
             if p == q:
                 ok &= sdim_series == TruncatedSeries.one(6)
     assert report("8 (closed-form Hilbert series)", ok)

@@ -129,6 +129,14 @@ def test_tor_command():
     assert any("i=3 deg=4 dim=1" in line for line in lines)
 
 
+def test_tor_command_is_inconclusive_without_confluence(capsys):
+    assert main(["tor", "--family", "yang_mills", "--p", "1", "--q", "1", "--order", "4"]) == 1
+    out = capsys.readouterr().out
+    assert "overlap width" in out
+    assert any("verdict=INCONCLUSIVE witness=confluence" in line for line in machine_lines(out))
+    assert not any("dim=" in line for line in machine_lines(out))
+
+
 def test_hilbert_command_with_closed_form():
     code, out, _ = run_cli(["hilbert", "--family", "n_symmetric", "--p", "1", "--q", "1", "-N", "2", "--order", "6"])
     assert code == 0

@@ -7,6 +7,8 @@ import pytest
 
 from superkoszul.hecke import dj_operator, supersymmetry_operator
 from superkoszul.homogeneous import (
+    ConfluenceReport,
+    InternalInconsistencyError,
     NonConfluentError,
     custom_algebra,
     end_algebra,
@@ -256,7 +258,36 @@ def test_reduced_word_count_matches_graded_dimension():
         quantum_superspace(SuperSpace.standard(1, 2), {(1, 2): Fraction(2)}),
     ):
         for n in range(6):
-            assert len(algebra.reduced_words(n)) == algebra.dim_component(n)
+            assert len(algebra.reduced_words(n)) == algebra.graded_component(n)[1]
+            assert algebra.count_reduced_words(n) == len(algebra.reduced_words(n))
+
+
+def _overlapping_rewrite():
+    # x1 x1 - x1 x2: irreducible words avoid x1 x1 (Fibonacci counts) while
+    # dim A_n = n + 1, so the rewriting system is not confluent
+    return custom_algebra((0, 0), 2, [[(1, (1, 1)), (-1, (1, 2))]])
+
+
+def test_dim_component_eliminates_when_not_confluent():
+    A = _overlapping_rewrite()
+    assert not A.confluence_report().passed
+    assert [A.count_reduced_words(n) for n in range(7)] == [1, 2, 3, 5, 8, 13, 21]
+    assert [A.dim_component(n) for n in range(7)] == [A.graded_component(n)[1] for n in range(7)]
+    assert A.dims(6) == [1, 2, 3, 4, 5, 6, 7]
+
+
+def test_count_is_cross_checked_against_elimination(monkeypatch):
+    A = _overlapping_rewrite()
+    monkeypatch.setattr(A, "confluence_report", lambda: ConfluenceReport())
+    assert A.dim_component(3) == 4  # below 2N: elimination, no cross-check
+    with pytest.raises(InternalInconsistencyError, match="length 3"):
+        A.dim_component(4)
+
+
+def test_internal_inconsistency_error_is_still_importable_from_macmahon():
+    from superkoszul import macmahon
+
+    assert macmahon.InternalInconsistencyError is InternalInconsistencyError
 
 
 def test_non_confluent_algebra_refuses_normal_forms():

@@ -231,7 +231,7 @@ def test_lambda_words_count_matches_graded_dimension():
         for N in (2, 3):
             A = n_symmetric(SuperSpace.standard(p, q), N)
             for length in range(6):
-                assert len(lambda_set(p, q, N, length)) == A.dim_component(length)
+                assert len(lambda_set(p, q, N, length)) == A.graded_component(length)[1]
 
 
 def test_diagonal_coefficients_of_the_line():

@@ -1,0 +1,63 @@
+"""Randomized invariants of small presentations (d <= 3, N <= 3).
+
+Each draw is a parity-homogeneous ``custom_algebra``; every check is exact,
+and every degree is kept to d^n <= 729 words so elimination stays cheap.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from superkoszul.homogeneous import custom_algebra
+from superkoszul.tensorspace import SuperSpace
+
+MAX_WORDS = 729
+COEFFS = [Fraction(c) for c in (-2, -1, 1, 2)] + [Fraction(1, 2), Fraction(-3, 2)]
+
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def presentations(draw):
+    """custom_algebra on 1..3 generators of random parity, N in {2, 3}, and
+    1..3 relations, each a combination of 1..3 words of one parity."""
+    fmt = tuple(draw(st.lists(st.integers(0, 1), min_size=1, max_size=3)))
+    N = draw(st.integers(2, 3))
+    space = SuperSpace(fmt)
+    words = list(space.words(N))
+    relations = []
+    for _ in range(draw(st.integers(1, 3))):
+        parity = space.word_parity(draw(st.sampled_from(words)))
+        same = [w for w in words if space.word_parity(w) == parity]
+        terms = draw(st.lists(st.sampled_from(same), min_size=1, max_size=3, unique=True))
+        relations.append([(draw(st.sampled_from(COEFFS)), w) for w in terms])
+    return custom_algebra(fmt, N, relations)
+
+
+def degrees(A):
+    """Every degree n with d^n <= MAX_WORDS, at most 9."""
+    return [n for n in range(10) if A.dim_V ** n <= MAX_WORDS]
+
+
+@PROPERTY_SETTINGS
+@given(presentations())
+def test_dim_component_and_relations_fill_the_tensor_power(A):
+    for n in degrees(A):
+        Rn, _ = A.graded_component(n)
+        assert A.dim_component(n) + Rn.dim == A.dim_V ** n, n
+
+
+@PROPERTY_SETTINGS
+@given(presentations())
+def test_dual_of_the_dual_is_the_algebra(A):
+    assert A.dual_algebra().dual_algebra().R.rows == A.R.rows
+
+
+@PROPERTY_SETTINGS
+@given(presentations())
+def test_reduced_words_count_the_confluent_algebra(A):
+    if not A.confluence_report().passed:
+        return
+    for n in degrees(A):
+        assert A.count_reduced_words(n) == A.graded_component(n)[1], n
