@@ -2,8 +2,10 @@
 
 An algebra is a format (parities of the generators), a degree N, and a
 relation subspace inside the N-th tensor power.  Graded dimensions come from
-exact row reduction of the relation placements; the dual lives on the dual
-space with the annihilator relations.
+exact row reduction of the degree-n relation space R_n (or, for a confluent
+algebra from degree 2N on, from counting reduced words); the dual lives on
+the dual space with the annihilator relations, and the dual-star components
+intersect the placements of R by window rewriting.
 """
 
 from fractions import Fraction

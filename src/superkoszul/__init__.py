@@ -49,8 +49,6 @@ from .homogeneous import (
 from .koszul import (
     KoszulSlice,
     TorTable,
-    confluence_check,
-    extra_condition_check,
     hilbert_series,
     jump,
     koszul_check,

@@ -35,14 +35,7 @@ from .homogeneous import (
     tensor_algebra,
     yang_mills,
 )
-from .koszul import (
-    confluence_check,
-    extra_condition_check,
-    hilbert_series,
-    koszul_check,
-    koszul_duality_check,
-    tor_dims,
-)
+from .koszul import hilbert_series, koszul_check, koszul_duality_check, tor_dims
 from .macmahon import DEFAULT_TRUNCATION_CEILING, closed_form_hilbert, master_verify
 from .tensorspace import SuperSpace
 
@@ -279,8 +272,8 @@ def _cmd_dual(report, spec, options, order):
 
 def _cmd_confluence(report, spec, options, order):
     A = build_algebra(spec)
-    conf = confluence_check(A)
-    extra = extra_condition_check(A)
+    conf = A.confluence_report()
+    extra = A.extra_condition_report()
     report.say(f"rewriting checks for {A.label}")
     report.say(str(conf))
     report.say(str(extra))
@@ -298,7 +291,7 @@ def _cmd_confluence(report, spec, options, order):
 def _inconclusive_without_confluence(report, A, what) -> bool:
     """Report a non-confluent presentation as INCONCLUSIVE: products in A, and
     so ``what``, need normal forms.  Returns True when it did."""
-    conf = confluence_check(A)
+    conf = A.confluence_report()
     if conf.passed:
         return False
     report.say(str(conf))
@@ -311,7 +304,7 @@ def _inconclusive_without_confluence(report, A, what) -> bool:
 def _cmd_koszul(report, spec, options, order):
     A = build_algebra(spec)
     report.say(f"Koszul check for {A.label} through total degree {order}")
-    extra = extra_condition_check(A)
+    extra = A.extra_condition_report()
     if not extra.passed:
         n, _, defect = next(e for e in extra.entries if not e[1])
         report.say(str(extra))
@@ -359,9 +352,9 @@ def _cmd_tor(report, spec, options, order):
 
 def _cmd_mt(report, spec, options, order):
     p, q, N = options["p"], options["q"], options.get("N", 2)
-    ceiling = options.get("ceiling") or int(
-        os.environ.get("SUPERKOSZUL_MT_CEILING", DEFAULT_TRUNCATION_CEILING)
-    )
+    ceiling = options.get("ceiling")
+    if ceiling is None:
+        ceiling = int(os.environ.get("SUPERKOSZUL_MT_CEILING", DEFAULT_TRUNCATION_CEILING))
     result = master_verify(p, q, N, order, ceiling=ceiling)
     status = "PASS" if result.passed else "FAIL"
     report.say(f"MT identity: {status} (order {order})")
@@ -460,7 +453,8 @@ def _spec_from_args(args) -> AlgebraSpec | None:
         fmt = tuple(int(x) for x in args.fmt.replace(",", " ").split())
     else:
         fmt = (0,) * (args.p or 0) + (1,) * (args.q or 0)
-    spec = AlgebraSpec(family=args.family, N=args.N or (3 if args.family == "yang_mills" else 2), fmt=fmt)
+    default_N = 3 if args.family == "yang_mills" else 2
+    spec = AlgebraSpec(family=args.family, N=default_N if args.N is None else args.N, fmt=fmt)
     if args.q_param:
         spec.hecke_q = Fraction(args.q_param)
     if args.g_diag:
@@ -473,20 +467,23 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        # out-of-range values are input errors, never replaced by defaults
+        for flag in ("p", "q", "order", "i_max", "ceiling"):
+            value = getattr(args, flag, None)
+            if value is not None and value < 0:
+                raise SpecError(f"--{flag.replace('_', '-')} must be nonnegative")
+        if args.N is not None and args.N < 2:
+            raise SpecError("-N must be at least 2")
         spec = _spec_from_args(args)
         if args.command in _NEEDS_ALGEBRA and spec is None:
             raise SpecError("this command needs an algebra: give --family or --spec")
         if args.command in ("mt", "hecke-verify") and (args.p is None or args.q is None):
             raise SpecError("this command needs --p and --q")
-        if args.order < 0:
-            raise SpecError("--order must be nonnegative")
-        if getattr(args, "i_max", 0) < 0:
-            raise SpecError("--i-max must be nonnegative")
         options = {
             "order": args.order,
             "p": args.p,
             "q": args.q,
-            "N": args.N or 2,
+            "N": 2 if args.N is None else args.N,
             "i_max": getattr(args, "i_max", 4),
             "operator": getattr(args, "operator", "dj"),
             "ceiling": getattr(args, "ceiling", None),

@@ -28,6 +28,13 @@ with a transfer count over the last N-1 letters that needs no elimination
 and no word list.  Below 2N it eliminates; the overlap degrees N+1..2N-1 are
 where the confluence test works, and the first counted call checks the count
 against elimination in each of them.
+
+Placements.  R's rows placed at window i are already the reduced echelon
+basis of the placement V^(x i) x R x V^(x j), so a placement is never
+eliminated: :meth:`HomogAlgebra.reduce_at` reduces modulo it by rewriting
+window i, in one pass.  The dual components D_n, the confluence and
+extra-condition tests and the normal-form rewrite step all go through it;
+only R_n, the sum of the placements, is eliminated.
 """
 
 from __future__ import annotations
@@ -43,9 +50,9 @@ from .tensorspace import (
     antisymmetrizer_image,
     axpy,
     dual_complement,
+    matrix_rank,
     permute_word,
-    subspace_intersection,
-    subspace_sum,
+    span_meet,
 )
 
 Word = tuple
@@ -147,12 +154,31 @@ class HomogAlgebra:
         return rw
 
     def placement_rows(self, i: int, j: int):
-        """Echelon rows of V^(x i) x R x V^(x j) (already a reduced basis)."""
+        """Rows of V^(x i) x R x V^(x j): R's rows placed at window i.  They
+        are already a reduced echelon basis, so a placement is never
+        eliminated; :meth:`reduce_at` reduces modulo it by window rewriting."""
         sp = self.space
         for prefix in sp.words(i):
             for row in self.R.rows.values():
                 for suffix in sp.words(j):
                     yield {prefix + w + suffix: c for w, c in row.items()}
+
+    def reduce_at(self, vec: dict, i: int) -> dict:
+        """Residual of ``vec`` modulo the placement V^(x i) x R x V^(x j).
+
+        Each word whose window [i, i+N) is a pivot loses its coefficient
+        times that pivot's row placed at window i.  Row tails avoid every
+        pivot, so one pass suffices and every pivot coefficient is read
+        from ``vec`` itself.
+        """
+        pivots, N = self.R.rows, self.N
+        residual = dict(vec)
+        for w, c in vec.items():
+            row = pivots.get(w[i : i + N])
+            if row is not None:
+                prefix, suffix = w[:i], w[i + N :]
+                axpy(residual, {prefix + t + suffix: a for t, a in row.items()}, -c)
+        return residual
 
     def graded_component(self, n: int):
         """(R_n, dim A_n) for the degree-n component."""
@@ -221,15 +247,15 @@ class HomogAlgebra:
         elif n == N:
             out = self.R
         else:
-            prev = self.dual_star_component(n - 1)
-            lifted = Subspace(sp, n)
-            for letter in range(1, sp.dim + 1):
-                for row in prev.rows.values():
-                    lifted.insert({(letter,) + w: c for w, c in row.items()})
-            last = Subspace(sp, n)
-            for row in self.placement_rows(0, n - N):
-                last.insert(row)
-            out = subspace_intersection(lifted, last)
+            # D_n = (V x D_{n-1}) cap (R x V^(x n-N)); the lifted rows are
+            # already a reduced echelon basis of V x D_{n-1}
+            prev = self.dual_star_component(n - 1).rows.values()
+            lifted = [
+                {(letter,) + w: c for w, c in row.items()}
+                for letter in range(1, sp.dim + 1)
+                for row in prev
+            ]
+            out = span_meet(sp, n, lifted, lambda v: self.reduce_at(v, 0))
         self._dual_star[n] = out
         return out
 
@@ -298,10 +324,11 @@ class HomogAlgebra:
         pivots = self.R.rows
         for i in range(1, N):
             n = N + i
-            left = Subspace(sp, n, self.placement_rows(0, i))
-            right = Subspace(sp, n, self.placement_rows(i, 0))
-            total = subspace_sum(left, right)
-            dim_ker_join = left.dim + right.dim - total.dim  # dim of kernel cap
+            # kernel cap (R x V^i) cap (V^i x R): the rows of V^i x R are
+            # independent, and the rank of their residuals modulo R x V^i
+            # is what they add to it
+            right_residuals = (self.reduce_at(r, 0) for r in self.placement_rows(i, 0))
+            dim_ker_join = self.R.dim * d ** i - matrix_rank(right_residuals)
             lhs = d ** n - dim_ker_join
             both_nonreduced = sum(
                 1
@@ -320,12 +347,10 @@ class HomogAlgebra:
         report = ExtraConditionReport()
         sp, N = self.space, self.N
         for n in range(2, N):
-            m = n + N
-            first = Subspace(sp, m, self.placement_rows(0, n))
-            last = Subspace(sp, m, self.placement_rows(n, 0))
-            middle = Subspace(sp, m, self.placement_rows(n - 1, 1))
-            meet = subspace_intersection(first, last)
-            defect = sum(0 if middle.contains(row) else 1 for row in meet.rows.values())
+            meet = span_meet(
+                sp, n + N, self.placement_rows(0, n), lambda v: self.reduce_at(v, n)
+            )
+            defect = sum(1 for row in meet.rows.values() if self.reduce_at(row, n - 1))
             report.entries.append((n, defect == 0, defect))
         self._extra = report
         return report
@@ -363,14 +388,10 @@ class HomogAlgebra:
         if hit is None:
             result = {word: Fraction(1)}
         else:
-            prefix, window, suffix = word[:hit], word[hit : hit + N], word[hit + N :]
-            row = pivots[window]
+            # word ~ word - (pivot row at window hit) = minus the placed tail in A
             result = {}
-            for w, c in row.items():
-                if w == window:
-                    continue
-                # S(window) = -tail, i.e. window ~ -(row - window) in A
-                axpy(result, self._nf(prefix + w + suffix, rightmost), -c)
+            for w, c in self.reduce_at({word: Fraction(1)}, hit).items():
+                axpy(result, self._nf(w, rightmost), c)
         if memo is not None:
             memo[word] = result
         return result

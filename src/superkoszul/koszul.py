@@ -24,11 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .homogeneous import (
-    ConfluenceReport,
-    ExtraConditionReport,
-    HomogAlgebra,
-)
+from .homogeneous import HomogAlgebra
 from .superpoly import TruncatedSeries
 from .tensorspace import RankCounter, axpy, kernel_of_vectors, matrix_rank
 
@@ -76,6 +72,21 @@ class KoszulSlice:
         return True
 
 
+def _times(A: HomogAlgebra, w, elem: dict) -> dict:
+    """w * elem in a free A-module with elem = {(reduced word u, slot h): c}:
+    the sum of c * nf(w u), keyed by (reduced word v, slot h)."""
+    out: dict = {}
+    for (u, h), c in elem.items():
+        for v, a in A.normal_form_word(w + u).items():
+            key = (v, h)
+            s = out.get(key, Fraction(0)) + c * a
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+    return out
+
+
 def _slice_bases(A: HomogAlgebra, i: int, n: int):
     m = jump(A.N, i)
     if n - m < 0:
@@ -101,20 +112,13 @@ def koszul_matrix(A: HomogAlgebra, i: int, n: int) -> KoszulSlice:
     dual_tgt = A.dual_star_component(m_prev)
     columns: dict = {}
     for idx, (w, pvt) in enumerate(source):
+        # contract: the first `steps` letters of each dual word join w in A
+        split = {(m[:steps], m[steps:]): c for m, c in dual_src.rows[pvt].items()}
         by_word: dict = {}
-        for mword, c in dual_src.rows[pvt].items():
-            head, tail = mword[:steps], mword[steps:]
-            for u, a in A.normal_form_word(w + head).items():
-                vec = by_word.setdefault(u, {})
-                s = vec.get(tail, Fraction(0)) + c * a
-                if s:
-                    vec[tail] = s
-                else:
-                    del vec[tail]
+        for (u, tail), c in _times(A, w, split).items():
+            by_word.setdefault(u, {})[tail] = c
         col: dict = {}
         for u, vec in by_word.items():
-            if not vec:
-                continue
             for tpvt, cc in dual_tgt.coordinates(vec).items():
                 col[(u, tpvt)] = cc
         if col:
@@ -212,18 +216,6 @@ def tor_dims(A: HomogAlgebra, i_max: int, deg_max: int) -> TorTable:
             out.extend((w, g) for w in A.reduced_words(n - degg))
         return out
 
-    def left_multiply(letter: int, elem: dict) -> dict:
-        out: dict = {}
-        for (u, h), c in elem.items():
-            for v, a in A.normal_form_word((letter,) + u).items():
-                key = (v, h)
-                s = out.get(key, Fraction(0)) + c * a
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        return out
-
     for i in range(0, i_max):
         # kernel of d_i per degree, then split off a minimal complement
         if i == 0:
@@ -235,25 +227,11 @@ def tor_dims(A: HomogAlgebra, i_max: int, deg_max: int) -> TorTable:
             kernels = {}
             for n in range(1, deg_max + 1):
                 basis = module_basis(gens, n)
-                if not basis:
-                    kernels[n] = []
-                    continue
-                images = []
-                for (w, g) in basis:
-                    value = gens[g][1]
-                    img: dict = {}
-                    for (u, h), c in value.items():
-                        for v, a in A.normal_form_word(w + u).items():
-                            key = (v, h)
-                            s = img.get(key, Fraction(0)) + c * a
-                            if s:
-                                img[key] = s
-                            else:
-                                del img[key]
-                    images.append(img)
-                combos = kernel_of_vectors(images)
+                images = [_times(A, w, gens[g][1]) for w, g in basis]
+                # basis keys are distinct and kernel tags nonzero
                 kernels[n] = [
-                    _combine(basis, combo) for combo in combos
+                    {basis[k]: c for k, c in combo.items()}
+                    for combo in kernel_of_vectors(images)
                 ]
         # (A_+ K)_n = V . K_{n-1} since K is an A-submodule; one echelon per
         # degree, with the surviving kernel vectors as the minimal generators
@@ -263,7 +241,7 @@ def tor_dims(A: HomogAlgebra, i_max: int, deg_max: int) -> TorTable:
             radical = RankCounter()
             for letter in range(1, A.dim_V + 1):
                 for z in kernels.get(n - 1, []):
-                    radical.insert(left_multiply(letter, z))
+                    radical.insert(_times(A, (letter,), z))
             complements = []
             for z in kernels.get(n, []):
                 if radical.insert(z):
@@ -278,29 +256,9 @@ def tor_dims(A: HomogAlgebra, i_max: int, deg_max: int) -> TorTable:
     return table
 
 
-def _combine(basis, combo: dict) -> dict:
-    out: dict = {}
-    for k, ck in combo.items():
-        key = basis[k]
-        s = out.get(key, Fraction(0)) + ck
-        if s:
-            out[key] = s
-        else:
-            del out[key]
-    return out
-
-
 # ---------------------------------------------------------------------------
-# confluence / extra condition wrappers and Hilbert series
+# Hilbert series
 # ---------------------------------------------------------------------------
-
-
-def confluence_check(A: HomogAlgebra) -> ConfluenceReport:
-    return A.confluence_report()
-
-
-def extra_condition_check(A: HomogAlgebra) -> ExtraConditionReport:
-    return A.extra_condition_report()
 
 
 def hilbert_series(A: HomogAlgebra, K: int) -> TruncatedSeries:

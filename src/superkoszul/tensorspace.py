@@ -440,25 +440,13 @@ class Subspace:
         return f"Subspace(dim={self.dim}, degree={self.degree}, space={self.space.p}|{self.space.q})"
 
 
-def subspace_sum(A: Subspace, B: Subspace) -> Subspace:
-    _check_ambient(A, B)
-    out = Subspace(A.space, A.degree)
-    for row in A.rows.values():
-        out.insert(row)
-    for row in B.rows.values():
-        out.insert(row)
-    return out
-
-
-def subspace_intersection(A: Subspace, B: Subspace) -> Subspace:
-    """A cap B via the kernel of the residual map of A's basis modulo B."""
-    _check_ambient(A, B)
-    if A.dim > B.dim:
-        A, B = B, A
-    basis = list(A.rows.values())
-    residuals = [B.reduce(row) for row in basis]
-    out = Subspace(A.space, A.degree)
-    for combo in kernel_of_vectors(residuals):
+def span_meet(space: SuperSpace, degree: int, basis, residual) -> Subspace:
+    """span(basis) cap K, where ``residual(v)`` is v's residual modulo K:
+    each kernel element of the residual map combines basis vectors into one
+    vector of the meet."""
+    basis = list(basis)
+    out = Subspace(space, degree)
+    for combo in kernel_of_vectors(residual(v) for v in basis):
         vec: dict = {}
         for k, ck in combo.items():
             axpy(vec, basis[k], ck)
@@ -466,9 +454,13 @@ def subspace_intersection(A: Subspace, B: Subspace) -> Subspace:
     return out
 
 
-def _check_ambient(A: Subspace, B: Subspace):
+def subspace_intersection(A: Subspace, B: Subspace) -> Subspace:
+    """A cap B via the kernel of the residual map of A's basis modulo B."""
     if A.space != B.space or A.degree != B.degree:
         raise ValueError("subspaces live in different ambient tensor powers")
+    if A.dim > B.dim:
+        A, B = B, A
+    return span_meet(A.space, A.degree, A.rows.values(), B.reduce)
 
 
 class RankCounter:

@@ -175,9 +175,25 @@ def test_main_returns_exit_code_in_process(capsys):
     ["hilbert", "--family", "n_symmetric", "--p", "2", "--q", "0", "--order", "-1"],
     ["dims", "--family", "n_symmetric", "--p", "2", "--q", "0", "--order", "-3"],
     ["tor", "--family", "yang_mills", "--p", "3", "--q", "0", "--i-max", "-1"],
+    ["dims", "--family", "n_symmetric", "--p", "-1", "--q", "2"],
+    ["hecke-verify", "--p", "-1", "--q", "2"],
+    ["hecke-verify", "--p", "1", "--q", "-2"],
+    ["mt", "--p", "1", "--q", "1", "--ceiling", "-1"],
 ])
 def test_negative_bounds_are_input_errors(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert "must be nonnegative" in captured.err
+    assert not captured.out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["mt", "--p", "1", "--q", "1", "-N", "0"], "-N must be at least 2"),
+    (["dims", "--family", "n_symmetric", "--p", "2", "--q", "0", "-N", "0"], "-N must be at least 2"),
+    (["mt", "--p", "1", "--q", "1", "--ceiling", "0", "--order", "2"], "exceeds the cost ceiling 0"),
+])
+def test_out_of_range_inputs_are_rejected_not_substituted(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
     assert not captured.out

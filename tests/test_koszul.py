@@ -14,8 +14,6 @@ from superkoszul.homogeneous import (
 )
 from superkoszul.koszul import (
     alternating_dual_series,
-    confluence_check,
-    extra_condition_check,
     hilbert_series,
     jump,
     koszul_check,
@@ -83,7 +81,7 @@ def test_non_koszul_detected_by_exactness():
     # the cubic monomial relation x y x overlaps itself (x y x y x), which
     # pushes homology into the second slot at total degree 5
     A = custom_algebra((0, 0), 3, [[(1, (1, 2, 1))]], label="self-overlap")
-    assert confluence_check(A).passed
+    assert A.confluence_report().passed
     verdict = koszul_check(A, 6)
     assert not verdict.passed
     assert (2, 5, 1) in verdict.failures
@@ -140,19 +138,19 @@ def test_tor_concentration_matches_koszulity():
 def test_confluence_passes_for_the_symmetric_family():
     for (p, q) in [(1, 1), (2, 1), (0, 2)]:
         for N in (2, 3):
-            assert confluence_check(n_symmetric(SuperSpace.standard(p, q), N)).passed
+            assert n_symmetric(SuperSpace.standard(p, q), N).confluence_report().passed
 
 
 def test_confluence_passes_for_quantum_superspace():
     A = quantum_superspace(SuperSpace.standard(2, 1), {(1, 2): Fraction(2), (1, 3): Fraction(5), (2, 3): Fraction(1, 3)})
-    assert confluence_check(A).passed
+    assert A.confluence_report().passed
 
 
 def test_engineered_overlap_fails_confluence():
     # x1 x x1 rewrites to x1 x x2: the cube x1 x1 x1 resolves two ways to
     # different normal forms, and the dimension count confirms the failure
     A = custom_algebra((0, 0), 2, [[(1, (1, 1)), (-1, (1, 2))]])
-    report = confluence_check(A)
+    report = A.confluence_report()
     assert not report.passed
     # oracle: reduced words of length 3 over-count the true dimension
     _, dim3 = A.graded_component(3)
@@ -162,14 +160,14 @@ def test_engineered_overlap_fails_confluence():
 
 def test_extra_condition_vacuous_for_quadratic_algebras():
     A = n_symmetric(SuperSpace.standard(2, 0), 2)
-    report = extra_condition_check(A)
+    report = A.extra_condition_report()
     assert report.passed and report.vacuous
 
 
 def test_extra_condition_for_cubic_hecke_type_algebras():
     for (p, q) in [(2, 0), (1, 1), (0, 2)]:
         A = n_symmetric(SuperSpace.standard(p, q), 3)
-        report = extra_condition_check(A)
+        report = A.extra_condition_report()
         assert report.passed
 
 
@@ -179,14 +177,14 @@ def test_extra_condition_for_operator_algebras():
 
     for (p, q) in [(2, 0), (1, 1), (0, 2)]:
         A = lambda_operator_algebra(dj_operator(p, q, Fraction(2)), 3)
-        assert extra_condition_check(A).passed
+        assert A.extra_condition_report().passed
 
 
 def test_extra_condition_failure_is_detectable():
     # relations x1x1x2 and x2x1x1: the word x1x1x2x1x1 lies in both outer
     # placements but not in the middle one
     A = custom_algebra((0, 0), 3, [[(1, (1, 1, 2))], [(1, (2, 1, 1))]])
-    report = extra_condition_check(A)
+    report = A.extra_condition_report()
     assert not report.passed
 
 
@@ -195,7 +193,7 @@ def test_extra_condition_on_yang_mills_duals_fails():
     # detects this directly
     for (p, q) in [(3, 0), (1, 1)]:
         dual = yang_mills(SuperSpace.standard(p, q)).dual_algebra()
-        assert not extra_condition_check(dual).passed
+        assert not dual.extra_condition_report().passed
 
 
 # -- Hilbert series and duality ---------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superkoszul.homogeneous import custom_algebra
-from superkoszul.tensorspace import SuperSpace
+from superkoszul.tensorspace import Subspace, SuperSpace, subspace_intersection
 
 MAX_WORDS = 729
 COEFFS = [Fraction(c) for c in (-2, -1, 1, 2)] + [Fraction(1, 2), Fraction(-3, 2)]
@@ -40,6 +40,12 @@ def degrees(A):
     return [n for n in range(10) if A.dim_V ** n <= MAX_WORDS]
 
 
+def placement(A, i, n):
+    """V^(x i) x R x V^(x n-N-i), eliminated explicitly: the reference that
+    window rewriting must reproduce."""
+    return Subspace(A.space, n, A.placement_rows(i, n - A.N - i))
+
+
 @PROPERTY_SETTINGS
 @given(presentations())
 def test_dim_component_and_relations_fill_the_tensor_power(A):
@@ -61,3 +67,38 @@ def test_reduced_words_count_the_confluent_algebra(A):
         return
     for n in degrees(A):
         assert A.count_reduced_words(n) == A.graded_component(n)[1], n
+
+
+@PROPERTY_SETTINGS
+@given(presentations(), st.data())
+def test_window_rewriting_reduces_modulo_the_placement(A, data):
+    N = A.N
+    n = data.draw(st.sampled_from([n for n in degrees(A) if N <= n <= N + 2]))
+    i = data.draw(st.integers(0, n - N))
+    words = list(A.space.words(n))
+    hits = [w for w in words if w[i : i + N] in A.R.rows]
+    terms = data.draw(st.lists(st.sampled_from(words), max_size=4))
+    terms += data.draw(st.lists(st.sampled_from(hits), min_size=1, max_size=4))
+    v = {w: data.draw(st.sampled_from(COEFFS)) for w in terms}
+    assert A.reduce_at(v, i) == placement(A, i, n).reduce(v)
+
+
+@PROPERTY_SETTINGS
+@given(presentations())
+def test_dual_star_component_is_the_meet_of_all_placements(A):
+    N = A.N
+    for n in (n for n in degrees(A) if N <= n <= N + 2):
+        meet = placement(A, 0, n)
+        for i in range(1, n - N + 1):
+            meet = subspace_intersection(meet, placement(A, i, n))
+        assert A.dual_star_component(n) == meet, n
+
+
+@PROPERTY_SETTINGS
+@given(presentations())
+def test_leftmost_and_rightmost_normal_forms_agree_when_confluent(A):
+    if not A.confluence_report().passed:
+        return
+    for n in (n for n in degrees(A) if n <= A.N + 2):
+        for w in A.space.words(n):
+            assert A.normal_form_word(w) == A.normal_form_word(w, rightmost=True), w

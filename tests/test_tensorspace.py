@@ -18,7 +18,6 @@ from superkoszul.tensorspace import (
     matrix_rank,
     perm_action,
     subspace_intersection,
-    subspace_sum,
     supertrace,
     wedge_dimension,
 )
@@ -126,7 +125,7 @@ def test_sum_and_intersection_idempotent():
     rng = random.Random(9)
     sp = SuperSpace.standard(2, 1)
     A = rand_subspace(rng, sp, 2)
-    assert subspace_sum(A, A) == A
+    assert Subspace(sp, 2, [*A.rows.values(), *A.rows.values()]) == A
     assert subspace_intersection(A, A) == A
 
 
@@ -136,7 +135,7 @@ def test_dimension_formula_for_sum_and_intersection():
     for _ in range(20):
         A = rand_subspace(rng, sp, 2)
         B = rand_subspace(rng, sp, 2)
-        s = subspace_sum(A, B)
+        s = Subspace(sp, 2, [*A.rows.values(), *B.rows.values()])
         c = subspace_intersection(A, B)
         assert s.dim + c.dim == A.dim + B.dim
         assert s.contains_subspace(A) and s.contains_subspace(B)
