@@ -23,7 +23,7 @@ ber = berezinian_series(X, 3)
 print(f"ber(1 + tX) = {ber}")
 es = char_function(X, 3)
 print(f"e_1 = {es[1]}")
-print(f"e_2 = {es[2]}  (Newton route agrees with the block formula)")
+print(f"e_2 = {es[2]}  (Newton route agrees with the eliminated Berezinian)")
 
 print(f"\nindex words of length 2 avoiding the forbidden pattern: {lambda_set(1, 1, 2, 2)}")
 

@@ -456,9 +456,9 @@ def _spec_from_args(args) -> AlgebraSpec | None:
     default_N = 3 if args.family == "yang_mills" else 2
     spec = AlgebraSpec(family=args.family, N=default_N if args.N is None else args.N, fmt=fmt)
     if args.q_param:
-        spec.hecke_q = Fraction(args.q_param)
+        spec.hecke_q = _parse_fraction(args.q_param)
     if args.g_diag:
-        spec.g_diag = [Fraction(x) for x in args.g_diag.replace(",", " ").split()]
+        spec.g_diag = [_parse_fraction(x) for x in args.g_diag.replace(",", " ").split()]
     _validate_spec(spec)
     return spec
 
@@ -489,7 +489,7 @@ def main(argv=None) -> int:
             "ceiling": getattr(args, "ceiling", None),
         }
         if args.q_param:
-            options["q_param"] = Fraction(args.q_param)
+            options["q_param"] = _parse_fraction(args.q_param)
         report, code = run(args.command, spec, options)
     except SpecError as exc:
         print(f"input error: {exc}", file=sys.stderr)

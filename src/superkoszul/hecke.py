@@ -25,7 +25,6 @@ from .tensorspace import (
     Permutation,
     Subspace,
     SuperSpace,
-    TensorVector,
     all_permutations,
     axpy,
 )
@@ -234,12 +233,6 @@ class LinearOperator:
 
     def apply_word(self, word) -> dict:
         return self.columns.get(tuple(word), {})
-
-    def apply(self, v: TensorVector) -> TensorVector:
-        out: dict = {}
-        for w, c in v.coeffs.items():
-            axpy(out, self.apply_word(w), c)
-        return TensorVector(self.space, self.degree, out)
 
     def compose(self, other: "LinearOperator") -> "LinearOperator":
         """self after other (matrix product self . other)."""

@@ -6,7 +6,8 @@ The generic p|q supermatrix X has entries x[i,j] of parity i^ + j^ in a
 supercommutative polynomial ring B.  Its characteristic coefficients e_n can
 be computed two independent ways:
 
-  * block Berezinian of 1 + tX, expanded as a truncated series, and
+  * the Berezinian of 1 + tX, expanded as a truncated series by Gaussian
+    elimination on the supermatrix, and
   * Newton's recurrence from the super power sums str(X^n);
 
 :func:`char_function` runs both and refuses to return on any mismatch.
@@ -31,7 +32,7 @@ from .superpoly import (
     VariableTable,
     newton_elementary,
 )
-from .tensorspace import SuperSpace, supertrace, wedge_dimension
+from .tensorspace import SuperSpace, check_entry_parities, supertrace, wedge_dimension
 
 
 class GenericSupermatrix:
@@ -71,16 +72,6 @@ class GenericSupermatrix:
     def counit(self, poly: SuperPolynomial) -> Fraction:
         return poly.evaluate(self.identity_assignment())
 
-    def power(self, n: int):
-        """Matrix power with entries multiplied left factor first."""
-        out = [
-            [self.table.one() if i == j else self.table.zero() for j in range(self.d)]
-            for i in range(self.d)
-        ]
-        for _ in range(n):
-            out = _mat_mul(out, self.entries, self.table)
-        return out
-
     def power_sums(self, K: int) -> list[SuperPolynomial]:
         """p_n = str(X^n) for n = 1..K."""
         sums = []
@@ -114,95 +105,33 @@ def _mat_mul(A, B, table):
 # ---------------------------------------------------------------------------
 
 
-def _series_zero(table, K):
-    return TruncatedSeries(K, [table.zero() for _ in range(K + 1)])
-
-
-def _series_const(table, K, c=1):
-    coeffs = [table.constant(c)] + [table.zero()] * K
-    return TruncatedSeries(K, coeffs)
-
-
-def _series_mat_mul(A, B, table, K):
-    n, m, k = len(A), len(B[0]), len(B)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = _series_zero(table, K)
-            for l in range(k):
-                acc = acc + A[i][l] * B[l][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def _series_det(M, table, K):
-    """Leibniz determinant; the entries must commute (even coefficients)."""
-    n = len(M)
-    if n == 0:
-        return _series_const(table, K)
-    total = _series_zero(table, K)
-    for perm in itertools.permutations(range(n)):
-        inv = sum(
-            1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b]
-        )
-        prod = _series_const(table, K, (-1) ** inv)
-        for i in range(n):
-            prod = prod * M[i][perm[i]]
-        total = total + prod
-    return total
-
-
-def _series_mat_inv(M, table, K):
-    """Adjugate inverse of a matrix with even entries and unit constant term."""
-    n = len(M)
-    det = _series_det(M, table, K)
-    det_inv = det.inverse()
-    if n == 1:
-        return [[det_inv]]
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [M[r][c] for c in range(n) if c != i]
-                for r in range(n)
-                if r != j
-            ]
-            cof = _series_det(minor, table, K) * Fraction((-1) ** (i + j))
-            out[i][j] = cof * det_inv
-    return out
-
-
 def berezinian_series(X: GenericSupermatrix, K: int) -> TruncatedSeries:
-    """ber(1 + tX) = det(A) det(D - C A^-1 B)^-1 in block form, expanded as a
-    truncated series.  The Schur complement has even entries, so both
-    determinants live over a commutative ring."""
-    p, q, table = X.p, X.q, X.table
+    """ber(1 + tX) expanded as a truncated series, by Gaussian elimination
+    without row exchanges.
 
-    def series_entry(i, j, block_row, block_col):
-        # entry of 1 + tX at global position (block offsets applied)
-        gi, gj = block_row + i, block_col + j
-        coeffs = [table.one() if gi == gj else table.zero(), X.entry(gi, gj)]
-        coeffs += [table.zero()] * (K - 1)
-        return TruncatedSeries(K, coeffs[: K + 1]) if K >= 1 else TruncatedSeries(0, coeffs[:1])
-
-    A = [[series_entry(i, j, 0, 0) for j in range(1, p + 1)] for i in range(1, p + 1)]
-    B = [[series_entry(i, j, 0, p) for j in range(1, q + 1)] for i in range(1, p + 1)]
-    C = [[series_entry(i, j, p, 0) for j in range(1, p + 1)] for i in range(1, q + 1)]
-    D = [[series_entry(i, j, p, p) for j in range(1, q + 1)] for i in range(1, q + 1)]
-
-    if q == 0:
-        return _series_det(A, table, K)
-    if p == 0:
-        return _series_det(D, table, K).inverse()
-    A_inv = _series_mat_inv(A, table, K)
-    CAB = _series_mat_mul(_series_mat_mul(C, A_inv, table, K), B, table, K)
-    schur = [
-        [D[i][j] - CAB[i][j] for j in range(q)]
-        for i in range(q)
+    The constant term of 1 + tX is the identity, so every pivot is even with
+    constant term 1: central and invertible in B[[t]].  Row operations keep
+    the order M[r][k] pivot^-1 M[k][c], so odd entries never move past each
+    other.  After the p even rows the trailing block is D - C A^-1 B; the even
+    pivots multiply to det A, the odd ones to det(D - C A^-1 B), and
+    ber = det A / det(D - C A^-1 B)."""
+    one, zero = X.table.one(), X.table.zero()
+    M = [
+        [
+            TruncatedSeries(K, ([one if i == j else zero, X.entry(i, j)] + [zero] * K)[: K + 1])
+            for j in range(1, X.d + 1)
+        ]
+        for i in range(1, X.d + 1)
     ]
-    return _series_det(A, table, K) * _series_det(schur, table, K).inverse()
+    ber = TruncatedSeries.one(K, one=one, zero=zero)
+    for k in range(X.d):
+        inverse = M[k][k].inverse()
+        ber = ber * (inverse if X.space.parity(k + 1) else M[k][k])
+        for r in range(k + 1, X.d):
+            factor = M[r][k] * inverse
+            for c in range(k + 1, X.d):
+                M[r][c] = M[r][c] - factor * M[k][c]
+    return ber
 
 
 def char_function(X: GenericSupermatrix, K: int) -> list[SuperPolynomial]:
@@ -230,7 +159,7 @@ def supercharacter(b, F, fmt) -> SuperPolynomial:
     d = len(fmt)
     if len(b) != d or len(F) != d:
         raise ValueError("matrix sizes do not match the format")
-    _check_coaction_parity(b, fmt)
+    check_entry_parities(b, fmt)
     total = None
     for i in range(d):
         for j in range(d):
@@ -239,20 +168,6 @@ def supercharacter(b, F, fmt) -> SuperPolynomial:
                 term = -term
             total = term if total is None else total + term
     return total
-
-
-def _check_coaction_parity(b, fmt):
-    d = len(fmt)
-    for i in range(d):
-        for j in range(d):
-            entry = b[i][j]
-            if isinstance(entry, SuperPolynomial):
-                par = entry.parity()
-                if par is not None and par != (fmt[i] + fmt[j]) % 2:
-                    raise ValueError(
-                        f"coaction entry ({i + 1},{j + 1}) has parity {par}, "
-                        f"expected {(fmt[i] + fmt[j]) % 2}"
-                    )
 
 
 def coaction_tensor(b1, fmt1, b2, fmt2, table):

@@ -342,10 +342,6 @@ class TruncatedSeries:
         self.coeffs = coeffs
 
     @classmethod
-    def from_dict(cls, order: int, data: Mapping[int, object], zero=Fraction(0)):
-        return cls(order, [data.get(n, zero) for n in range(order + 1)])
-
-    @classmethod
     def one(cls, order: int, one=Fraction(1), zero=Fraction(0)):
         return cls(order, [one] + [zero] * order)
 
@@ -358,11 +354,6 @@ class TruncatedSeries:
     def _match(self, other: "TruncatedSeries"):
         K = min(self.order, other.order)
         return K, self.coeffs[: K + 1], other.coeffs[: K + 1]
-
-    def truncate(self, K: int) -> "TruncatedSeries":
-        if K > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(K, self.coeffs[: K + 1])
 
     def __add__(self, other):
         K, a, b = self._match(other)

@@ -177,11 +177,6 @@ class Permutation:
         w[i - 1], w[i] = w[i], w[i - 1]
         return cls(w)
 
-    @classmethod
-    def reversal(cls, n: int) -> "Permutation":
-        """The order-reversal involution (1,n)(2,n-1)..."""
-        return cls(range(n, 0, -1))
-
     @property
     def n(self):
         return len(self.word)
@@ -399,12 +394,6 @@ class Subspace:
         """Residual of a vector after reduction by the basis rows."""
         return self._reduce(vector)[0]
 
-    def contains(self, vector) -> bool:
-        return not self._reduce(vector)[0]
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(row) for row in other.rows.values())
-
     def coordinates(self, vector) -> dict:
         """Coordinates w.r.t. the echelon rows; raises if not in the span."""
         residual, coords = self._reduce(vector)
@@ -591,6 +580,20 @@ def dual_complement(R: Subspace) -> Subspace:
     return out
 
 
+def check_entry_parities(matrix, fmt) -> None:
+    """Raise ValueError if a nonzero polynomial entry (i, j) of the matrix
+    does not have parity i^+j^ in the given format."""
+    for i, row in enumerate(matrix):
+        for j, entry in enumerate(row):
+            if isinstance(entry, SuperPolynomial):
+                par = entry.parity()
+                if par is not None and par != (fmt[i] + fmt[j]) % 2:
+                    raise ValueError(
+                        f"entry ({i + 1},{j + 1}) has parity {par}, "
+                        f"expected {(fmt[i] + fmt[j]) % 2}"
+                    )
+
+
 def supertrace(matrix, fmt) -> object:
     """Supertrace of a square matrix whose entry (i, j) has parity i^+j^.
 
@@ -601,14 +604,9 @@ def supertrace(matrix, fmt) -> object:
     d = len(matrix)
     if any(len(row) != d for row in matrix) or d != len(fmt):
         raise ValueError("matrix shape does not match the format")
+    check_entry_parities(matrix, fmt)
     total = None
     for i in range(d):
-        for j in range(d):
-            entry = matrix[i][j]
-            if isinstance(entry, SuperPolynomial):
-                par = entry.parity()
-                if par is not None and par != (fmt[i] + fmt[j]) % 2:
-                    raise ValueError(f"entry ({i + 1},{j + 1}) has inconsistent parity")
         term = matrix[i][i] if fmt[i] == 0 else -matrix[i][i]
         total = term if total is None else total + term
     return total

@@ -191,6 +191,11 @@ def test_negative_bounds_are_input_errors(argv, capsys):
     (["mt", "--p", "1", "--q", "1", "-N", "0"], "-N must be at least 2"),
     (["dims", "--family", "n_symmetric", "--p", "2", "--q", "0", "-N", "0"], "-N must be at least 2"),
     (["mt", "--p", "1", "--q", "1", "--ceiling", "0", "--order", "2"], "exceeds the cost ceiling 0"),
+    (["hecke-verify", "--p", "1", "--q", "1", "--q-param", "1/0"], "input error: bad rational '1/0'"),
+    (["dims", "--family", "lambda_RN", "--p", "1", "--q", "1", "--q-param", "1/0"],
+     "input error: bad rational '1/0'"),
+    (["dims", "--family", "yang_mills", "--p", "2", "--q", "0", "--G", "1/0,1"],
+     "input error: bad rational '1/0'"),
 ])
 def test_out_of_range_inputs_are_rejected_not_substituted(argv, message, capsys):
     assert main(argv) == 2

@@ -90,9 +90,18 @@ def test_pure_even_second_coefficient_is_the_determinant():
     assert es[2] == det
 
 
-@pytest.mark.parametrize("p,q", [(p, q) for p in range(3) for q in range(3) if p + q >= 1])
-def test_dual_route_equality_to_order_five(p, q):
-    char_function(GenericSupermatrix(p, q), 5)  # raises on any mismatch
+# Besides order 5 on p, q <= 2: all four-generator formats at order 4 (up to
+# four even and four odd pivots), and orders 0 and 1, where the entries of
+# 1 + tX are cut to one or two coefficients.
+@pytest.mark.parametrize(
+    "p,q,K",
+    [pytest.param(p, q, 5, id=f"{p}-{q}") for p in range(3) for q in range(3) if p + q >= 1]
+    + [pytest.param(p, 4 - p, 4, id=f"{p}-{4 - p}-K4") for p in range(5)]
+    + [pytest.param(p, q, K, id=f"{p}-{q}-K{K}") for p, q in ((1, 1), (2, 1)) for K in (0, 1)],
+)
+def test_dual_route_equality_to_order_five(p, q, K):
+    es = char_function(GenericSupermatrix(p, q), K)  # raises on any mismatch
+    assert len(es) == K + 1
 
 
 @pytest.mark.parametrize("p,q", [(3, 0), (2, 1), (1, 2), (0, 3)])
@@ -127,6 +136,18 @@ def rand_homog_matrix(rng, fmt, parity):
         ]
         for i in range(d)
     ]
+
+
+def test_parity_inconsistent_entries_are_rejected():
+    X = GenericSupermatrix(1, 1)
+    b, fmt = generic_coaction(X)
+    b = [list(row) for row in b]
+    b[0][1] = X.entry(1, 1)  # an even entry at an odd position
+    ident = [[Fraction(1) if i == j else Fraction(0) for j in range(2)] for i in range(2)]
+    with pytest.raises(ValueError, match=r"entry \(1,2\) has parity 0, expected 1"):
+        supercharacter(b, ident, fmt)
+    with pytest.raises(ValueError, match=r"entry \(1,2\) has parity 0, expected 1"):
+        supertrace(b, fmt)
 
 
 def test_supercharacter_of_the_identity():
