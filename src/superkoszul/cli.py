@@ -455,9 +455,9 @@ def _spec_from_args(args) -> AlgebraSpec | None:
         fmt = (0,) * (args.p or 0) + (1,) * (args.q or 0)
     default_N = 3 if args.family == "yang_mills" else 2
     spec = AlgebraSpec(family=args.family, N=default_N if args.N is None else args.N, fmt=fmt)
-    if args.q_param:
+    if args.q_param is not None:
         spec.hecke_q = _parse_fraction(args.q_param)
-    if args.g_diag:
+    if args.g_diag is not None:
         spec.g_diag = [_parse_fraction(x) for x in args.g_diag.replace(",", " ").split()]
     _validate_spec(spec)
     return spec
@@ -474,6 +474,16 @@ def main(argv=None) -> int:
                 raise SpecError(f"--{flag.replace('_', '-')} must be nonnegative")
         if args.N is not None and args.N < 2:
             raise SpecError("-N must be at least 2")
+        # a parameter that nothing reads is an input error, never ignored
+        family = args.family if args.command in _NEEDS_ALGEBRA and not args.spec else None
+        hecke_dj = args.command == "hecke-verify" and args.operator == "dj"
+        if args.q_param is not None and family not in ("lambda_RN", "s_RN") and not hecke_dj:
+            raise SpecError(
+                "--q-param applies only to --family lambda_RN or s_RN "
+                "and to hecke-verify --operator dj"
+            )
+        if args.g_diag is not None and family != "yang_mills":
+            raise SpecError("--G applies only to --family yang_mills")
         spec = _spec_from_args(args)
         if args.command in _NEEDS_ALGEBRA and spec is None:
             raise SpecError("this command needs an algebra: give --family or --spec")
@@ -488,7 +498,7 @@ def main(argv=None) -> int:
             "operator": getattr(args, "operator", "dj"),
             "ceiling": getattr(args, "ceiling", None),
         }
-        if args.q_param:
+        if args.q_param is not None:
             options["q_param"] = _parse_fraction(args.q_param)
         report, code = run(args.command, spec, options)
     except SpecError as exc:

@@ -16,11 +16,20 @@ The master identity multiplies two series in B[[t]]: the "bosonic" generating
 series of diagonal expansion coefficients of products y_i = sum_j x_j (x) x[j,i]
 over the reduced words of the N-symmetric superalgebra, and the alternating
 subseries of the e_m with m = 0, 1 mod N.  The product must be exactly 1.
+
+:func:`diagonal_coefficients` expands those products on a flat state
+{(reduced word, even exponents, odd ids): coefficient} of A (x) B, so the
+inner loop bumps an exponent or inserts an odd id and never multiplies
+polynomials.  It drops every term whose word is tuple-greater than the
+current prefix.  That is safe because a pivot is the smallest word of its
+relation row: rewriting only makes words tuple-greater, so such a term can
+never come back to the index word.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -268,42 +277,85 @@ def _word_parity(word, p):
 def diagonal_coefficients(X: GenericSupermatrix, A: HomogAlgebra, length: int):
     """All diagonal coefficients X(i) at one length: expand y_{i_1}...y_{i_l}
     in A (x) B down a prefix tree over the reduced words and read off the
-    coefficient of the basis word equal to the index word itself."""
-    table = X.table
-    p = X.p
-    fmt = X.space.format
+    coefficient of the basis word equal to the index word itself.
+
+    The state is one flat dict {(reduced word, even exponents, odd ids):
+    coefficient}, with one exponent slot per even x[j,i] in id order and the
+    odd ids strictly increasing.  Multiplying by x[j,i] on the right bumps
+    one slot, or inserts one odd id and flips the sign once per larger id it
+    passes.  Only a leaf builds a :class:`SuperPolynomial`, from the terms of
+    its own word.
+
+    Triangular prune: a pivot is the smallest word of its relation row, so
+    every rewrite replaces a window by tuple-greater windows and every word
+    of nf(w) is tuple->= w.  A term whose word is tuple-greater than the
+    prefix therefore stays greater than every word extending the prefix, and
+    it is dropped as soon as it appears."""
+    table, fmt = X.table, X.space.format
+    even_vids = [vid for vid in range(len(table)) if not table.parity(vid)]
+    slot = {vid: k for k, vid in enumerate(even_vids)}
+    # x[j,i] as (is odd, odd id or exponent slot)
+    step = {
+        (j, i): (True, vid) if table.parity(vid) else (False, slot[vid])
+        for (j, i), vid in X.ids.items()
+    }
+    nf_memo: dict[tuple, list] = {}
     results: dict[tuple, SuperPolynomial] = {}
 
-    def extend(prefix, terms: dict):
-        # terms: the element of A (x) B reached so far, {reduced word: SuperPolynomial}
+    def nf(word):
+        # integral coefficients as ints: the arithmetic stays exact, and
+        # Fraction normalisation would triple the time of this loop
+        items = nf_memo.get(word)
+        if items is None:
+            items = nf_memo[word] = [
+                (u, c.numerator if c.denominator == 1 else c)
+                for u, c in A.normal_form_word(word).items()
+            ]
+        return items
+
+    def extend(prefix, state: dict):
         if len(prefix) == length:
-            results[prefix] = terms.get(prefix, table.zero())
+            results[prefix] = SuperPolynomial(table, {
+                (tuple((even_vids[k], e) for k, e in enumerate(ev) if e), od): Fraction(c)
+                for (w, ev, od), c in state.items()
+                if w == prefix
+            })
             return
-        depth = len(prefix)
-        prefix_parity = _word_parity(prefix, p)
         for i in range(1, X.d + 1):
             nxt = prefix + (i,)
             if not A.is_reduced(nxt):
                 continue
             # multiply the state by y_i = sum_j x_j (x) x[j,i]
-            new_terms: dict[tuple, SuperPolynomial] = {}
-            for w, bpoly in terms.items():
-                # parity of the B-coefficient of word w after `depth` letters
-                b_parity = (A.space.word_parity(w) + prefix_parity) % 2
+            new: dict = {}
+            for (w, ev, od), c in state.items():
                 for j in range(1, X.d + 1):
-                    factor = bpoly * X.entry(j, i)
-                    if b_parity and fmt[j - 1]:
-                        factor = -factor
-                    if factor.is_zero():
-                        continue
-                    for u, c in A.normal_form_word(w + (j,)).items():
-                        cur = new_terms.get(u)
-                        add = factor * c
-                        new_terms[u] = add if cur is None else cur + add
-            new_terms = {u: v for u, v in new_terms.items() if not v.is_zero()}
-            extend(nxt, new_terms)
+                    wj = w + (j,)
+                    if wj > nxt:  # so is every word of nf(wj), and every later j
+                        break
+                    # x_j passes the B-coefficient, whose parity is len(od) mod 2
+                    a = -c if fmt[j - 1] and len(od) % 2 else c
+                    odd, k = step[(j, i)]
+                    if odd:
+                        if k in od:
+                            continue
+                        pos = bisect_left(od, k)
+                        od_new, ev_new = od[:pos] + (k,) + od[pos:], ev
+                        if (len(od) - pos) % 2:
+                            a = -a
+                    else:
+                        od_new, ev_new = od, ev[:k] + (ev[k] + 1,) + ev[k + 1 :]
+                    for u, b in nf(wj):
+                        if u > nxt:
+                            continue
+                        key = (u, ev_new, od_new)
+                        s = new.get(key, 0) + a * b
+                        if s:
+                            new[key] = s
+                        else:
+                            del new[key]
+            extend(nxt, new)
 
-    extend((), {(): table.one()})
+    extend((), {((), (0,) * len(even_vids), ()): 1})
     return results
 
 
@@ -378,7 +430,10 @@ def master_verify(p: int, q: int, N: int, K: int,
 
 def closed_form_hilbert(p: int, q: int, N: int, K: int, kind: str = "dim") -> TruncatedSeries:
     """Hilbert series of the N-symmetric superalgebra of a p|q space from the
-    closed-form reciprocal, cross-checked against direct enumeration.
+    closed-form reciprocal, cross-checked against direct enumeration of the
+    reduced words of ``n_symmetric``, walked letter by letter (the
+    brute-force filter :func:`lambda_set` is kept as an independent reference
+    for tests).
 
     kind='dim': coefficients count the reduced words of each length.
     kind='sdim': coefficients are the parity-signed counts.
@@ -402,9 +457,10 @@ def closed_form_hilbert(p: int, q: int, N: int, K: int, kind: str = "dim") -> Tr
             raise ValueError(f"unknown kind {kind!r}")
     series = TruncatedSeries(K, denom).inverse()
 
-    # independent enumeration over the reduced words
+    # independent enumeration: the reduced words, walked letter by letter
+    A = n_symmetric(SuperSpace.standard(p, q), N)
     for length in range(K + 1):
-        words = lambda_set(p, q, N, length)
+        words = A.reduced_words(length)
         if kind == "dim":
             expected = Fraction(len(words))
         else:

@@ -149,6 +149,16 @@ def test_hecke_verify_command():
     assert any("yang_baxter=PASS" in line for line in machine_lines(out))
 
 
+@pytest.mark.parametrize("argv", [
+    ["dims", "--family", "lambda_RN", "--p", "1", "--q", "1", "--q-param", "2", "--order", "3"],
+    ["dims", "--family", "s_RN", "--p", "1", "--q", "1", "--q-param", "1/2", "--order", "3"],
+    ["dims", "--family", "yang_mills", "--p", "2", "--q", "0", "--G", "1,2", "--order", "3"],
+])
+def test_parameters_are_accepted_where_they_are_read(argv, capsys):
+    assert main(argv) == 0
+    assert machine_lines(capsys.readouterr().out)
+
+
 def test_spec_file_on_stdin():
     text = "family = n_symmetric\nN = 2\nformat = 0 1\n"
     code, out, _ = run_cli(["dims", "--spec", "-", "--order", "3"], stdin=text)
@@ -196,6 +206,24 @@ def test_negative_bounds_are_input_errors(argv, capsys):
      "input error: bad rational '1/0'"),
     (["dims", "--family", "yang_mills", "--p", "2", "--q", "0", "--G", "1/0,1"],
      "input error: bad rational '1/0'"),
+    # a parameter that no part of the command reads
+    (["dims", "--family", "quantum", "--p", "1", "--q", "1", "--q-param", "0", "--order", "3"],
+     "input error: --q-param applies only to"),
+    (["dims", "--family", "n_symmetric", "--p", "2", "--q", "0", "--q-param", "2"],
+     "input error: --q-param applies only to"),
+    (["hecke-verify", "--operator", "supersymmetry", "--p", "1", "--q", "1", "--q-param", "2"],
+     "input error: --q-param applies only to"),
+    (["mt", "--p", "1", "--q", "1", "--q-param", "2"], "input error: --q-param applies only to"),
+    (["hecke-verify", "--family", "lambda_RN", "--operator", "supersymmetry", "--p", "1", "--q", "1",
+      "--q-param", "2"], "input error: --q-param applies only to"),
+    (["dims", "--spec", "-", "--q-param", "2"], "input error: --q-param applies only to"),
+    (["dims", "--family", "quantum", "--p", "1", "--q", "1", "--G", "1,1"],
+     "input error: --G applies only to --family yang_mills"),
+    (["dims", "--family", "lambda_RN", "--p", "1", "--q", "1", "--G", "1,1"],
+     "input error: --G applies only to --family yang_mills"),
+    (["mt", "--p", "1", "--q", "0", "--G", "1"], "input error: --G applies only to --family yang_mills"),
+    (["mt", "--family", "yang_mills", "--p", "2", "--q", "0", "--G", "1,1"],
+     "input error: --G applies only to --family yang_mills"),
 ])
 def test_out_of_range_inputs_are_rejected_not_substituted(argv, message, capsys):
     assert main(argv) == 2

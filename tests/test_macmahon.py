@@ -247,6 +247,14 @@ def test_lambda_words_for_the_super_line_pair():
     assert lambda_set(1, 0, 2, 4) == [(1, 1, 1, 1)]
 
 
+def test_lambda_words_are_the_reduced_words():
+    # the brute-force filter and the letter-by-letter walk of closed_form_hilbert
+    for (p, q, N) in [(1, 1, 2), (2, 1, 3), (0, 2, 2), (2, 2, 2)]:
+        A = n_symmetric(SuperSpace.standard(p, q), N)
+        for length in range(6):
+            assert A.reduced_words(length) == lambda_set(p, q, N, length)
+
+
 def test_lambda_words_count_matches_graded_dimension():
     for (p, q) in [(1, 1), (2, 1), (0, 2)]:
         for N in (2, 3):
@@ -289,9 +297,54 @@ def test_truncation_ceiling_is_enforced():
     assert bosonic_factor(1, 0, 2, 11, ceiling=12).coeffs[11] is not None
 
 
+# the nine (p, q, N) of the benchmark's master_theorem workload
+MASTER_CASES = [(1, 0, 2), (2, 0, 2), (0, 2, 2), (1, 1, 2), (2, 1, 2), (1, 1, 3), (2, 0, 3),
+                (2, 2, 2), (2, 1, 3)]
+
+
+@pytest.mark.parametrize("p,q,N", MASTER_CASES)
+def test_bosonic_factor_at_the_identity_is_the_superdimension_series(p, q, N):
+    # coefficient l is the supertrace of X on A_l; at X = 1 that is sdim A_l
+    K = 5
+    X = GenericSupermatrix(p, q)
+    series = bosonic_factor(p, q, N, K, X=X)
+    sdim = closed_form_hilbert(p, q, N, K, kind="sdim")
+    assert [X.counit(c) for c in series.coeffs] == sdim.coeffs
+
+
+@pytest.mark.parametrize("p,q,N", MASTER_CASES)
+def test_bosonic_factor_on_the_diagonal_is_the_signed_word_content(p, q, N):
+    # off-diagonal entries set to zero, y_a = x_a (x) x[a,a] and each reduced
+    # word i contributes (-1)^(parity of i) prod_k x[i_k,i_k]
+    K = 5
+    X = GenericSupermatrix(p, q)
+    series = bosonic_factor(p, q, N, K, X=X)
+    diagonal = {X.ids[(a, a)] for a in range(1, X.d + 1)}
+    for length in range(K + 1):
+        expected = X.table.zero()
+        for word in lambda_set(p, q, N, length):
+            monomial = X.table.one()
+            for a in word:
+                monomial = monomial * X.entry(a, a)
+            expected = expected + (-monomial if sum(a > p for a in word) % 2 else monomial)
+        diagonal_part = {
+            (even, odd): c
+            for (even, odd), c in series.coeffs[length].terms.items()
+            if not odd and all(vid in diagonal for vid, _ in even)
+        }
+        assert diagonal_part == expected.terms, length
+
+
 @pytest.mark.parametrize("p,q,N", [(1, 0, 2), (0, 1, 2), (1, 1, 2), (1, 1, 3), (2, 0, 3)])
 def test_master_identity_small(p, q, N):
     assert master_verify(p, q, N, 4).passed
+
+
+@pytest.mark.parametrize("p,q,N", MASTER_CASES + [(1, 2, 2), (1, 2, 3)])
+def test_master_identity_to_order_five(p, q, N):
+    # the reordering signs of odd entries first reach the bosonic factor of
+    # (2|1, N=3) at order 5, and of (2|2, N=2), (1|2, N=2), (1|2, N=3) at 4
+    assert master_verify(p, q, N, 5).passed
 
 
 def test_master_identity_fermionic_factor_signs():
