@@ -4,6 +4,7 @@ The echelon basis of the relation space doubles as a rewriting system: each
 leading word rewrites to lexicographically smaller ones.  When overlapping
 rewrites agree (confluence), the irreducible words form a basis of the algebra
 and normal forms are canonical; the dimension counts then come for free.
+Without confluence, normal forms are residuals modulo the echelon of R_n.
 """
 
 from superkoszul import SuperSpace, n_symmetric, quantum_superspace
@@ -29,7 +30,9 @@ print(f"\nan engineered overlap ({B.label}):")
 print(B.confluence_report())
 reduced = [w for w in B.space.words(3) if B.is_reduced(w)]
 print(f"irreducible words of length 3: {len(reduced)}, true dimension: {B.dim_component(3)}")
-print("the counts disagree, so normal forms are refused for this presentation")
+print("the counts disagree, so B's normal forms come from the echelon of R_3:")
+print(f"  basis of B_3: {B.reduced_words(3)}")
+print(f"  normal form of x(1, 1, 1): {B.normal_form_word((1, 1, 1))}")
 
 C = quantum_superspace(SuperSpace.standard(2, 1))
 print(f"\n{C.label} has an ordered-monomial basis:")

@@ -35,7 +35,6 @@ from .hecke import (
 )
 from .homogeneous import (
     HomogAlgebra,
-    NonConfluentError,
     custom_algebra,
     end_algebra,
     homog_product,

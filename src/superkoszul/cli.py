@@ -11,8 +11,7 @@ from a small line-oriented spec document (--spec FILE, '-' for stdin):
 
 Rationals are written as strings "a/b" to stay exact.  Reports print a human
 table plus stable machine-readable lines prefixed "#machine/v1:".  Exit codes:
-0 all verdicts pass, 1 a mathematical verdict failed (or was inconclusive),
-2 bad input.
+0 all verdicts pass, 1 a mathematical verdict failed, 2 bad input.
 """
 
 from __future__ import annotations
@@ -288,19 +287,6 @@ def _cmd_confluence(report, spec, options, order):
     report.verdict_fail = not (conf.passed and extra.passed)
 
 
-def _inconclusive_without_confluence(report, A, what) -> bool:
-    """Report a non-confluent presentation as INCONCLUSIVE: products in A, and
-    so ``what``, need normal forms.  Returns True when it did."""
-    conf = A.confluence_report()
-    if conf.passed:
-        return False
-    report.say(str(conf))
-    report.say(f"verdict: inconclusive (non-confluent basis/order; {what} not computable here)")
-    report.record(verdict="INCONCLUSIVE", witness="confluence")
-    report.verdict_fail = True
-    return True
-
-
 def _cmd_koszul(report, spec, options, order):
     A = build_algebra(spec)
     report.say(f"Koszul check for {A.label} through total degree {order}")
@@ -322,8 +308,6 @@ def _cmd_koszul(report, spec, options, order):
         report.record(verdict="FAIL", witness="duality", n=bad)
         report.verdict_fail = True
         return
-    if _inconclusive_without_confluence(report, A, "exactness"):
-        return
     verdict = koszul_check(A, order)
     report.say(str(verdict))
     report.say(str(duality))
@@ -339,8 +323,6 @@ def _cmd_tor(report, spec, options, order):
     A = build_algebra(spec)
     i_max = options.get("i_max", 4)
     report.say(f"Tor dimensions for {A.label} (rows i=0..{i_max}, degrees 0..{order})")
-    if _inconclusive_without_confluence(report, A, "Tor"):
-        return
     table = tor_dims(A, i_max, order)
     report.say(str(table))
     for i in range(i_max + 1):
@@ -484,6 +466,14 @@ def main(argv=None) -> int:
             )
         if args.g_diag is not None and family != "yang_mills":
             raise SpecError("--G applies only to --family yang_mills")
+        algebra_commands = ", ".join(c for c in COMMANDS if c in _NEEDS_ALGEBRA)
+        if args.command not in _NEEDS_ALGEBRA:
+            for flag, value in (("--spec", args.spec), ("--family", args.family),
+                                ("--format", args.fmt)):
+                if value is not None:
+                    raise SpecError(f"{flag} applies only to {algebra_commands}")
+        if args.command == "hecke-verify" and args.N is not None:
+            raise SpecError(f"-N applies only to {algebra_commands} and mt")
         spec = _spec_from_args(args)
         if args.command in _NEEDS_ALGEBRA and spec is None:
             raise SpecError("this command needs an algebra: give --family or --spec")

@@ -12,12 +12,19 @@ and dim A_n = d^n - dim R_n.
 
 Rewriting.  The row-echelon basis of R doubles as a reduction operator: each
 pivot (leading) monomial rewrites to minus the tail, which is supported on
-lexicographically smaller words.  A word is *reduced* when no length-N window
-is a pivot.  Rewriting terminates because every step strictly decreases the
-word; when the system is confluent the reduced words represent a basis of A
-and normal forms are well defined.  Confluence is checked once per algebra
-(see :meth:`HomogAlgebra.confluence_report`) and normal-form computations
-refuse to run without it.
+lexicographically larger words.  A word is *reduced* (the rewriting notion of
+:meth:`HomogAlgebra.is_reduced` and :meth:`HomogAlgebra.count_reduced_words`)
+when no length-N window is a pivot.  Rewriting terminates because every step
+strictly raises the word; when the system is confluent (checked once, see
+:meth:`HomogAlgebra.confluence_report`) the reduced words represent a basis
+of A and rewriting gives the normal forms.
+
+Normal forms without confluence.  u - nf(u) lies in R_|u|, so the residual
+of a word modulo the echelon of R_n is an exact normal form and the
+non-pivot words of R_n are a basis of A_n (a degree-truncated Groebner basis;
+Bergman 1978, Mora 1994).  :meth:`HomogAlgebra.normal_form_word` and
+:meth:`HomogAlgebra.reduced_words` take this route when rewriting is not
+confluent.
 
 Graded dimensions.  :meth:`HomogAlgebra.graded_component` eliminates R_n and
 gives dim A_n = d^n - dim R_n for any presentation.  When the rewriting
@@ -61,11 +68,6 @@ Word = tuple
 class InternalInconsistencyError(AssertionError):
     """Two independent routes to the same quantity disagreed; an
     implementation bug."""
-
-
-class NonConfluentError(RuntimeError):
-    """Normal forms were requested for an algebra whose rewriting system is
-    not confluent; they would depend on the rewriting strategy."""
 
 
 @dataclass
@@ -287,9 +289,15 @@ class HomogAlgebra:
         return sum(ends.values())
 
     def reduced_words(self, n: int) -> list:
-        """All reduced words of length n, built letter by letter."""
+        """The basis words of A_n in lexicographic order: the reduced words,
+        built letter by letter, when the rewriting system is confluent, the
+        non-pivot words of R_n otherwise."""
         if n in self._reduced_words:
             return self._reduced_words[n]
+        if not self.confluence_report().passed:
+            Rn = self._graded_relations(n).rows
+            out = self._reduced_words[n] = [w for w in self.space.words(n) if w not in Rn]
+            return out
         pivots = self.R.rows
         N, d = self.N, self.dim_V
         out: list = []
@@ -355,21 +363,19 @@ class HomogAlgebra:
         self._extra = report
         return report
 
-    def require_confluence(self):
-        if not self.confluence_report().passed:
-            raise NonConfluentError(
-                f"{self.label}: rewriting is not confluent for this basis/order; "
-                "normal forms would be strategy-dependent"
-            )
-
     def normal_form_word(self, word: Word, rightmost: bool = False) -> dict:
-        """Normal form of a basis word as {reduced word: coefficient}.
+        """Normal form of a basis word as {basis word of A_n: coefficient},
+        supported on :meth:`reduced_words`.
 
-        Rewrites the leftmost non-reduced window first (rightmost when asked,
-        used to confirm strategy independence).  Requires confluence.
+        A confluent system rewrites the leftmost non-reduced window first
+        (rightmost when asked, used to confirm strategy independence).
+        Otherwise the word is reduced modulo the echelon of R_n, which uses
+        no strategy.
         """
-        self.require_confluence()
-        return self._nf(tuple(word), rightmost)
+        word = tuple(word)
+        if not self.confluence_report().passed:
+            return self._graded_relations(len(word)).reduce({word: Fraction(1)})
+        return self._nf(word, rightmost)
 
     def _nf(self, word: Word, rightmost: bool = False) -> dict:
         memo = self._nf_memo if not rightmost else None

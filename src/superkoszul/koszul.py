@@ -99,12 +99,11 @@ def _slice_bases(A: HomogAlgebra, i: int, n: int):
 def koszul_matrix(A: HomogAlgebra, i: int, n: int) -> KoszulSlice:
     """The differential delta_i : A_{n-nu(i)} x D_{nu(i)} -> previous slot.
 
-    Bases: reduced words of A tensored with the echelon rows of the graded
-    dual components.  Requires confluence (products in A are normal forms).
+    Bases: the basis words of A (:meth:`HomogAlgebra.reduced_words`)
+    tensored with the echelon rows of the graded dual components.
     """
     if i < 1:
         raise ValueError("differentials start at homological degree 1")
-    A.require_confluence()
     m, source = _slice_bases(A, i, n)
     m_prev, target = _slice_bases(A, i - 1, n)
     steps = m - m_prev  # 1 for odd i, N-1 for even i
@@ -144,7 +143,6 @@ def koszul_check(A: HomogAlgebra, deg_max: int) -> KoszulVerdict:
     degree n <= deg_max: rank(delta_i) + rank(delta_{i+1}) must exhaust the
     middle term.  Exact rank arithmetic throughout; the verdict claims
     nothing beyond the truncation."""
-    A.require_confluence()
     failures = []
     rank_cache: dict = {}
 
@@ -198,10 +196,9 @@ def tor_dims(A: HomogAlgebra, i_max: int, deg_max: int) -> TorTable:
 
     Degreewise construction: the next generator space in homological degree
     i+1 is a complement of A_+ * ker(d_i) inside ker(d_i).  Free modules are
-    encoded on bases (reduced word, generator); kernels and complements are
-    exact eliminations.  Requires confluence for multiplication in A.
+    encoded on bases (basis word of A, generator); kernels and complements
+    are exact eliminations.
     """
-    A.require_confluence()
     table = TorTable(i_max, deg_max, {0: {0: 1}})
 
     # generators of F_i: list of (degree, value) where value is an element of

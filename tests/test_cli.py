@@ -1,7 +1,9 @@
 """Spec-document parsing and the command-line front end."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,12 +16,18 @@ from superkoszul.cli import (
 )
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def run_cli(args, stdin=None):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "superkoszul.cli", *args],
         capture_output=True,
         text=True,
         input=stdin,
+        env=env,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -129,12 +137,12 @@ def test_tor_command():
     assert any("i=3 deg=4 dim=1" in line for line in lines)
 
 
-def test_tor_command_is_inconclusive_without_confluence(capsys):
-    assert main(["tor", "--family", "yang_mills", "--p", "1", "--q", "1", "--order", "4"]) == 1
+def test_tor_command_computes_without_confluence(capsys):
+    # YM(1|1) is not confluent; its normal forms come from the R_n echelon
+    assert main(["tor", "--family", "yang_mills", "--p", "1", "--q", "1", "--order", "7"]) == 0
     out = capsys.readouterr().out
-    assert "overlap width" in out
-    assert any("verdict=INCONCLUSIVE witness=confluence" in line for line in machine_lines(out))
-    assert not any("dim=" in line for line in machine_lines(out))
+    assert any("i=3 deg=5 dim=2" in line for line in machine_lines(out))
+    assert "INCONCLUSIVE" not in out
 
 
 def test_hilbert_command_with_closed_form():
@@ -224,6 +232,16 @@ def test_negative_bounds_are_input_errors(argv, capsys):
     (["mt", "--p", "1", "--q", "0", "--G", "1"], "input error: --G applies only to --family yang_mills"),
     (["mt", "--family", "yang_mills", "--p", "2", "--q", "0", "--G", "1,1"],
      "input error: --G applies only to --family yang_mills"),
+    (["mt", "--p", "1", "--q", "1", "--format", "0,0,1", "--order", "2"],
+     "input error: --format applies only to"),
+    (["mt", "--p", "1", "--q", "1", "--family", "n_symmetric", "-N", "2", "--order", "2"],
+     "input error: --family applies only to"),
+    (["mt", "--p", "1", "--q", "1", "--spec", "-"], "input error: --spec applies only to"),
+    (["hecke-verify", "--family", "lambda_RN", "--operator", "supersymmetry", "--p", "1", "--q", "1"],
+     "input error: --family applies only to"),
+    (["hecke-verify", "--p", "1", "--q", "1", "--format", "0,1"], "input error: --format applies only to"),
+    (["hecke-verify", "--p", "1", "--q", "1", "--spec", "-"], "input error: --spec applies only to"),
+    (["hecke-verify", "--p", "1", "--q", "1", "-N", "3"], "input error: -N applies only to"),
 ])
 def test_out_of_range_inputs_are_rejected_not_substituted(argv, message, capsys):
     assert main(argv) == 2

@@ -9,7 +9,6 @@ from superkoszul.hecke import dj_operator, supersymmetry_operator
 from superkoszul.homogeneous import (
     ConfluenceReport,
     InternalInconsistencyError,
-    NonConfluentError,
     custom_algebra,
     end_algebra,
     free_line,
@@ -290,11 +289,18 @@ def test_internal_inconsistency_error_is_still_importable_from_macmahon():
     assert macmahon.InternalInconsistencyError is InternalInconsistencyError
 
 
-def test_non_confluent_algebra_refuses_normal_forms():
+def test_non_confluent_algebra_has_echelon_normal_forms():
     A = custom_algebra((0, 0), 2, [[(1, (1, 1)), (-1, (1, 2))]])
     assert not A.confluence_report().passed
-    with pytest.raises(NonConfluentError):
-        A.normal_form_word((1, 1, 1))
+    for n in range(7):
+        assert len(A.reduced_words(n)) == n + 1, n
+    word = (1, 1, 1)
+    nf = A.normal_form_word(word)
+    assert set(nf) <= set(A.reduced_words(3))
+    assert nf != {word: 1}
+    diff = dict(nf)
+    diff[word] = diff.get(word, 0) - 1
+    assert not A.graded_component(3)[0].reduce(diff)
 
 
 # -- built-in families ----------------------------------------------------------

@@ -2,10 +2,7 @@
 
 from fractions import Fraction
 
-import pytest
-
 from superkoszul.homogeneous import (
-    NonConfluentError,
     custom_algebra,
     n_symmetric,
     quantum_superspace,
@@ -71,10 +68,28 @@ def test_koszul_check_passes_for_small_symmetric_algebras():
     assert koszul_check(n_symmetric(SuperSpace.standard(2, 1), 3), 8).passed
 
 
-def test_koszul_check_requires_confluence():
+def test_koszul_check_runs_without_confluence():
     A = custom_algebra((0, 0), 2, [[(1, (1, 1)), (-1, (1, 2))]])
-    with pytest.raises(NonConfluentError):
-        koszul_check(A, 4)
+    assert not A.confluence_report().passed
+    assert koszul_check(A, 6).passed
+    assert koszul_duality_check(A, 6).passed
+
+
+def test_mixed_yang_mills_1_1_is_not_exact_where_duality_breaks():
+    A = yang_mills(SuperSpace.standard(1, 1))
+    assert not A.confluence_report().passed
+    verdict = koszul_check(A, 7)
+    assert verdict.failures == [(2, 5, 2), (2, 6, 4), (2, 7, 6)]
+    product = koszul_duality_check(A, 7).product
+    first_break = next(n for n in range(1, 8) if product.coeffs[n] != 0)
+    assert verdict.failures[0][1] == first_break == 5
+
+
+def test_mixed_yang_mills_2_1_is_koszul_through_degree_6():
+    A = yang_mills(SuperSpace.standard(2, 1))
+    assert not A.confluence_report().passed
+    assert koszul_check(A, 6).passed
+    assert tor_dims(A, 4, 6).concentrated_degrees(3) == []
 
 
 def test_non_koszul_detected_by_exactness():

@@ -114,3 +114,31 @@ def test_normal_forms_never_contain_a_smaller_word(A):
     for n in (n for n in degrees(A) if n <= A.N + 2):
         for w in A.space.words(n):
             assert all(u >= w for u in A._nf(w)), w
+
+
+@PROPERTY_SETTINGS
+@given(presentations())
+def test_reduced_words_are_as_many_as_the_dimension(A):
+    for n in degrees(A):
+        assert len(A.reduced_words(n)) == A.graded_component(n)[1], n
+
+
+@PROPERTY_SETTINGS
+@given(presentations())
+def test_normal_forms_are_supported_on_reduced_words(A):
+    for n in degrees(A):
+        basis = set(A.reduced_words(n))
+        for w in A.space.words(n):
+            assert basis.issuperset(A.normal_form_word(w)), w
+
+
+@PROPERTY_SETTINGS
+@given(presentations())
+def test_echelon_residual_is_the_rewriting_normal_form_when_confluent(A):
+    # the residual modulo the R_n echelon is the reference for window rewriting
+    if not A.confluence_report().passed:
+        return
+    for n in degrees(A):
+        Rn = A._graded_relations(n)
+        for w in A.space.words(n):
+            assert Rn.reduce({w: 1}) == A._nf(w), w
