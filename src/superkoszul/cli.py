@@ -241,7 +241,9 @@ class Report:
 def run(command: str, spec: AlgebraSpec | None, options: dict) -> tuple[Report, int]:
     """Dispatch one command; returns the report and the exit code."""
     report = Report(command)
-    order = options.get("order", 6)
+    order = options.get("order")
+    if order is None:
+        order = 6
     try:
         handler = _HANDLERS[command]
     except KeyError:
@@ -410,7 +412,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--q", type=int, help="number of odd generators")
         cmd.add_argument("--format", dest="fmt", help="parity list, e.g. '0,0,1'")
         cmd.add_argument("-N", dest="N", type=int, default=None, help="relation degree")
-        cmd.add_argument("--order", type=int, default=6, help="truncation / degree bound")
+        cmd.add_argument("--order", type=int, default=None,
+                         help="truncation / degree bound (default 6)")
         cmd.add_argument("--q-param", dest="q_param", default=None,
                          help="Hecke parameter as an exact rational, e.g. 1/2")
         cmd.add_argument("--G", dest="g_diag", default=None,
@@ -472,8 +475,22 @@ def main(argv=None) -> int:
                                 ("--format", args.fmt)):
                 if value is not None:
                     raise SpecError(f"{flag} applies only to {algebra_commands}")
+        elif args.spec:
+            for flag, value in (("--family", args.family), ("--format", args.fmt),
+                                ("--p", args.p), ("--q", args.q), ("-N", args.N)):
+                if value is not None:
+                    raise SpecError(f"{flag} applies only to an algebra not given by --spec")
+        elif args.fmt is not None:
+            for flag, value in (("--p", args.p), ("--q", args.q)):
+                if value is not None:
+                    raise SpecError(
+                        f"{flag} applies only to an algebra whose format is not given by --format"
+                    )
         if args.command == "hecke-verify" and args.N is not None:
             raise SpecError(f"-N applies only to {algebra_commands} and mt")
+        if args.order is not None and args.command in ("confluence", "hecke-verify"):
+            bounded = ", ".join(c for c in COMMANDS if c not in ("confluence", "hecke-verify"))
+            raise SpecError(f"--order applies only to {bounded}")
         spec = _spec_from_args(args)
         if args.command in _NEEDS_ALGEBRA and spec is None:
             raise SpecError("this command needs an algebra: give --family or --spec")

@@ -109,23 +109,13 @@ class HeckeElement:
         n, q = self.n, self.q
         si = Permutation.transposition(n, i)
         terms: dict[Permutation, Fraction] = {}
-
-        def bump(sigma, c):
-            if not c:
-                return
-            v = terms.get(sigma, Fraction(0)) + c
-            if v:
-                terms[sigma] = v
-            else:
-                del terms[sigma]
-
         for sigma, c in self.terms.items():
             tau = sigma * si
             if tau.length() == sigma.length() + 1:
-                bump(tau, c)
+                axpy(terms, {tau: c}, 1)
             else:
-                bump(tau, q * c)
-                bump(sigma, (q - 1) * c)
+                axpy(terms, {tau: c}, q)
+                axpy(terms, {sigma: c}, q - 1)
         return HeckeElement(n, q, terms)
 
     def __mul__(self, other):
@@ -278,7 +268,7 @@ class LinearOperator:
         raise TypeError("LinearOperator is unhashable")
 
     def image(self) -> Subspace:
-        return Subspace(self.space, self.degree, self.columns.values(), check_parity=False)
+        return Subspace(self.space, self.degree, self.columns.values())
 
     def rank(self) -> int:
         from .tensorspace import matrix_rank

@@ -58,7 +58,6 @@ from .tensorspace import (
     axpy,
     dual_complement,
     matrix_rank,
-    permute_word,
     span_meet,
 )
 
@@ -363,31 +362,27 @@ class HomogAlgebra:
         self._extra = report
         return report
 
-    def normal_form_word(self, word: Word, rightmost: bool = False) -> dict:
+    def normal_form_word(self, word: Word) -> dict:
         """Normal form of a basis word as {basis word of A_n: coefficient},
         supported on :meth:`reduced_words`.
 
-        A confluent system rewrites the leftmost non-reduced window first
-        (rightmost when asked, used to confirm strategy independence).
+        A confluent system rewrites the leftmost non-reduced window first.
         Otherwise the word is reduced modulo the echelon of R_n, which uses
         no strategy.
         """
         word = tuple(word)
         if not self.confluence_report().passed:
             return self._graded_relations(len(word)).reduce({word: Fraction(1)})
-        return self._nf(word, rightmost)
+        return self._nf(word)
 
-    def _nf(self, word: Word, rightmost: bool = False) -> dict:
-        memo = self._nf_memo if not rightmost else None
-        if memo is not None and word in memo:
+    def _nf(self, word: Word) -> dict:
+        memo = self._nf_memo
+        if word in memo:
             return memo[word]
         pivots = self.R.rows
         N = self.N
-        positions = range(len(word) - N + 1)
-        if rightmost:
-            positions = reversed(positions)
         hit = None
-        for k in positions:
+        for k in range(len(word) - N + 1):
             if word[k : k + N] in pivots:
                 hit = k
                 break
@@ -397,17 +392,16 @@ class HomogAlgebra:
             # word ~ word - (pivot row at window hit) = minus the placed tail in A
             result = {}
             for w, c in self.reduce_at({word: Fraction(1)}, hit).items():
-                axpy(result, self._nf(w, rightmost), c)
-        if memo is not None:
-            memo[word] = result
+                axpy(result, self._nf(w), c)
+        memo[word] = result
         return result
 
-    def normal_form(self, v: TensorVector, rightmost: bool = False) -> TensorVector:
+    def normal_form(self, v: TensorVector) -> TensorVector:
         if v.space != self.space:
             raise ValueError("vector does not live in this algebra's generating space")
         out: dict = {}
         for w, c in v.coeffs.items():
-            axpy(out, self.normal_form_word(w, rightmost), c)
+            axpy(out, self.normal_form_word(w), c)
         return TensorVector(self.space, v.degree, out)
 
     def __repr__(self):
@@ -419,41 +413,28 @@ class HomogAlgebra:
 # ---------------------------------------------------------------------------
 
 
-def _interleave_rows(space_w, fmt1, fmt2, d2, rows1, rows2, N):
+def _interleave_rows(fmt1, fmt2, d2, rows1, rows2):
     """Rows of c_{pi_N}(span(rows1) x span(rows2)) inside (V x V')^(x N).
 
     rows1/rows2 iterate dicts over words of V^(x N) / V'^(x N).  The shuffle
-    sends v_1..v_N v'_1..v'_N to (v_1 v'_1)..(v_N v'_N) with the rule-of-signs
-    factor; a pair (a, b) becomes the letter (a-1)*d2 + b of V x V'.
+    sends v_1..v_N v'_1..v'_N to (v_1 v'_1)..(v_N v'_N), where v'_k passes
+    v_{k+1}..v_N: the sign is (-1)^(sum over k < l of fmt2[b_k] fmt1[a_l]),
+    and a pair (a, b) becomes the letter (a-1)*d2 + b of V x V'.  Distinct
+    word pairs give distinct words, so each term is written once.
     """
-    from .tensorspace import Permutation
-
-    # pi_N(k) = 2k-1 and pi_N(N+k) = 2k: the inverse of the de-interleave
-    shuffle = [0] * (2 * N)
-    for k in range(1, N + 1):
-        shuffle[k - 1] = 2 * k - 1
-        shuffle[N + k - 1] = 2 * k
-    pi = Permutation(shuffle)
     out = []
     for r1 in rows1:
         for r2 in rows2:
             vec: dict = {}
             for w1, c1 in r1.items():
-                parities1 = [fmt1[a - 1] for a in w1]
                 for w2, c2 in r2.items():
-                    parities = parities1 + [fmt2[b - 1] for b in w2]
-                    permuted, sign = permute_word(pi, w1 + w2, parities)
-                    letters = tuple(
-                        (permuted[2 * k] - 1) * d2 + permuted[2 * k + 1]
-                        for k in range(N)
-                    )
-                    s = vec.get(letters, Fraction(0)) + sign * c1 * c2
-                    if s:
-                        vec[letters] = s
-                    else:
-                        del vec[letters]
-            if vec:
-                out.append(vec)
+                    swaps = passed = 0  # passed: odd letters among v_{k+1}..v_N
+                    for a, b in zip(reversed(w1), reversed(w2)):
+                        swaps += fmt2[b - 1] * passed
+                        passed += fmt1[a - 1]
+                    letters = tuple((a - 1) * d2 + b for a, b in zip(w1, w2))
+                    vec[letters] = -c1 * c2 if swaps % 2 else c1 * c2
+            out.append(vec)
     return out
 
 
@@ -483,11 +464,11 @@ def homog_product(kind: str, A: HomogAlgebra, B: HomogAlgebra) -> HomogAlgebra:
     rows_A = list(A.R.rows.values())
     rows_B = list(B.R.rows.values())
     if kind == "white":
-        rows = _interleave_rows(W, fmt1, fmt2, d2, rows_A, full_B, N)
-        rows += _interleave_rows(W, fmt1, fmt2, d2, full_A, rows_B, N)
+        rows = _interleave_rows(fmt1, fmt2, d2, rows_A, full_B)
+        rows += _interleave_rows(fmt1, fmt2, d2, full_A, rows_B)
         symbol = "o"
     elif kind == "black":
-        rows = _interleave_rows(W, fmt1, fmt2, d2, rows_A, rows_B, N)
+        rows = _interleave_rows(fmt1, fmt2, d2, rows_A, rows_B)
         symbol = "*"
     else:
         raise ValueError(f"unknown product kind {kind!r}")
@@ -556,86 +537,48 @@ def _supercommutator(u: TensorVector, v: TensorVector) -> TensorVector:
     return u.tensor(v) - v.tensor(u).scale(sign)
 
 
-def _congruence_diagonalize(block):
-    """Diagonal of C^T M C for a symmetric invertible block over Q."""
-    m = len(block)
-    M = [[Fraction(x) for x in row] for row in block]
-    for r in range(m):
-        if M[r][r] == 0:
-            swap = next((s for s in range(r + 1, m) if M[s][s] != 0), None)
-            if swap is not None:
-                for t in range(m):
-                    M[r][t], M[swap][t] = M[swap][t], M[r][t]
-                for t in range(m):
-                    M[t][r], M[t][swap] = M[t][swap], M[t][r]
-            else:
-                s = next((s for s in range(r + 1, m) if M[r][s] != 0), None)
-                if s is None:
-                    raise ValueError("matrix block is singular")
-                for t in range(m):
-                    M[r][t] += M[s][t]
-                for t in range(m):
-                    M[t][r] += M[t][s]
-        for s in range(r + 1, m):
-            f = M[s][r] / M[r][r]
-            if f:
-                for t in range(m):
-                    M[s][t] -= f * M[r][t]
-                for t in range(m):
-                    M[t][s] -= f * M[t][r]
-    return [M[r][r] for r in range(m)]
-
-
 def yang_mills(fmt, G=None, label: str = "") -> HomogAlgebra:
-    """Cubic superalgebra with one relation per generator:
-    sum over i != k of g_i [x_i, [x_i, x_k]] = 0, supercommutators throughout.
+    """Cubic superalgebra with one relation per generator x_j,
 
-    ``G`` is either a list of d nonzero diagonal coefficients or a symmetric
-    invertible matrix vanishing across parities; a non-diagonal matrix is
-    first diagonalized by a rational congruence within each parity block.
+        sum over i, k of G[i][k] [x_i, [x_k, x_j]] = 0,
+
+    supercommutators throughout (Connes and Dubois-Violette).  ``G`` is either
+    a list of d nonzero diagonal entries (default all ones) or a symmetric
+    invertible d x d matrix vanishing across parities.  It is used as given,
+    so the change of generators x -> Px carries the presentation of G to that
+    of P G P^T.
     """
     space = fmt if isinstance(fmt, SuperSpace) else SuperSpace(fmt)
     d = space.dim
     if d < 2:
         raise ValueError("Yang-Mills algebras need at least two generators")
     if G is None:
-        diag = [Fraction(1)] * d
-    elif all(not isinstance(row, (list, tuple)) for row in G):
+        G = [1] * d
+    if all(not isinstance(row, (list, tuple)) for row in G):
         diag = [Fraction(x) for x in G]
-        if len(diag) != d or any(x == 0 for x in diag):
+        if len(diag) != d or 0 in diag:
             raise ValueError("diagonal metric must list d nonzero entries")
-    else:
-        M = [[Fraction(x) for x in row] for row in G]
-        if len(M) != d or any(len(row) != d for row in M):
-            raise ValueError("metric must be a d x d matrix")
-        if any(M[i][j] != M[j][i] for i in range(d) for j in range(d)):
-            raise ValueError("metric must be symmetric")
-        for i in range(d):
-            for j in range(d):
-                if space.format[i] != space.format[j] and M[i][j] != 0:
-                    raise ValueError("metric must vanish between different parities")
-        diag = []
-        idx_even = [i for i in range(d) if space.format[i] == 0]
-        idx_odd = [i for i in range(d) if space.format[i] == 1]
-        diag_by_index = {}
-        for idx in (idx_even, idx_odd):
-            if not idx:
-                continue
-            block = [[M[a][b] for b in idx] for a in idx]
-            for a, g in zip(idx, _congruence_diagonalize(block)):
-                diag_by_index[a] = g
-        diag = [diag_by_index[i] for i in range(d)]
-        if any(x == 0 for x in diag):
-            raise ValueError("metric is singular")
+        G = [[x if i == k else 0 for k in range(d)] for i, x in enumerate(diag)]
+    M = [[Fraction(x) for x in row] for row in G]
+    if len(M) != d or any(len(row) != d for row in M):
+        raise ValueError("metric must be a d x d matrix")
+    if any(M[i][k] != M[k][i] for i in range(d) for k in range(d)):
+        raise ValueError("metric must be symmetric")
+    if any(M[i][k] and space.format[i] != space.format[k] for i in range(d) for k in range(d)):
+        raise ValueError("metric must vanish between different parities")
+    if matrix_rank(dict(enumerate(row)) for row in M) < d:
+        raise ValueError("metric is singular")
+    x = [TensorVector.basis(space, (i,)) for i in range(1, d + 1)]
     rows = []
-    for k in range(1, d + 1):
+    for j in range(d):
         acc = TensorVector(space, 3, {})
-        xk = TensorVector.basis(space, (k,))
-        for i in range(1, d + 1):
-            if i == k:
+        for k in range(d):
+            inner = _supercommutator(x[k], x[j])
+            if inner.is_zero():
                 continue
-            xi = TensorVector.basis(space, (i,))
-            acc = acc + _supercommutator(xi, _supercommutator(xi, xk)).scale(diag[i - 1])
+            for i in range(d):
+                if M[i][k]:
+                    acc = acc + _supercommutator(x[i], inner).scale(M[i][k])
         if not acc.is_zero():
             rows.append(acc.coeffs)
     return HomogAlgebra(
@@ -681,11 +624,7 @@ def custom_algebra(fmt, N: int, relations, label: str = "") -> HomogAlgebra:
                 raise ValueError(f"relation word {word} must have degree N={N}")
             if any(not 1 <= i <= space.dim for i in word):
                 raise ValueError(f"letters of {word} must lie in 1..{space.dim}")
-            c = vec.get(word, Fraction(0)) + Fraction(coeff)
-            if c:
-                vec[word] = c
-            else:
-                del vec[word]
+            axpy(vec, {word: Fraction(coeff)}, 1)
         if vec:
             rows.append(vec)
     return HomogAlgebra(space, N, Subspace(space, N, rows), label=label or "custom")

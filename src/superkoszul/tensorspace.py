@@ -270,13 +270,8 @@ def perm_action(sigma: Permutation, v: TensorVector) -> TensorVector:
     fmt = v.space.format
     coeffs: dict = {}
     for word, c in v.coeffs.items():
-        parities = [fmt[i - 1] for i in word]
-        new_word, sign = permute_word(sigma, word, parities)
-        s = coeffs.get(new_word, Fraction(0)) + sign * c
-        if s:
-            coeffs[new_word] = s
-        else:
-            del coeffs[new_word]
+        new_word, sign = permute_word(sigma, word, [fmt[i - 1] for i in word])
+        axpy(coeffs, {new_word: c}, sign)
     return TensorVector(v.space, v.degree, coeffs)
 
 
@@ -321,14 +316,14 @@ class Subspace:
     equal exactly when their row dicts coincide.
     """
 
-    def __init__(self, space: SuperSpace, degree: int, rows=(), check_parity: bool = True):
+    def __init__(self, space: SuperSpace, degree: int, rows=()):
         self.space = space
         self.degree = degree
         self.rows: dict[Word, dict] = {}  # pivot -> row
         self._cols: dict[Word, set] = {}  # word -> set of pivots whose rows touch it
         for row in rows:
             self.insert(row)
-        if check_parity and not self.is_parity_homogeneous():
+        if not self.is_parity_homogeneous():
             raise ValueError("subspace rows must be parity-homogeneous")
 
     @classmethod
@@ -582,7 +577,9 @@ def dual_complement(R: Subspace) -> Subspace:
 
 def check_entry_parities(matrix, fmt) -> None:
     """Raise ValueError if a nonzero polynomial entry (i, j) of the matrix
-    does not have parity i^+j^ in the given format."""
+    does not have parity i^+j^ in the given format.  Only SuperPolynomial
+    entries are checked: a scalar entry is accepted at any position, so a
+    scalar matrix may be even or odd."""
     for i, row in enumerate(matrix):
         for j, entry in enumerate(row):
             if isinstance(entry, SuperPolynomial):
@@ -595,10 +592,12 @@ def check_entry_parities(matrix, fmt) -> None:
 
 
 def supertrace(matrix, fmt) -> object:
-    """Supertrace of a square matrix whose entry (i, j) has parity i^+j^.
+    """Supertrace sum_i (-1)^(i^) M[i][i] of a square matrix.
 
-    Entries may be rationals or SuperPolynomials; a parity-inconsistent
-    polynomial entry raises ValueError.
+    Entries may be rationals or SuperPolynomials.  A polynomial entry (i, j)
+    must have parity i^+j^, else ValueError; scalar entries are not checked,
+    so scalar matrices of either parity are accepted (an odd one, with zero
+    diagonal blocks, has supertrace 0).
     """
     fmt = tuple(fmt)
     d = len(matrix)

@@ -242,6 +242,19 @@ def test_negative_bounds_are_input_errors(argv, capsys):
     (["hecke-verify", "--p", "1", "--q", "1", "--format", "0,1"], "input error: --format applies only to"),
     (["hecke-verify", "--p", "1", "--q", "1", "--spec", "-"], "input error: --spec applies only to"),
     (["hecke-verify", "--p", "1", "--q", "1", "-N", "3"], "input error: -N applies only to"),
+    (["confluence", "--family", "n_symmetric", "--p", "1", "--q", "1", "--order", "99"],
+     "input error: --order applies only to"),
+    (["hecke-verify", "--p", "1", "--q", "1", "--order", "99"], "input error: --order applies only to"),
+    # an algebra comes from --spec or from flags, never from both
+    (["dims", "--spec", "-", "--p", "3", "--q", "0", "-N", "5", "--order", "2"],
+     "input error: --p applies only to"),
+    (["dims", "--spec", "-", "-N", "5"], "input error: -N applies only to"),
+    (["dims", "--spec", "-", "--family", "n_symmetric"], "input error: --family applies only to"),
+    (["dims", "--spec", "-", "--format", "0,1"], "input error: --format applies only to"),
+    (["dims", "--family", "n_symmetric", "--p", "3", "--q", "0", "--format", "0,1", "--order", "2"],
+     "input error: --p applies only to"),
+    (["dims", "--family", "n_symmetric", "--q", "1", "--format", "0,1"],
+     "input error: --q applies only to"),
 ])
 def test_out_of_range_inputs_are_rejected_not_substituted(argv, message, capsys):
     assert main(argv) == 2

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the package in src/."""
+"""Every demo script runs to completion against the package in src/ and prints
+exactly its recorded output in demos/expected/<stem>.txt."""
 
 import os
 import subprocess
@@ -25,4 +26,5 @@ def test_demo_runs(demo):
         [sys.executable, str(demo)], capture_output=True, text=True, env=env, cwd=ROOT
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout
+    expected = ROOT / "demos" / "expected" / f"{demo.stem}.txt"
+    assert proc.stdout == expected.read_text()

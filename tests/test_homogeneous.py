@@ -26,6 +26,7 @@ from superkoszul.tensorspace import (
     SuperSpace,
     TensorVector,
     antisymmetrizer_image,
+    axpy,
     dual_complement,
     wedge_dimension,
 )
@@ -246,9 +247,11 @@ def test_normal_form_is_idempotent_and_a_congruence():
 
 
 def test_rewriting_strategy_does_not_matter_when_confluent():
+    # window rewriting agrees with the residual modulo the echelon of R_5
     A = n_symmetric(SuperSpace.standard(1, 2), 3)
+    R5 = A.graded_component(5)[0]
     for w in A.space.words(5):
-        assert A.normal_form_word(w) == A.normal_form_word(w, rightmost=True)
+        assert A.normal_form_word(w) == R5.reduce({w: 1})
 
 
 def test_reduced_word_count_matches_graded_dimension():
@@ -326,11 +329,75 @@ def test_yang_mills_presentation_of_the_heisenberg_flavor():
     assert Y.R == expected.R
 
 
-def test_yang_mills_congruence_diagonalization():
-    # a non-diagonal symmetric metric reduces to a diagonal presentation
+def test_yang_mills_accepts_a_non_diagonal_metric():
     G = [[0, 1], [1, 0]]
     Y = yang_mills(SuperSpace.standard(2, 0), G)
     assert Y.R.dim == 2
+
+
+def _substitute(row, P):
+    """The row with every letter x_i replaced by sum_a P[a][i] x_a."""
+    out: dict = {}
+    for word, c in row.items():
+        terms = {(): Fraction(c)}
+        for i in word:
+            terms = {
+                t + (a + 1,): v * P[a][i - 1]
+                for t, v in terms.items()
+                for a in range(len(P))
+                if P[a][i - 1]
+            }
+        axpy(out, terms, 1)
+    return out
+
+
+@pytest.mark.parametrize("p, q, G, P", [
+    (3, 0, [[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[1, 2, 0], [0, 1, 3], [1, 0, 1]]),
+    (2, 2, [[2, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 2]],
+     [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 2, 1], [0, 0, 1, 1]]),
+    (1, 2, [[1, 0, 0], [0, 0, 1], [0, 1, 0]], [[2, 0, 0], [0, 1, 1], [0, 1, 2]]),
+])
+def test_yang_mills_metric_transforms_by_congruence(p, q, G, P):
+    # x -> Px carries the relations of G onto those of P G P^T
+    sp = SuperSpace.standard(p, q)
+    d = p + q
+    PGPt = [
+        [sum(P[i][a] * G[a][b] * P[k][b] for a in range(d) for b in range(d)) for k in range(d)]
+        for i in range(d)
+    ]
+    substituted = Subspace(sp, 3, [_substitute(r, P) for r in yang_mills(sp, G).R.rows.values()])
+    assert substituted == yang_mills(sp, PGPt).R
+
+
+def test_end_algebra_rows_are_pinned():
+    E = end_algebra(n_symmetric(SuperSpace.standard(1, 1), 2))
+    assert E.R.rows == {
+        (1, 2): {(1, 2): 1, (2, 1): -1},
+        (2, 2): {(2, 2): 1},
+        (1, 4): {(3, 2): 1, (4, 1): -1, (1, 4): 1, (2, 3): 1},
+        (2, 4): {(4, 2): -1, (2, 4): 1},
+    }
+
+
+def test_white_product_rows_are_pinned():
+    # both factors have an odd letter, so the interleave signs show
+    S = n_symmetric(SuperSpace.standard(1, 1), 2)
+    Q = quantum_superspace(SuperSpace.standard(1, 1), {(1, 2): Fraction(2)})
+    half = Fraction(-1, 2)
+    assert homog_product("white", S, Q).R.rows == {
+        (1, 3): {(1, 3): 1, (3, 1): -1},
+        (1, 4): {(1, 4): 1, (4, 1): half},
+        (2, 3): {(2, 3): 1, (4, 1): 1},
+        (2, 4): {(2, 4): 1},
+        (3, 3): {(3, 3): 1},
+        (3, 4): {(3, 4): 1},
+        (4, 3): {(4, 3): 1},
+        (4, 4): {(4, 4): 1},
+        (2, 2): {(2, 2): 1},
+        (1, 2): {(2, 1): half, (1, 2): 1},
+        (4, 2): {(4, 2): 1},
+        (3, 2): {(4, 1): half, (3, 2): 1},
+    }
 
 
 def test_yang_mills_rejects_bad_metric():
@@ -338,6 +405,8 @@ def test_yang_mills_rejects_bad_metric():
         yang_mills(SuperSpace.standard(1, 1), [[1, 1], [1, 1]])  # parity-mixing entry
     with pytest.raises(ValueError):
         yang_mills(SuperSpace.standard(2, 0), [0, 1])  # singular diagonal
+    with pytest.raises(ValueError, match="singular"):
+        yang_mills(SuperSpace.standard(2, 0), [[1, 1], [1, 1]])
 
 
 def test_hecke_operator_algebras_match_the_symmetric_family():
@@ -356,3 +425,8 @@ def test_custom_algebra_validation():
         custom_algebra((0, 0), 3, [[(1, (1, 2))]])  # degree != N
     with pytest.raises(ValueError):
         custom_algebra((0, 0), 2, [[(1, (1, 3))]])  # letter out of range
+
+
+def test_custom_algebra_drops_zero_terms():
+    A = custom_algebra((0, 0), 2, [[(0, (1, 2)), (1, (1, 2)), (-1, (2, 1))], [(0, (1, 1))]])
+    assert A.R.rows == {(1, 2): {(1, 2): 1, (2, 1): -1}}

@@ -96,16 +96,6 @@ def test_dual_star_component_is_the_meet_of_all_placements(A):
 
 @PROPERTY_SETTINGS
 @given(presentations())
-def test_leftmost_and_rightmost_normal_forms_agree_when_confluent(A):
-    if not A.confluence_report().passed:
-        return
-    for n in (n for n in degrees(A) if n <= A.N + 2):
-        for w in A.space.words(n):
-            assert A.normal_form_word(w) == A.normal_form_word(w, rightmost=True), w
-
-
-@PROPERTY_SETTINGS
-@given(presentations())
 def test_normal_forms_never_contain_a_smaller_word(A):
     # the precondition of the triangular prune in macmahon.diagonal_coefficients:
     # pivots are the smallest words of their rows, so rewriting only raises words

@@ -326,3 +326,9 @@ def test_supertrace_rejects_parity_violation():
     bad = [[table.variable(u)]]
     with pytest.raises(ValueError):
         supertrace(bad, (0,))
+
+
+def test_supertrace_accepts_an_odd_scalar_matrix():
+    # scalar entries are not parity-checked; an odd scalar matrix has zero
+    # diagonal blocks, hence supertrace 0
+    assert supertrace([[0, 5], [7, 0]], (0, 1)) == 0
