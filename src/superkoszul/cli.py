@@ -82,10 +82,20 @@ def _parse_fraction(text: str, line=None) -> Fraction:
         raise SpecError(f"bad rational {text!r}: {exc}", line)
 
 
+# spec keys read by some families only, with the families that read them
+_FAMILY_KEYS = {
+    "q[i,j]": ("quantum",),
+    "G": ("yang_mills",),
+    "hecke_q": ("lambda_RN", "s_RN"),
+    "relation": ("custom",),
+}
+
+
 def parse_spec(text: str) -> AlgebraSpec:
     """Parse and validate a spec document; raises SpecError with a line
     number on malformed input."""
     data: dict = {"q_table": {}, "relations": []}
+    seen: dict = {}  # key -> line of its first occurrence
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
@@ -109,7 +119,9 @@ def parse_spec(text: str) -> AlgebraSpec:
                 raise SpecError(f"bad format {value!r}", lineno)
             if any(x not in (0, 1) for x in data["fmt"]):
                 raise SpecError("format entries must be 0 or 1", lineno)
-        elif key in ("p", "q") and value.isdigit():
+        elif key in ("p", "q"):
+            if not value.isdecimal():
+                raise SpecError(f"bad nonnegative integer {value!r}", lineno)
             data[key] = int(value)
         elif key.startswith("q[") and key.endswith("]"):
             inner = key[2:-1]
@@ -145,16 +157,22 @@ def parse_spec(text: str) -> AlgebraSpec:
             data["relations"].append(rel)
         else:
             raise SpecError(f"unknown key {key!r}", lineno)
+        seen.setdefault("q[i,j]" if key.startswith("q[") else key, lineno)
     if "family" not in data:
         raise SpecError("missing 'family'")
-    if "fmt" not in data:
-        p, q = data.pop("p", None), data.pop("q", None)
-        if p is None and q is None:
-            raise SpecError("missing 'format' (or p/q)")
-        data["fmt"] = (0,) * (p or 0) + (1,) * (q or 0)
+    # a key that nothing reads is an input error, never ignored
+    for key, families in _FAMILY_KEYS.items():
+        if key in seen and data["family"] not in families:
+            raise SpecError(f"{key!r} applies only to family {' or '.join(families)}", seen[key])
+    p, q = data.pop("p", None), data.pop("q", None)
+    if "fmt" in data:
+        for key in ("p", "q"):
+            if key in seen:
+                raise SpecError(f"{key!r} applies only to a spec without 'format'", seen[key])
+    elif p is None and q is None:
+        raise SpecError("missing 'format' (or p/q)")
     else:
-        data.pop("p", None)
-        data.pop("q", None)
+        data["fmt"] = (0,) * (p or 0) + (1,) * (q or 0)
     spec = AlgebraSpec(**data)
     _validate_spec(spec)
     return spec

@@ -74,12 +74,16 @@ class KoszulSlice:
 
 def _times(A: HomogAlgebra, w, elem: dict) -> dict:
     """w * elem in a free A-module with elem = {(reduced word u, slot h): c}:
-    the sum of c * nf(w u), keyed by (reduced word v, slot h)."""
+    the sum of c * nf(w u), keyed by (reduced word v, slot h).  Integral
+    normal-form coefficients enter as ints, so integral elements stay
+    integral and skip Fraction normalisation."""
     out: dict = {}
     for (u, h), c in elem.items():
         for v, a in A.normal_form_word(w + u).items():
+            if a.denominator == 1:
+                a = a.numerator
             key = (v, h)
-            s = out.get(key, Fraction(0)) + c * a
+            s = out.get(key, 0) + c * a
             if s:
                 out[key] = s
             else:
@@ -217,7 +221,7 @@ def tor_dims(A: HomogAlgebra, i_max: int, deg_max: int) -> TorTable:
         # kernel of d_i per degree, then split off a minimal complement
         if i == 0:
             kernels = {
-                n: [{(w, 0): Fraction(1)} for w in A.reduced_words(n)]
+                n: [{(w, 0): 1} for w in A.reduced_words(n)]
                 for n in range(1, deg_max + 1)
             }
         else:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
 from .superpoly import SuperPolynomial
 
@@ -447,34 +447,70 @@ def subspace_intersection(A: Subspace, B: Subspace) -> Subspace:
     return span_meet(A.space, A.degree, A.rows.values(), B.reduce)
 
 
-class RankCounter:
-    """Forward-only echelon (no canonical form) for ranks and kernels.
+def _divide_content(row: dict, tags) -> None:
+    """Divide row and tags in place by the gcd of all their entries."""
+    g = gcd(*row.values(), *tags.values()) if tags else gcd(*row.values())
+    if g > 1:
+        for w in row:
+            row[w] //= g
+        if tags:
+            for t in tags:
+                tags[t] //= g
 
-    ``insert(vec, tags)`` reduces an optional tag dict alongside the row, in
-    place; tag either every insert or none.  When the row reduces to zero
-    the tags hold the combination of earlier inputs that it equals.
+
+class RankCounter:
+    """Forward-only, fraction-free echelon (no canonical form) for ranks and
+    kernels (Bareiss, Math. Comp. 22, 1968).
+
+    Rows are primitive integer vectors; the coefficient at a row's lead
+    (smallest word) need not be 1.  ``insert(vec, tags)`` scales ``vec`` once
+    by the lcm of its denominators, then reduces it by row <- a*row - b*prow,
+    with a, b the stored and the new lead coefficient over their gcd, and
+    divides by the content before each step.  An optional dict of integer
+    tags is scaled and reduced alongside the row, in place; tag either every
+    insert or none.  The tags stay the integer combination of the inputs that
+    equals the row, so when the row reduces to zero they are a nonzero
+    integer multiple of a vanishing combination of the inputs.
     """
 
     def __init__(self):
-        self.rows: dict = {}  # lead -> row, coefficient 1 at the lead
+        self.rows: dict = {}  # lead -> primitive integer row
         self.tags: dict = {}  # lead -> tags of that row
 
     def insert(self, vec, tags=None) -> bool:
-        row = _clean(vec)
-        while row:
+        if isinstance(vec, TensorVector):
+            vec = vec.coeffs
+        den = 1
+        for c in vec.values():
+            den = lcm(den, c.denominator)
+        row = {w: c.numerator * (den // c.denominator) for w, c in vec.items() if c}
+        if tags is not None:
+            for t in tags:
+                tags[t] *= den
+        while True:
+            _divide_content(row, tags)
+            if not row:
+                return False
             lead = min(row)
             prow = self.rows.get(lead)
             if prow is None:
-                inv = Fraction(1) / row[lead]
-                self.rows[lead] = {w: c * inv for w, c in row.items()}
+                self.rows[lead] = row
                 if tags is not None:
-                    self.tags[lead] = {t: c * inv for t, c in tags.items()}
+                    self.tags[lead] = dict(tags)
                 return True
-            factor = -row[lead]
-            axpy(row, prow, factor)
+            g = gcd(prow[lead], row[lead])
+            a, b = prow[lead] // g, row[lead] // g
+            if a < 0:
+                a, b = -a, -b
+            if a != 1:
+                for w in row:
+                    row[w] *= a
+                if tags is not None:
+                    for t in tags:
+                        tags[t] *= a
+            axpy(row, prow, -b)
             if tags is not None:
-                axpy(tags, self.tags[lead], factor)
-        return False
+                axpy(tags, self.tags[lead], -b)
 
     @property
     def rank(self) -> int:
@@ -482,12 +518,13 @@ class RankCounter:
 
 
 def kernel_of_vectors(vectors):
-    """Kernel of the map e_k -> vectors[k], as a list of coefficient dicts:
-    each input that reduces to zero yields its tags as one kernel element."""
+    """Kernel of the map e_k -> vectors[k], as a list of integer coefficient
+    dicts: each input that reduces to zero yields its tags, a nonzero integer
+    multiple of a vanishing combination of the inputs, as one kernel element."""
     rc = RankCounter()
     kernel = []
     for k, vec in enumerate(vectors):
-        tags = {k: Fraction(1)}
+        tags = {k: 1}
         if not rc.insert(vec, tags):
             kernel.append(tags)
     return kernel

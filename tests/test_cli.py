@@ -1,5 +1,6 @@
 """Spec-document parsing and the command-line front end."""
 
+import io
 import os
 import subprocess
 import sys
@@ -85,6 +86,58 @@ def test_zero_quantum_parameter_rejected():
 def test_syntax_errors_carry_line_numbers():
     with pytest.raises(SpecError, match="line 2"):
         parse_spec("family = tensor\nnonsense line\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("family = n_symmetric\nformat = 0 1\np = 3\n",
+     "line 3: 'p' applies only to a spec without 'format'"),
+    ("family = n_symmetric\nq = 0\nformat = 0 1\n",
+     "line 2: 'q' applies only to a spec without 'format'"),
+    ("family = n_symmetric\nformat = 0 1\nq[1,2] = 5\n",
+     "line 3: 'q[i,j]' applies only to family quantum"),
+    ("family = yang_mills\nN = 3\nformat = 0 1\nq[1,2] = 5\n",
+     "line 4: 'q[i,j]' applies only to family quantum"),
+    ("family = n_symmetric\nformat = 0 1\nG = 1 2\n",
+     "line 3: 'G' applies only to family yang_mills"),
+    ("family = quantum\nformat = 0 1\nhecke_q = 3\n",
+     "line 3: 'hecke_q' applies only to family lambda_RN or s_RN"),
+    ("hecke_q = 1\nfamily = n_symmetric\nformat = 0 1\n",
+     "line 1: 'hecke_q' applies only to family lambda_RN or s_RN"),
+    ("family = tensor\nformat = 0 0\nrelation = 1 : 1 2\n",
+     "line 3: 'relation' applies only to family custom"),
+    ("family = n_symmetric\np = -1\n", "line 2: bad nonnegative integer '-1'"),
+    ("family = n_symmetric\np = 1\nq = x\n", "line 3: bad nonnegative integer 'x'"),
+])
+def test_spec_keys_are_rejected_where_unread(text, message, monkeypatch, capsys):
+    with pytest.raises(SpecError) as excinfo:
+        parse_spec(text)
+    assert message in str(excinfo.value)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["dims", "--spec", "-", "--order", "2"]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert not captured.out
+
+
+def test_spec_ignoring_every_unread_key_is_rejected(tmp_path, capsys):
+    path = tmp_path / "algebra.spec"
+    path.write_text(
+        "family = n_symmetric\nformat = 0 1\np = 3\nq[1,2] = 5\nG = 1 2\nhecke_q = 3\n"
+    )
+    assert main(["dims", "--spec", str(path), "--order", "2"]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "family = quantum\nN = 2\nformat = 0 1 1\nq[1,2] = 1/2\nq[2,3] = -3\n",
+    "family = yang_mills\nN = 3\nformat = 0 0 1\nG = 1 -2 5\n",
+    "family = s_RN\nN = 3\nformat = 0 1\nhecke_q = 1/2\n",
+    "family = lambda_RN\nN = 2\nformat = 0 0\nhecke_q = 3\n",
+    "family = n_symmetric\nN = 3\np = 1\nq = 2\n",
+])
+def test_every_family_key_round_trips(text):
+    spec = parse_spec(text)
+    assert parse_spec(spec.render()) == spec
 
 
 # -- commands ------------------------------------------------------------------

@@ -120,13 +120,15 @@ def test_tor_of_the_polynomial_line():
 
 
 def test_tor_of_the_even_yang_mills_algebra():
+    # Koszul of global dimension 3 (Connes-Dubois-Violette), through order 7
     Y = yang_mills(SuperSpace.standard(3, 0))
-    table = tor_dims(Y, 4, 6)
-    assert table.dims[0] == {0: 1}
-    assert table.dims[1] == {1: 3}
-    assert table.dims[2] == {3: 3}
-    assert table.dims[3] == {4: 1}
-    assert table.dims[4] == {}
+    assert tor_dims(Y, 4, 7).dims == {0: {0: 1}, 1: {1: 3}, 2: {3: 3}, 3: {4: 1}, 4: {}}
+
+
+def test_tor_of_the_mixed_yang_mills_algebra_through_order_7():
+    # Tor_3 sits in degree 5, not nu(3) = 4, and Tor_4 in degree 7, not nu(4) = 6
+    Y = yang_mills(SuperSpace.standard(1, 1))
+    assert tor_dims(Y, 4, 7).dims == {0: {0: 1}, 1: {1: 2}, 2: {3: 2}, 3: {5: 2}, 4: {7: 2}}
 
 
 def test_tor_two_lives_in_relation_degrees():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superkoszul.homogeneous import custom_algebra
+from superkoszul.koszul import koszul_check, koszul_duality_check, tor_dims
 from superkoszul.tensorspace import Subspace, SuperSpace, subspace_intersection
 
 MAX_WORDS = 729
@@ -132,3 +133,31 @@ def test_echelon_residual_is_the_rewriting_normal_form_when_confluent(A):
         Rn = A._graded_relations(n)
         for w in A.space.words(n):
             assert Rn.reduce({w: 1}) == A._nf(w), w
+
+
+@PROPERTY_SETTINGS
+@given(presentations())
+def test_tor_counts_the_generators_and_the_minimal_relations(A):
+    # Tor_1 is V in degree 1 and Tor_2 is R, all in degree N; a kernel element
+    # of the forward eliminator that is not a true relation breaks the count
+    d, N = A.dim_V, A.N
+    table = tor_dims(A, 2, N + 1)
+    assert table.dims[1] == {1: d}
+    assert table.dims[2] == {N: A.R.dim}
+
+
+@PROPERTY_SETTINGS
+@given(presentations())
+def test_koszul_through_degree_n_implies_the_duality_product(A):
+    n = max(n for n in degrees(A) if n <= A.N + 2)
+    if koszul_check(A, n).passed:
+        assert koszul_duality_check(A, n).passed
+
+
+@PROPERTY_SETTINGS
+@given(presentations())
+def test_pairing_vanishes_between_the_relations_and_the_dual_relations(A):
+    # <x^j, x_i> = 1 exactly when j is the reversal of i
+    for f in A.dual_algebra().R.rows.values():
+        for r in A.R.rows.values():
+            assert sum(f.get(w[::-1], 0) * c for w, c in r.items()) == 0

@@ -2,12 +2,14 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from superkoszul.superpoly import VariableTable
 from superkoszul.tensorspace import (
     Permutation,
+    RankCounter,
     Subspace,
     SuperSpace,
     TensorVector,
@@ -238,6 +240,86 @@ def test_matrix_rank_equals_subspace_dimension():
     for _ in range(20):
         vectors = rand_vectors(rng, sp, 2, rng.randint(0, 12), width=rng.randint(1, 4))
         assert matrix_rank(vectors) == Subspace(sp, 2, vectors).dim
+
+
+INTEGER_ELIMINATOR_FORMATS = [(0, 1), (1, 1), (0, 0, 1), (0, 1, 1), (1, 1, 1)]
+
+
+def mixed_coefficient(rng):
+    """An int, or a Fraction whose denominator is a power of 2 up to 2^12."""
+    if rng.random() < 0.5:
+        return rng.choice([-3, -2, -1, 1, 2, 3])
+    return Fraction(rng.choice([-5, -3, -1, 1, 3, 7]), 2 ** rng.randint(0, 12))
+
+
+def mixed_vectors(rng, fmt, degree, count):
+    """``count`` vectors in one parity class of V^(x degree), entries mixing
+    int and Fraction; about half are combinations of earlier vectors, so the
+    kernel is nontrivial and the combined entries carry large denominators."""
+    sp = SuperSpace(fmt)
+    parity = rng.randint(0, 1)
+    words = [w for w in sp.words(degree) if sp.word_parity(w) == parity]
+    if not words:
+        words = [w for w in sp.words(degree) if sp.word_parity(w) != parity]
+    vectors = []
+    for _ in range(count):
+        if vectors and rng.random() < 0.5:
+            vec: dict = {}
+            for base in rng.sample(vectors, min(len(vectors), rng.randint(1, 3))):
+                c = mixed_coefficient(rng)
+                for w, a in base.items():
+                    vec[w] = vec.get(w, 0) + c * a
+        else:
+            support = rng.sample(words, rng.randint(1, min(4, len(words))))
+            vec = {w: mixed_coefficient(rng) for w in support}
+        vectors.append(vec)
+    return sp, vectors
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_integer_eliminator_rank_is_the_subspace_dimension_in_any_order(seed):
+    rng = random.Random(300 + seed)
+    for fmt in INTEGER_ELIMINATOR_FORMATS:
+        degree = rng.randint(1, 3)
+        sp, vectors = mixed_vectors(rng, fmt, degree, rng.randint(1, 10))
+        rank = matrix_rank(vectors)
+        assert rank == Subspace(sp, degree, vectors).dim
+        shuffled = vectors[:]
+        rng.shuffle(shuffled)
+        assert matrix_rank(shuffled) == rank
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_integer_eliminator_kernel_is_an_integral_basis_of_the_relations(seed):
+    rng = random.Random(400 + seed)
+    for fmt in INTEGER_ELIMINATOR_FORMATS:
+        degree = rng.randint(1, 3)
+        _, vectors = mixed_vectors(rng, fmt, degree, rng.randint(1, 10))
+        before = [dict(v) for v in vectors]
+        kernel = kernel_of_vectors(vectors)
+        assert vectors == before
+        assert len(kernel) == len(vectors) - matrix_rank(vectors)
+        for combo in kernel:
+            assert combo and all(type(c) is int and c for c in combo.values())
+            image: dict = {}
+            for k, ck in combo.items():
+                for w, c in vectors[k].items():
+                    image[w] = image.get(w, 0) + ck * c
+            assert not any(image.values())
+        assert matrix_rank(kernel) == len(kernel)
+
+
+def test_integer_eliminator_stores_primitive_integer_rows():
+    rng = random.Random(500)
+    for fmt in INTEGER_ELIMINATOR_FORMATS:
+        _, vectors = mixed_vectors(rng, fmt, 3, 10)
+        rc = RankCounter()
+        for vec in vectors:
+            rc.insert(vec)
+        for lead, row in rc.rows.items():
+            assert lead == min(row)
+            assert all(type(c) is int for c in row.values())
+            assert gcd(*row.values()) == 1
 
 
 def test_subspace_requires_parity_homogeneous_rows():
