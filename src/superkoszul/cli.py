@@ -50,15 +50,25 @@ class SpecError(ValueError):
         super().__init__(prefix + message)
 
 
+def default_N(family: str) -> int:
+    """The relation degree of a spec that names none: Yang-Mills algebras
+    are cubic, every other family defaults to quadratic."""
+    return 3 if family == "yang_mills" else 2
+
+
 @dataclass
 class AlgebraSpec:
     family: str
-    N: int = 2
+    N: int | None = None  # None: default_N(family)
     fmt: tuple = ()
     q_table: dict = field(default_factory=dict)  # (i, j) -> Fraction, i < j
     g_diag: list = field(default_factory=list)
     hecke_q: Fraction = Fraction(1)
     relations: list = field(default_factory=list)  # list of [(coeff, word), ...]
+
+    def __post_init__(self):
+        if self.N is None:
+            self.N = default_N(self.family)
 
     def render(self) -> str:
         lines = [f"family = {self.family}", f"N = {self.N}"]
@@ -456,8 +466,7 @@ def _spec_from_args(args) -> AlgebraSpec | None:
         fmt = tuple(int(x) for x in args.fmt.replace(",", " ").split())
     else:
         fmt = (0,) * (args.p or 0) + (1,) * (args.q or 0)
-    default_N = 3 if args.family == "yang_mills" else 2
-    spec = AlgebraSpec(family=args.family, N=default_N if args.N is None else args.N, fmt=fmt)
+    spec = AlgebraSpec(family=args.family, N=args.N, fmt=fmt)
     if args.q_param is not None:
         spec.hecke_q = _parse_fraction(args.q_param)
     if args.g_diag is not None:

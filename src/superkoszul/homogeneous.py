@@ -132,6 +132,7 @@ class HomogAlgebra:
         self.label = label or f"A({space.p}|{space.q}, N={N})"
         self._Rn: dict[int, Subspace] = {}
         self._dual_star: dict[int, Subspace] = {}
+        self._dual_coproduct: dict[tuple[int, int], dict] = {}
         self._nf_memo: dict[Word, dict] = {}
         self._reduced_words: dict[int, list] = {}
         self._count_checked = False
@@ -258,6 +259,32 @@ class HomogAlgebra:
             ]
             out = span_meet(sp, n, lifted, lambda v: self.reduce_at(v, 0))
         self._dual_star[n] = out
+        return out
+
+    def dual_coproduct(self, m: int, k: int) -> dict:
+        """The (k, m-k) component of the coproduct of the dual coalgebra:
+        each row pivot of D_m -> [(prefix u, coordinates of tail_u in
+        D_{m-k})], where the row is the sum of u (x) tail_u over the words u
+        of length k that begin its words.
+
+        D_m lies in V^(x k) x D_{m-k}, so every tail has coordinates; they
+        are found by :meth:`Subspace.coordinates`, which raises if a tail
+        leaves D_{m-k}.  Integral coordinates are held as ints."""
+        key = (m, k)
+        if key in self._dual_coproduct:
+            return self._dual_coproduct[key]
+        tails = self.dual_star_component(m - k)
+        out = {}
+        for pvt, row in self.dual_star_component(m).rows.items():
+            split: dict = {}
+            for w, c in row.items():
+                split.setdefault(w[:k], {})[w[k:]] = c
+            out[pvt] = [
+                (u, {t: c.numerator if c.denominator == 1 else c
+                     for t, c in tails.coordinates(tail).items()})
+                for u, tail in split.items()
+            ]
+        self._dual_coproduct[key] = out
         return out
 
     # ------------------------------------------------------------------

@@ -14,9 +14,16 @@ of R from degree N on) and the jump function
     nu(i) = ((i-1)/2) N + 1   for odd i.
 
 The differential into homological degree i-1 applies d once when i is odd and
-N-1 times when i is even.  Exactness in positive homological degrees, checked
-per total degree by exact rank arithmetic, is the Koszul property; the checker
-only ever claims it up to the requested truncation.
+N-1 times when i is even.  Since D_m lies in V^(x k) x D_{m-k}, applying d k
+times to a row of D_m needs that row split only once, as the sum of
+u (x) tail_u with u of length k: one component of the coproduct of the dual
+coalgebra, tabulated per (m, k) by :meth:`HomogAlgebra.dual_coproduct` with
+the tails in coordinates of D_{m-k}.  A slice column is then assembled from
+that table and the normal forms of A alone.
+
+Exactness in positive homological degrees, checked per total degree by exact
+rank arithmetic, is the Koszul property; the checker only ever claims it up
+to the requested truncation.
 """
 
 from __future__ import annotations
@@ -104,26 +111,28 @@ def koszul_matrix(A: HomogAlgebra, i: int, n: int) -> KoszulSlice:
     """The differential delta_i : A_{n-nu(i)} x D_{nu(i)} -> previous slot.
 
     Bases: the basis words of A (:meth:`HomogAlgebra.reduced_words`)
-    tensored with the echelon rows of the graded dual components.
+    tensored with the echelon rows of the graded dual components.  The
+    differential contracts the first ``steps`` letters of a D_m row into A,
+    steps = nu(i) - nu(i-1).  Each row splits once, in the coproduct table
+    :meth:`HomogAlgebra.dual_coproduct`, as the sum of u (x) tail_u with the
+    tails in target coordinates; the column of (w, row) is then the sum of
+    nf(w u) (x) coordinates(tail_u).  Integral coefficients stay ints.
     """
     if i < 1:
         raise ValueError("differentials start at homological degree 1")
     m, source = _slice_bases(A, i, n)
     m_prev, target = _slice_bases(A, i - 1, n)
-    steps = m - m_prev  # 1 for odd i, N-1 for even i
-    dual_src = A.dual_star_component(m)
-    dual_tgt = A.dual_star_component(m_prev)
+    if not source:  # no column reads D_m, so it is not built
+        return KoszulSlice(A, i, n, source, target, {})
+    table = A.dual_coproduct(m, m - m_prev)
     columns: dict = {}
     for idx, (w, pvt) in enumerate(source):
-        # contract: the first `steps` letters of each dual word join w in A
-        split = {(m[:steps], m[steps:]): c for m, c in dual_src.rows[pvt].items()}
-        by_word: dict = {}
-        for (u, tail), c in _times(A, w, split).items():
-            by_word.setdefault(u, {})[tail] = c
         col: dict = {}
-        for u, vec in by_word.items():
-            for tpvt, cc in dual_tgt.coordinates(vec).items():
-                col[(u, tpvt)] = cc
+        for u, coords in table[pvt]:
+            for v, a in A.normal_form_word(w + u).items():
+                if a.denominator == 1:
+                    a = a.numerator
+                axpy(col, {(v, t): c for t, c in coords.items()}, a)
         if col:
             columns[idx] = col
     return KoszulSlice(A, i, n, source, target, columns)
@@ -158,8 +167,8 @@ def koszul_check(A: HomogAlgebra, deg_max: int) -> KoszulVerdict:
 
     for n in range(1, deg_max + 1):
         i = 1
-        while jump(A.N, i) <= n:
-            middle = len(_slice_bases(A, i, n)[1])
+        while (m := jump(A.N, i)) <= n:
+            middle = len(A.reduced_words(n - m)) * A.dual_star_component(m).dim
             if middle:
                 defect = middle - rank_of(i, n) - rank_of(i + 1, n)
                 if defect:

@@ -228,6 +228,30 @@ def test_spec_file_on_stdin():
     assert dims == ["1", "2", "2", "2"]
 
 
+def test_spec_without_N_takes_the_family_default():
+    # yang_mills algebras are cubic, so a spec without an N line means N = 3
+    text = "family = yang_mills\nformat = 0 0 0\n"
+    code, out, err = run_cli(["dims", "--spec", "-", "--order", "2"], stdin=text)
+    assert code == 0, err
+    assert "#machine/v1: dims deg=2 dim=9" in machine_lines(out)
+    assert parse_spec(text).N == 3
+    assert parse_spec("family = tensor\nformat = 0\n").N == 2
+
+
+@pytest.mark.parametrize("flags, code, lines", [
+    (["--family", "n_symmetric", "--p", "2", "--q", "1", "-N", "3"], 0,
+     ["koszul verdict=PASS deg_max=6", "koszul check=duality verdict=PASS"]),
+    (["--family", "yang_mills", "--p", "2", "--q", "1"], 0,
+     ["koszul verdict=PASS deg_max=6", "koszul check=duality verdict=PASS"]),
+    (["--family", "yang_mills", "--p", "1", "--q", "1"], 1,
+     ["koszul verdict=FAIL witness=duality n=5"]),
+])
+def test_koszul_command_machine_lines_are_pinned(flags, code, lines, capsys):
+    assert main(["koszul", *flags, "--order", "6"]) == code
+    out = [line for line in machine_lines(capsys.readouterr().out) if "elapsed_s=" not in line]
+    assert out == [f"{MACHINE_PREFIX} {line}" for line in lines]
+
+
 def test_input_error_exit_code():
     code, _, err = run_cli(["dims", "--family", "custom", "--p", "1", "--q", "1"])
     assert code == 2

@@ -2,8 +2,12 @@
 
 from fractions import Fraction
 
+import pytest
+
+from superkoszul.hecke import dj_operator
 from superkoszul.homogeneous import (
     custom_algebra,
+    lambda_operator_algebra,
     n_symmetric,
     quantum_superspace,
     tensor_algebra,
@@ -19,7 +23,7 @@ from superkoszul.koszul import (
     tor_dims,
 )
 from superkoszul.superpoly import TruncatedSeries
-from superkoszul.tensorspace import SuperSpace
+from superkoszul.tensorspace import Subspace, SuperSpace, axpy
 
 
 def test_jump_function():
@@ -61,6 +65,33 @@ def test_line_algebra_has_trivial_second_slot():
     A = n_symmetric(SuperSpace.standard(1, 0), 2)  # polynomial line k[x]
     sl = koszul_matrix(A, 2, 2)
     assert sl.source_dim == 0  # no antisymmetric square of a line
+
+
+def test_coproduct_table_reassembles_every_dual_row():
+    # Lambda_3 of dj_operator(1, 1, 2) has dual rows with denominators up to 2^12
+    for A in (
+        n_symmetric(SuperSpace.standard(2, 1), 3),
+        lambda_operator_algebra(dj_operator(1, 1, Fraction(2)), 3),
+    ):
+        for m in range(A.N + 4):
+            for k in {1, A.N - 1} & set(range(m + 1)):
+                rows, tails = A.dual_star_component(m).rows, A.dual_star_component(m - k).rows
+                table = A.dual_coproduct(m, k)
+                assert table.keys() == rows.keys()
+                for pvt, parts in table.items():
+                    row: dict = {}
+                    for u, coords in parts:
+                        for t, c in coords.items():
+                            axpy(row, {u + x: a for x, a in tails[t].items()}, c)
+                    assert row == rows[pvt], (A.label, m, k, pvt)
+
+
+def test_coproduct_table_checks_that_every_tail_is_in_the_dual():
+    # V^(x 3) is not inside V x D_2 = V x R, so some tail leaves D_2
+    A = n_symmetric(SuperSpace.standard(1, 1), 2)
+    A._dual_star[3] = Subspace.full(A.space, 3)
+    with pytest.raises(ValueError, match="not in the subspace"):
+        koszul_matrix(A, 3, 3)
 
 
 def test_koszul_check_passes_for_small_symmetric_algebras():

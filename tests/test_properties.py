@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superkoszul.homogeneous import custom_algebra
-from superkoszul.koszul import koszul_check, koszul_duality_check, tor_dims
+from superkoszul.koszul import jump, koszul_check, koszul_duality_check, koszul_matrix, tor_dims
 from superkoszul.tensorspace import Subspace, SuperSpace, subspace_intersection
 
 MAX_WORDS = 729
@@ -161,3 +161,35 @@ def test_pairing_vanishes_between_the_relations_and_the_dual_relations(A):
     for f in A.dual_algebra().R.rows.values():
         for r in A.R.rows.values():
             assert sum(f.get(w[::-1], 0) * c for w, c in r.items()) == 0
+
+
+def per_pair_columns(A, i, n):
+    """The columns of delta_i at total degree n, built pair by pair: split
+    the D_m row, multiply each prefix into w, and find the coordinates of
+    the combined tail in D_{m-steps} for every reduced word."""
+    m, m_prev = jump(A.N, i), jump(A.N, i - 1)
+    steps = m - m_prev
+    source, target = A.dual_star_component(m), A.dual_star_component(m_prev)
+    pairs = [(w, p) for w in A.reduced_words(n - m) for p in sorted(source.rows)]
+    columns = {}
+    for idx, (w, pvt) in enumerate(pairs):
+        by_word = {}
+        for x, c in source.rows[pvt].items():
+            for v, a in A.normal_form_word(w + x[:steps]).items():
+                tail = by_word.setdefault(v, {})
+                tail[x[steps:]] = tail.get(x[steps:], 0) + a * c
+        col = {(v, t): c for v, tail in by_word.items()
+               for t, c in target.coordinates(tail).items()}
+        if col:
+            columns[idx] = col
+    return columns
+
+
+@PROPERTY_SETTINGS
+@given(presentations())
+def test_slices_from_the_coproduct_table_match_the_per_pair_route(A):
+    for n in (n for n in degrees(A) if n <= A.N + 2):
+        i = 1
+        while jump(A.N, i) <= n:
+            assert koszul_matrix(A, i, n).columns == per_pair_columns(A, i, n), (i, n)
+            i += 1
