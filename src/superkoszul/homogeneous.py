@@ -137,6 +137,7 @@ class HomogAlgebra:
         self._reduced_words: dict[int, list] = {}
         self._count_checked = False
         self._confluence: ConfluenceReport | None = None
+        self._rewrites: bool | None = None  # the normal-form route, fixed on first use
         self._extra: ExtraConditionReport | None = None
 
     # ------------------------------------------------------------------
@@ -395,10 +396,13 @@ class HomogAlgebra:
 
         A confluent system rewrites the leftmost non-reduced window first.
         Otherwise the word is reduced modulo the echelon of R_n, which uses
-        no strategy.
+        no strategy.  The first call reads the confluence test and fixes the
+        route for the algebra.
         """
         word = tuple(word)
-        if not self.confluence_report().passed:
+        if self._rewrites is None:
+            self._rewrites = self.confluence_report().passed
+        if not self._rewrites:
             return self._graded_relations(len(word)).reduce({word: Fraction(1)})
         return self._nf(word)
 

@@ -8,9 +8,13 @@ be computed two independent ways:
 
   * the Berezinian of 1 + tX, expanded as a truncated series by Gaussian
     elimination on the supermatrix, and
-  * Newton's recurrence from the super power sums str(X^n);
+  * Newton's recurrence from the super power sums str(X^n), each summed over
+    the closed walks of length n on the flat monomial state below, without
+    forming the matrix X^n;
 
-:func:`char_function` runs both and refuses to return on any mismatch.
+:func:`char_function` runs both and refuses to return on any mismatch.  The
+power-sum walk shares no code with the Berezinian elimination; the two routes
+meet only in the ring arithmetic of :mod:`superpoly`.
 
 The master identity multiplies two series in B[[t]]: the "bosonic" generating
 series of diagonal expansion coefficients of products y_i = sum_j x_j (x) x[j,i]
@@ -23,7 +27,9 @@ inner loop bumps an exponent or inserts an odd id and never multiplies
 polynomials.  It drops every term whose word is tuple-greater than the
 current prefix.  That is safe because a pivot is the smallest word of its
 relation row: rewriting only makes words tuple-greater, so such a term can
-never come back to the index word.
+never come back to the index word.  :meth:`GenericSupermatrix.power_sums`
+walks the same kind of state, with the current matrix index in place of the
+word.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from .superpoly import (
     VariableTable,
     newton_elementary,
 )
-from .tensorspace import SuperSpace, check_entry_parities, supertrace, wedge_dimension
+from .tensorspace import SuperSpace, check_entry_parities, wedge_dimension
 
 
 class GenericSupermatrix:
@@ -82,31 +88,78 @@ class GenericSupermatrix:
         return poly.evaluate(self.identity_assignment())
 
     def power_sums(self, K: int) -> list[SuperPolynomial]:
-        """p_n = str(X^n) for n = 1..K."""
-        sums = []
-        power = self.entries
-        for _ in range(K):
-            sums.append(supertrace(power, self.space.format))
-            power = _mat_mul(power, self.entries, self.table)
-        return sums
+        """p_n = str(X^n) for n = 1..K, as sums over closed walks.
+
+        X^n[s,s] is the sum of x[s,l_1] x[l_1,l_2] ... x[l_(n-1),s] over all
+        walks of length n from s back to s.  Each start s keeps one flat state
+        {(current vertex, even exponents, odd ids): coefficient}; multiplying
+        on the right by x[l,j] bumps one exponent slot, or inserts one odd id
+        and flips the sign once per larger id it passes.  After n steps the
+        terms back at s, signed by (-1)^(s^), add up to p_n."""
+        step, slots, leaf = _flat_monomials(self)
+        fmt, d = self.space.format, self.d
+        sums: list[dict] = [{} for _ in range(K)]
+        for s in range(1, d + 1):
+            sign = -1 if fmt[s - 1] else 1
+            state = {(s, (0,) * slots, ()): 1}
+            for n in range(K):
+                # the last step only needs the walks that close at s
+                ends = (s,) if n == K - 1 else range(1, d + 1)
+                new: dict = {}
+                for (l, ev, od), c in state.items():
+                    for j in ends:
+                        a = c
+                        odd, k = step[(l, j)]
+                        if odd:
+                            if k in od:
+                                continue
+                            pos = bisect_left(od, k)
+                            od_new, ev_new = od[:pos] + (k,) + od[pos:], ev
+                            if (len(od) - pos) % 2:
+                                a = -a
+                        else:
+                            od_new, ev_new = od, ev[:k] + (ev[k] + 1,) + ev[k + 1 :]
+                        key = (j, ev_new, od_new)
+                        t = new.get(key, 0) + a
+                        if t:
+                            new[key] = t
+                        else:
+                            del new[key]
+                state = new
+                trace = sums[n]  # zeros are dropped by the leaf conversion
+                for (l, ev, od), c in state.items():
+                    if l == s:
+                        trace[(ev, od)] = trace.get((ev, od), 0) + sign * c
+        return [leaf(trace) for trace in sums]
 
     def __repr__(self):
         return f"GenericSupermatrix({self.p}|{self.q})"
 
 
-def _mat_mul(A, B, table):
-    n, m = len(A), len(B[0])
-    k = len(B)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = table.zero()
-            for l in range(k):
-                acc = acc + A[i][l] * B[l][j]
-            row.append(acc)
-        out.append(row)
-    return out
+def _flat_monomials(X: GenericSupermatrix):
+    """The flat monomial state of B that both walks over X use.
+
+    Returns the step table x[i,j] -> (is odd, odd id or exponent slot), with
+    one exponent slot per even variable in id order; the number of slots; and
+    the conversion of a leaf {(even exponents, odd ids): coefficient} to a
+    :class:`SuperPolynomial` with ``Fraction`` coefficients.  Each walk
+    applies a step inline: it is the innermost loop, where a function call
+    per term measurably slows the bosonic walk."""
+    table = X.table
+    even_vids = [vid for vid in range(len(table)) if not table.parity(vid)]
+    slot = {vid: k for k, vid in enumerate(even_vids)}
+    step = {
+        ij: (True, vid) if table.parity(vid) else (False, slot[vid])
+        for ij, vid in X.ids.items()
+    }
+
+    def leaf(terms: dict) -> SuperPolynomial:
+        return SuperPolynomial(table, {
+            (tuple((even_vids[k], e) for k, e in enumerate(ev) if e), od): Fraction(c)
+            for (ev, od), c in terms.items()
+        })
+
+    return step, len(even_vids), leaf
 
 
 # ---------------------------------------------------------------------------
@@ -291,14 +344,8 @@ def diagonal_coefficients(X: GenericSupermatrix, A: HomogAlgebra, length: int):
     of nf(w) is tuple->= w.  A term whose word is tuple-greater than the
     prefix therefore stays greater than every word extending the prefix, and
     it is dropped as soon as it appears."""
-    table, fmt = X.table, X.space.format
-    even_vids = [vid for vid in range(len(table)) if not table.parity(vid)]
-    slot = {vid: k for k, vid in enumerate(even_vids)}
-    # x[j,i] as (is odd, odd id or exponent slot)
-    step = {
-        (j, i): (True, vid) if table.parity(vid) else (False, slot[vid])
-        for (j, i), vid in X.ids.items()
-    }
+    fmt = X.space.format
+    step, slots, leaf = _flat_monomials(X)
     nf_memo: dict[tuple, list] = {}
     results: dict[tuple, SuperPolynomial] = {}
 
@@ -315,11 +362,9 @@ def diagonal_coefficients(X: GenericSupermatrix, A: HomogAlgebra, length: int):
 
     def extend(prefix, state: dict):
         if len(prefix) == length:
-            results[prefix] = SuperPolynomial(table, {
-                (tuple((even_vids[k], e) for k, e in enumerate(ev) if e), od): Fraction(c)
-                for (w, ev, od), c in state.items()
-                if w == prefix
-            })
+            results[prefix] = leaf(
+                {(ev, od): c for (w, ev, od), c in state.items() if w == prefix}
+            )
             return
         for i in range(1, X.d + 1):
             nxt = prefix + (i,)
@@ -355,7 +400,7 @@ def diagonal_coefficients(X: GenericSupermatrix, A: HomogAlgebra, length: int):
                             del new[key]
             extend(nxt, new)
 
-    extend((), {((), (0,) * len(even_vids), ()): 1})
+    extend((), {((), (0,) * slots, ()): 1})
     return results
 
 

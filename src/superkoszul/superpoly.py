@@ -188,8 +188,13 @@ class SuperPolynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        table = self.table
-        out: dict[tuple, Fraction] = {}
+        return SuperPolynomial(self.table, self.mul_into({}, other))
+
+    __rmul__ = __mul__
+
+    def mul_into(self, terms: dict, other: "SuperPolynomial", sign: int = 1) -> dict:
+        """Add sign * self * other into the monomial dict ``terms`` in place,
+        dropping every coefficient that cancels to zero, and return it."""
         for (ev_a, od_a), ca in self.terms.items():
             for (ev_b, od_b), cb in other.terms.items():
                 merged = _merge_odd(od_a, od_b)
@@ -197,17 +202,15 @@ class SuperPolynomial:
                     continue
                 odd, inversions = merged
                 c = ca * cb
-                if inversions % 2:
+                if (inversions + (sign < 0)) % 2:
                     c = -c
                 mono = (_mul_even(ev_a, ev_b), odd)
-                s = out.get(mono, Fraction(0)) + c
+                s = terms.get(mono, 0) + c
                 if s:
-                    out[mono] = s
+                    terms[mono] = s
                 else:
-                    del out[mono]
-        return SuperPolynomial(table, out)
-
-    __rmul__ = __mul__
+                    del terms[mono]
+        return terms
 
     def __pow__(self, n: int):
         if n < 0:
@@ -296,6 +299,22 @@ class SuperPolynomial:
     __repr__ = __str__
 
 
+def _signed_products(zero, products):
+    """The sum of sign * a * b over (sign, a, b) in ``products``, starting
+    from ``zero``.  Over polynomials every product is added into one terms
+    dict (:meth:`SuperPolynomial.mul_into`) instead of copying a partial sum
+    per term."""
+    if not isinstance(zero, SuperPolynomial):
+        acc = zero
+        for sign, a, b in products:
+            acc = acc + a * b if sign > 0 else acc - a * b
+        return acc
+    terms: dict = {}
+    for sign, a, b in products:
+        zero._coerce(a).mul_into(terms, zero._coerce(b), sign)
+    return SuperPolynomial(zero.table, terms)
+
+
 def newton_elementary(power_sums: list, K: int):
     """Elementary symmetric functions e_0..e_K from power sums p_1..p_K.
 
@@ -309,17 +328,14 @@ def newton_elementary(power_sums: list, K: int):
         if isinstance(p, SuperPolynomial) and p.parity() not in (EVEN, None):
             raise ValueError("power sums must be even elements")
     if power_sums and isinstance(power_sums[0], SuperPolynomial):
-        one = power_sums[0].table.one()
+        one, zero = power_sums[0].table.one(), power_sums[0].table.zero()
     else:
-        one = Fraction(1)
+        one, zero = Fraction(1), Fraction(0)
     es = [one]
     for n in range(1, K + 1):
-        acc = None
-        for i in range(1, n + 1):
-            term = power_sums[i - 1] * es[n - i]
-            if i % 2 == 0:
-                term = -term
-            acc = term if acc is None else acc + term
+        acc = _signed_products(zero, (
+            (-1 if i % 2 == 0 else 1, power_sums[i - 1], es[n - i]) for i in range(1, n + 1)
+        ))
         es.append(acc * Fraction(1, n))
     return es
 
@@ -371,15 +387,10 @@ class TruncatedSeries:
             return TruncatedSeries(self.order, [c * Fraction(other) for c in self.coeffs])
         K, a, b = self._match(other)
         zero = self._zero_like()
-        out = [zero for _ in range(K + 1)]
-        for n, an in enumerate(a):
-            if isinstance(an, SuperPolynomial) and an.is_zero():
-                continue
-            for m, bm in enumerate(b):
-                if n + m > K:
-                    break
-                out[n + m] = out[n + m] + an * bm
-        return TruncatedSeries(K, out)
+        return TruncatedSeries(K, [
+            _signed_products(zero, ((1, a[n], b[k - n]) for n in range(k + 1)))
+            for k in range(K + 1)
+        ])
 
     __rmul__ = __mul__
 
@@ -412,12 +423,12 @@ class TruncatedSeries:
             if c0 == 0:
                 raise ZeroDivisionError("constant term is not an invertible scalar")
             inv0 = Fraction(1) / Fraction(c0)
+        zero = self._zero_like()
         out = [inv0]
         for n in range(1, self.order + 1):
-            acc = None
-            for i in range(1, n + 1):
-                term = self.coeffs[i] * out[n - i]
-                acc = term if acc is None else acc + term
+            acc = _signed_products(
+                zero, ((1, self.coeffs[i], out[n - i]) for i in range(1, n + 1))
+            )
             out.append(-(inv0 * acc))
         return TruncatedSeries(self.order, out)
 

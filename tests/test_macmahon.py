@@ -109,10 +109,43 @@ def test_dual_route_equality_three_generators_to_order_six(p, q):
     char_function(GenericSupermatrix(p, q), 6)
 
 
+FORMATS_3 = [(p, q) for p in range(4) for q in range(4) if 1 <= p + q <= 3]
+
+
 def test_supertrace_counit_is_the_superdimension():
     X = GenericSupermatrix(2, 1)
     p1 = X.power_sums(1)[0]
     assert X.counit(p1) == 1  # p - q
+
+
+@pytest.mark.parametrize("p,q", [pytest.param(p, q, id=f"{p}-{q}") for p, q in FORMATS_3])
+def test_every_power_sum_counit_is_the_superdimension(p, q):
+    # the counit sends X to the identity, and str(1^n) = sdim = p - q
+    X = GenericSupermatrix(p, q)
+    assert [X.counit(pn) for pn in X.power_sums(6)] == [p - q] * 6
+
+
+def matrix_power_sums(X, K):
+    """str(X^n) for n = 1..K through SuperPolynomial matrix products."""
+    d, zero = X.d, X.table.zero()
+    sums, power = [], X.entries
+    for _ in range(K):
+        sums.append(supertrace(power, X.space.format))
+        power = [
+            [sum((power[i][l] * X.entries[l][j] for l in range(d)), zero) for j in range(d)]
+            for i in range(d)
+        ]
+    return sums
+
+
+@pytest.mark.parametrize(
+    "p,q,K",
+    [pytest.param(p, q, 5, id=f"{p}-{q}") for p, q in FORMATS_3]
+    + [pytest.param(2, 2, 6, id="2-2")],
+)
+def test_power_sums_by_closed_walks_match_the_matrix_powers(p, q, K):
+    X = GenericSupermatrix(p, q)
+    assert X.power_sums(K) == matrix_power_sums(X, K)
 
 
 def test_power_sum_of_the_1_1_matrix():

@@ -84,6 +84,34 @@ def test_supercommutativity_on_homogeneous_elements():
         assert x * y == (y * x) * Fraction(sign)
 
 
+def test_mul_into_adds_signed_products_and_drops_cancelled_terms():
+    rng = random.Random(13)
+    table = make_table(["a", "b"], ["u", "v", "w"])
+    for _ in range(40):
+        x, y, z = (rand_poly(rng, table) for _ in range(3))
+        terms: dict = {}
+        x.mul_into(terms, y)
+        z.mul_into(terms, y, -1)
+        assert SuperPolynomial(table, terms) == x * y - z * y
+        assert 0 not in terms.values()
+        x.mul_into(terms, y, -1)
+        z.mul_into(terms, y)
+        assert terms == {}
+
+
+def test_series_product_over_polynomials_is_the_convolution():
+    rng = random.Random(17)
+    table = make_table(["a"], ["u", "v"])
+    for _ in range(10):
+        s = TruncatedSeries(3, [rand_poly(rng, table) for _ in range(4)])
+        r = TruncatedSeries(3, [rand_poly(rng, table) for _ in range(4)])
+        expected = [
+            sum((s.coeffs[n] * r.coeffs[k - n] for n in range(k + 1)), table.zero())
+            for k in range(4)
+        ]
+        assert (s * r).coeffs == expected
+
+
 def test_evaluate_rejects_nonzero_odd_assignment():
     table = make_table(["a"], ["u"])
     p = table.variable(0) + table.variable(1)
