@@ -113,6 +113,8 @@ def parse_spec(text: str) -> AlgebraSpec:
         if "=" not in stripped:
             raise SpecError("expected 'key = value'", lineno)
         key, value = (part.strip() for part in stripped.split("=", 1))
+        if key in seen and key != "relation":
+            raise SpecError(f"repeated key {key!r}", lineno)
         if key == "family":
             if value not in FAMILIES:
                 raise SpecError(f"unknown family {value!r}", lineno)
@@ -141,6 +143,8 @@ def parse_spec(text: str) -> AlgebraSpec:
                 raise SpecError(f"bad q-table key {key!r}", lineno)
             if not i < j:
                 raise SpecError("q-table keys need i < j", lineno)
+            if (i, j) in data["q_table"]:
+                raise SpecError(f"repeated key 'q[{i},{j}]'", lineno)
             frac = _parse_fraction(value, lineno)
             if frac == 0:
                 raise SpecError("quantum parameters must be nonzero", lineno)
@@ -458,8 +462,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _spec_from_args(args) -> AlgebraSpec | None:
     if args.spec:
-        text = sys.stdin.read() if args.spec == "-" else open(args.spec).read()
-        return parse_spec(text)
+        if args.spec == "-":
+            return parse_spec(sys.stdin.read())
+        with open(args.spec) as handle:
+            return parse_spec(handle.read())
     if args.family is None:
         return None
     if args.fmt:

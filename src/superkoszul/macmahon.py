@@ -328,16 +328,17 @@ def _word_parity(word, p):
 
 
 def diagonal_coefficients(X: GenericSupermatrix, A: HomogAlgebra, length: int):
-    """All diagonal coefficients X(i) at one length: expand y_{i_1}...y_{i_l}
-    in A (x) B down a prefix tree over the reduced words and read off the
-    coefficient of the basis word equal to the index word itself.
+    """All diagonal coefficients X(i) over the reduced index words i of
+    length 1..``length``: expand y_{i_1}...y_{i_l} in A (x) B down one prefix
+    tree over the reduced words and read off, at every node, the coefficient
+    of the basis word equal to the index word itself.
 
     The state is one flat dict {(reduced word, even exponents, odd ids):
     coefficient}, with one exponent slot per even x[j,i] in id order and the
     odd ids strictly increasing.  Multiplying by x[j,i] on the right bumps
     one slot, or inserts one odd id and flips the sign once per larger id it
-    passes.  Only a leaf builds a :class:`SuperPolynomial`, from the terms of
-    its own word.
+    passes.  Each node builds one :class:`SuperPolynomial`, from the terms of
+    its own word; nothing else does.
 
     Triangular prune: a pivot is the smallest word of its relation row, so
     every rewrite replaces a window by tuple-greater windows and every word
@@ -361,10 +362,11 @@ def diagonal_coefficients(X: GenericSupermatrix, A: HomogAlgebra, length: int):
         return items
 
     def extend(prefix, state: dict):
-        if len(prefix) == length:
+        if prefix:
             results[prefix] = leaf(
                 {(ev, od): c for (w, ev, od), c in state.items() if w == prefix}
             )
+        if len(prefix) == length:
             return
         for i in range(1, X.d + 1):
             nxt = prefix + (i,)
@@ -422,13 +424,9 @@ def bosonic_factor(p: int, q: int, N: int, K: int, X: GenericSupermatrix | None 
     if not A.confluence_report().passed:
         raise InternalInconsistencyError(f"{A.label}: rewriting is not confluent")
     table = X.table
-    coeffs = [table.one()]
-    for length in range(1, K + 1):
-        diag = diagonal_coefficients(X, A, length)
-        acc = table.zero()
-        for word, poly in diag.items():
-            acc = acc + (-poly if _word_parity(word, p) else poly)
-        coeffs.append(acc)
+    coeffs = [table.one()] + [table.zero() for _ in range(K)]
+    for word, poly in diagonal_coefficients(X, A, K).items():
+        coeffs[len(word)] = coeffs[len(word)] + (-poly if _word_parity(word, p) else poly)
     return TruncatedSeries(K, coeffs)
 
 

@@ -284,7 +284,7 @@ def group_algebra_action(element, v: TensorVector) -> TensorVector:
 
 
 # ---------------------------------------------------------------------------
-# Exact elimination: one sparse helper, two pivot tables
+# Exact elimination: one sparse helper, one eliminator
 # ---------------------------------------------------------------------------
 
 
@@ -301,26 +301,38 @@ def axpy(dst: dict, src: dict, factor) -> dict:
     return dst
 
 
-def _clean(vector) -> dict:
-    if isinstance(vector, TensorVector):
-        vector = vector.coeffs
-    return {w: Fraction(c) for w, c in vector.items() if c != 0}
+def _reduce(rows: dict, vector: dict) -> tuple:
+    """(residual, coordinates) of a vector against fully reduced rows.
+
+    One pass over the vector's pivot words suffices: row tails avoid
+    every pivot, so subtracting a row never creates another pivot hit.
+    """
+    residual = {w: Fraction(c) for w, c in vector.items() if c}
+    coords = {}
+    for p in [w for w in residual if w in rows]:
+        coords[p] = c = residual[p]
+        axpy(residual, rows[p], -c)
+    return residual, coords
 
 
 class Subspace:
     """Subspace of V^(x n) held as a fully reduced row echelon basis.
 
-    Rows are dicts ``{word: Fraction}``; each row is normalized to have
-    coefficient 1 at its pivot (its smallest word, i.e. largest monomial) and
-    the pivot of one row never appears in another row.  Two subspaces are
-    equal exactly when their row dicts coincide.
+    ``rows`` maps each pivot (the row's smallest word, i.e. largest
+    monomial) to its row ``{word: Fraction}``, with coefficient 1 at the
+    pivot and no other pivot in it, so equal subspaces have equal rows.
+    Inserts go to a :class:`RankCounter`; the first read of ``rows`` after
+    one back-substitutes its integer rows once, into the same dict, and
+    ``dim`` is the forward rank.  ``reduce`` and ``coordinates`` take a dict
+    {word: coefficient}, ``insert`` also a :class:`TensorVector`.
     """
 
     def __init__(self, space: SuperSpace, degree: int, rows=()):
         self.space = space
         self.degree = degree
-        self.rows: dict[Word, dict] = {}  # pivot -> row
-        self._cols: dict[Word, set] = {}  # word -> set of pivots whose rows touch it
+        self._forward = RankCounter()
+        self._rows: dict[Word, dict] = {}  # pivot -> reduced row
+        self._stale = False
         for row in rows:
             self.insert(row)
         if not self.is_parity_homogeneous():
@@ -331,67 +343,39 @@ class Subspace:
         rows = ({w: Fraction(1)} for w in space.words(degree))
         return cls(space, degree, rows)
 
-    def _reduce(self, vector) -> tuple:
-        """(residual, coordinates) of a vector against the rows.
-
-        One pass over the vector's pivot words suffices: row tails avoid
-        every pivot, so subtracting a row never creates another pivot hit.
-        """
-        residual = _clean(vector)
-        coords = {}
-        for p in [w for w in residual if w in self.rows]:
-            coords[p] = c = residual[p]
-            axpy(residual, self.rows[p], -c)
-        return residual, coords
-
     def insert(self, row) -> bool:
-        """Insert one vector (dict word->coeff); True if the rank grew."""
-        row = self._reduce(row)[0]
-        if not row:
-            return False
-        lead = min(row)
-        inv = Fraction(1) / row[lead]
-        row = {w: c * inv for w, c in row.items()}
-        # back-substitute: clear the new pivot column from existing rows
-        for p in list(self._cols.get(lead, ())):
-            other = axpy(self.rows[p], row, -self.rows[p][lead])
-            for w in row:
-                if w in other:
-                    self._col_add(w, p)
-                else:
-                    self._col_del(w, p)
-        self.rows[lead] = row
-        for w in row:
-            if w != lead:
-                self._col_add(w, lead)
-        return True
+        """Insert one vector; True if the rank grew."""
+        grew = self._forward.insert(row)
+        self._stale = self._stale or grew
+        return grew
 
-    def _col_add(self, word, pivot):
-        self._cols.setdefault(word, set()).add(pivot)
-
-    def _col_del(self, word, pivot):
-        s = self._cols.get(word)
-        if s is not None:
-            s.discard(pivot)
-            if not s:
-                del self._cols[word]
+    @property
+    def rows(self) -> dict:
+        rows = self._rows
+        if self._stale:
+            # a forward row's words lie at or above its lead, so the rows
+            # with larger pivots, already reduced, clear all but its lead
+            rows.clear()
+            for lead in sorted(self._forward.rows, reverse=True):
+                row = _reduce(rows, self._forward.rows[lead])[0]
+                inv = 1 / row[lead]
+                rows[lead] = {w: c * inv for w, c in row.items()}
+            self._stale = False
+        return rows
 
     # -- queries ----------------------------------------------------------
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
-
-    def pivots(self):
-        return set(self.rows)
+        return self._forward.rank
 
     def reduce(self, vector) -> dict:
         """Residual of a vector after reduction by the basis rows."""
-        return self._reduce(vector)[0]
+        return _reduce(self.rows, vector)[0]
 
     def coordinates(self, vector) -> dict:
         """Coordinates w.r.t. the echelon rows; raises if not in the span."""
-        residual, coords = self._reduce(vector)
+        residual, coords = _reduce(self.rows, vector)
         if residual:
             raise ValueError("vector is not in the subspace")
         return coords
@@ -459,8 +443,10 @@ def _divide_content(row: dict, tags) -> None:
 
 
 class RankCounter:
-    """Forward-only, fraction-free echelon (no canonical form) for ranks and
-    kernels (Bareiss, Math. Comp. 22, 1968).
+    """Forward-only, fraction-free echelon (Bareiss, Math. Comp. 22, 1968):
+    the one elimination loop of the package.  Ranks and kernels read its
+    rows directly; :class:`Subspace` inserts through it and back-substitutes
+    its rows into the canonical form only when they are read.
 
     Rows are primitive integer vectors; the coefficient at a row's lead
     (smallest word) need not be 1.  ``insert(vec, tags)`` scales ``vec`` once
@@ -598,10 +584,9 @@ def dual_complement(R: Subspace) -> Subspace:
     for row in R.rows.values():
         reversed_rows.insert({w[::-1]: c for w, c in row.items()})
     out = Subspace(space, n)
-    pivots = reversed_rows.pivots()
     rows = reversed_rows.rows
     for w in space.words(n):
-        if w in pivots:
+        if w in rows:
             continue
         vec = {w: Fraction(1)}
         for pvt, row in rows.items():

@@ -119,6 +119,50 @@ def test_spec_keys_are_rejected_where_unread(text, message, monkeypatch, capsys)
     assert not captured.out
 
 
+@pytest.mark.parametrize("text, message", [
+    ("family = n_symmetric\nformat = 0 1\nformat = 0 0 0\nN = 3\nN = 2\n",
+     "line 3: repeated key 'format'"),
+    ("family = n_symmetric\nN = 3\nformat = 0 1\nN = 2\n", "line 4: repeated key 'N'"),
+    ("family = n_symmetric\nfamily = tensor\nformat = 0 1\n",
+     "line 2: repeated key 'family'"),
+    ("family = n_symmetric\np = 1\nq = 1\np = 2\n", "line 4: repeated key 'p'"),
+    ("family = n_symmetric\np = 1\nq = 1\nq = 0\n", "line 4: repeated key 'q'"),
+    ("family = quantum\nformat = 0 1 1\nq[1,2] = 2\nq[2,3] = 3\nq[ 1 , 2 ] = 5\n",
+     "line 5: repeated key 'q[1,2]'"),
+    ("family = yang_mills\nformat = 0 0\nG = 1 1\nG = 1 2\n", "line 4: repeated key 'G'"),
+    ("family = s_RN\nformat = 0 1\nhecke_q = 2\nhecke_q = 3\n",
+     "line 4: repeated key 'hecke_q'"),
+])
+def test_repeated_spec_keys_are_rejected(text, message, monkeypatch, capsys):
+    with pytest.raises(SpecError) as excinfo:
+        parse_spec(text)
+    assert message in str(excinfo.value)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["dims", "--spec", "-", "--order", "2"]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert not captured.out
+
+
+def test_relation_lines_repeat_in_a_spec():
+    text = "family = custom\nN = 2\nformat = 0 0\nrelation = 1 : 1 2\nrelation = 1 : 2 1\n"
+    assert len(parse_spec(text).relations) == 2
+
+
+def test_spec_file_is_closed_after_reading(tmp_path):
+    path = tmp_path / "algebra.spec"
+    path.write_text("family = quantum\nformat = 0 1\nq[1,2] = 2\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "superkoszul.cli",
+         "dims", "--spec", str(path), "--order", "2"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "ResourceWarning" not in proc.stderr
+
+
 def test_spec_ignoring_every_unread_key_is_rejected(tmp_path, capsys):
     path = tmp_path / "algebra.spec"
     path.write_text(

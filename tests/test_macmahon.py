@@ -302,7 +302,7 @@ def test_diagonal_coefficients_of_the_line():
     x = X.entry(1, 1)
     for length in (1, 2, 3):
         diag = diagonal_coefficients(X, A, length)
-        assert diag == {(1,) * length: x ** length}
+        assert {w: c for w, c in diag.items() if len(w) == length} == {(1,) * length: x ** length}
 
 
 def test_bosonic_factor_low_orders():

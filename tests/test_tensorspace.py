@@ -6,6 +6,7 @@ from math import gcd
 
 import pytest
 
+from superkoszul import tensorspace
 from superkoszul.superpoly import VariableTable
 from superkoszul.tensorspace import (
     Permutation,
@@ -320,6 +321,79 @@ def test_integer_eliminator_stores_primitive_integer_rows():
             assert lead == min(row)
             assert all(type(c) is int for c in row.values())
             assert gcd(*row.values()) == 1
+
+
+def gauss_jordan(vectors) -> dict:
+    """Reference for ``Subspace.rows``: textbook Gauss-Jordan over Fractions,
+    one column at a time in increasing word order, so each pivot is the
+    smallest word of its row; returns {pivot: row}."""
+    rest = [{w: Fraction(c) for w, c in v.items() if c} for v in vectors]
+    basis: list = []
+    for col in sorted({w for v in rest for w in v}):
+        pick = next((r for r in rest if col in r), None)
+        if pick is None:
+            continue
+        rest.remove(pick)
+        pick = {w: c / pick[col] for w, c in pick.items()}
+        for r in rest + basis:
+            c = r.get(col)
+            if c:
+                for w, a in pick.items():
+                    r[w] = r.get(w, 0) - c * a
+                    if not r[w]:
+                        del r[w]
+        basis.append(pick)
+    return {min(row): row for row in basis}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_subspace_rows_are_the_gauss_jordan_form_in_any_order(seed):
+    rng = random.Random(600 + seed)
+    for fmt in INTEGER_ELIMINATOR_FORMATS:
+        degree = rng.randint(1, 3)
+        sp, vectors = mixed_vectors(rng, fmt, degree, rng.randint(1, 10))
+        reference = gauss_jordan(vectors)
+        for _ in range(3):
+            rng.shuffle(vectors)
+            rows = Subspace(sp, degree, vectors).rows
+            assert rows == reference
+            assert all(type(c) is Fraction for row in rows.values() for c in row.values())
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_inserts_after_a_read_refresh_the_same_rows_dict(seed):
+    rng = random.Random(700 + seed)
+    for fmt in INTEGER_ELIMINATOR_FORMATS:
+        degree = rng.randint(1, 3)
+        sp, vectors = mixed_vectors(rng, fmt, degree, rng.randint(1, 10))
+        S = Subspace(sp, degree)
+        held = S.rows
+        for k, vec in enumerate(vectors):
+            S.insert(vec)
+            if rng.random() < 0.5:
+                assert S.rows is held
+                assert held == gauss_jordan(vectors[: k + 1])
+        assert S.rows is held
+        assert held == gauss_jordan(vectors)
+
+
+def test_dim_is_the_rank_before_any_row_is_reduced(monkeypatch):
+    rng = random.Random(800)
+    back_substituted = []
+    reduce_rows = tensorspace._reduce
+    monkeypatch.setattr(
+        tensorspace, "_reduce", lambda rows, v: back_substituted.append(v) or reduce_rows(rows, v)
+    )
+    for fmt in INTEGER_ELIMINATOR_FORMATS:
+        degree = rng.randint(1, 3)
+        sp, vectors = mixed_vectors(rng, fmt, degree, rng.randint(1, 10))
+        S = Subspace(sp, degree)
+        for vec in vectors:
+            S.insert(vec)
+        dim = S.dim
+        assert not back_substituted
+        assert dim == len(S.rows) == matrix_rank(vectors)
+        back_substituted.clear()
 
 
 def test_subspace_requires_parity_homogeneous_rows():
