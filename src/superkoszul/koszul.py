@@ -156,6 +156,8 @@ def koszul_check(A: HomogAlgebra, deg_max: int) -> KoszulVerdict:
     degree n <= deg_max: rank(delta_i) + rank(delta_{i+1}) must exhaust the
     middle term.  Exact rank arithmetic throughout; the verdict claims
     nothing beyond the truncation."""
+    if deg_max < 0:
+        raise ValueError("deg_max must be nonnegative")
     failures = []
     rank_cache: dict = {}
 
@@ -180,6 +182,14 @@ def koszul_check(A: HomogAlgebra, deg_max: int) -> KoszulVerdict:
 # ---------------------------------------------------------------------------
 # Tor via a minimal graded-free resolution
 # ---------------------------------------------------------------------------
+#
+# Tor_i(k, k) in degree n is the number of degree-n generators of F_i, the
+# generators of F_{i+1} being a complement of the radical A_+ ker(d_i)
+# inside ker(d_i).  Degrees are taken in increasing order, so the radical in
+# degree n is spanned by the products of the generators already found; one
+# kernel elimination per (i, n) over those products gives both ker(d_{i+1})
+# and the radical's rank, and an echelon is built to pick a complement only
+# where that rank falls short.
 
 
 @dataclass
@@ -207,62 +217,46 @@ class TorTable:
 def tor_dims(A: HomogAlgebra, i_max: int, deg_max: int) -> TorTable:
     """Betti numbers of the trivial module from a minimal resolution.
 
-    Degreewise construction: the next generator space in homological degree
-    i+1 is a complement of A_+ * ker(d_i) inside ker(d_i).  Free modules are
-    encoded on bases (basis word of A, generator); kernels and complements
-    are exact eliminations.
+    Free modules are encoded on bases (basis word of A, generator).  Level i
+    holds K^i = ker(d_i) per degree, K^0_n = A_n on its basis words, and finds
+    the generators of F_{i+1} in increasing degree n with one kernel
+    elimination per (i, n).  The images w * z_g, over the generators z_g
+    found so far (all of degree < n) and the basis words w of A_{n - deg g},
+    span the radical (A_+ K^i)_n: below degree n, K^i is generated by those
+    z_g, so A_j K^i_{n-j} lies in the sum of the A_{n - deg g} z_g, and each
+    of these lies in A_+ K^i since n - deg g >= 1.  So the kernel over the
+    images is K^{i+1}_n (a degree-n generator maps outside their span, so it
+    adds no kernel vector), and, as that kernel comes back as a basis, the
+    radical's rank is the number of images minus its length.  The radical lies in K^i_n, so equal
+    dimensions mean equal spaces and no generator of degree n.  Otherwise
+    the K^i_n vectors that grow an echelon of the images are the new
+    generators; that greedy choice depends only on the radical's span.
     """
+    if i_max < 0 or deg_max < 0:
+        raise ValueError("i_max and deg_max must be nonnegative")
     table = TorTable(i_max, deg_max, {0: {0: 1}})
-
-    # generators of F_i: list of (degree, value) where value is an element of
-    # F_{i-1} as {(word, gen_index): coeff}; F_0 = A has one degree-0 generator.
-    gens: list = [(0, None)]
-
-    def module_basis(gens_list, n):
-        out = []
-        for g, (degg, _) in enumerate(gens_list):
-            if n - degg < 0:
-                continue
-            out.extend((w, g) for w in A.reduced_words(n - degg))
-        return out
-
-    for i in range(0, i_max):
-        # kernel of d_i per degree, then split off a minimal complement
-        if i == 0:
-            kernels = {
-                n: [{(w, 0): 1} for w in A.reduced_words(n)]
-                for n in range(1, deg_max + 1)
-            }
-        else:
-            kernels = {}
-            for n in range(1, deg_max + 1):
-                basis = module_basis(gens, n)
-                images = [_times(A, w, gens[g][1]) for w, g in basis]
-                # basis keys are distinct and kernel tags nonzero
-                kernels[n] = [
-                    {basis[k]: c for k, c in combo.items()}
-                    for combo in kernel_of_vectors(images)
-                ]
-        # (A_+ K)_n = V . K_{n-1} since K is an A-submodule; one echelon per
-        # degree, with the surviving kernel vectors as the minimal generators
-        new_gens: list = []
-        dims_i1: dict = {}
+    kernels = {n: [{(w, 0): 1} for w in A.reduced_words(n)] for n in range(1, deg_max + 1)}
+    for i in range(i_max):
+        gens: list = []  # generators of F_{i+1}: (degree, element of F_i)
+        next_kernels: dict = {}
+        dims: dict = {}
         for n in range(1, deg_max + 1):
-            radical = RankCounter()
-            for letter in range(1, A.dim_V + 1):
-                for z in kernels.get(n - 1, []):
-                    radical.insert(_times(A, (letter,), z))
-            complements = []
-            for z in kernels.get(n, []):
-                if radical.insert(z):
-                    complements.append(z)
-            if complements:
-                dims_i1[n] = len(complements)
-                new_gens.extend((n, z) for z in complements)
-        table.dims[i + 1] = dims_i1
-        gens = new_gens
+            basis = [(w, g) for g, (m, _) in enumerate(gens) for w in A.reduced_words(n - m)]
+            images = [_times(A, w, gens[g][1]) for w, g in basis]
+            kernel = kernel_of_vectors(images)
+            # basis keys are distinct and kernel tags nonzero
+            next_kernels[n] = [{basis[k]: c for k, c in tags.items()} for tags in kernel]
+            if len(images) - len(kernel) < len(kernels[n]):
+                radical = RankCounter()
+                for v in images:
+                    radical.insert(v)
+                new = [z for z in kernels[n] if radical.insert(z)]
+                dims[n] = len(new)
+                gens.extend((n, z) for z in new)
+        table.dims[i + 1] = dims
         if not gens:
             break
+        kernels = next_kernels
     return table
 
 

@@ -296,6 +296,21 @@ def test_koszul_command_machine_lines_are_pinned(flags, code, lines, capsys):
     assert out == [f"{MACHINE_PREFIX} {line}" for line in lines]
 
 
+@pytest.mark.parametrize("p, q, lines", [
+    (3, 0, ["tor i=0 deg=0 dim=1", "tor i=1 deg=1 dim=3", "tor i=2 deg=3 dim=3",
+            "tor i=3 deg=4 dim=1"]),
+    (1, 1, ["tor i=0 deg=0 dim=1", "tor i=1 deg=1 dim=2", "tor i=2 deg=3 dim=2",
+            "tor i=3 deg=5 dim=2", "tor i=4 deg=7 dim=2"]),
+    (2, 1, ["tor i=0 deg=0 dim=1", "tor i=1 deg=1 dim=3", "tor i=2 deg=3 dim=3"]),
+])
+def test_tor_command_machine_lines_are_pinned(p, q, lines, capsys):
+    argv = ["tor", "--family", "yang_mills", "--p", str(p), "--q", str(q),
+            "--order", "7", "--i-max", "4"]
+    assert main(argv) == 0
+    out = [line for line in machine_lines(capsys.readouterr().out) if "elapsed_s=" not in line]
+    assert out == [f"{MACHINE_PREFIX} {line}" for line in lines]
+
+
 def test_input_error_exit_code():
     code, _, err = run_cli(["dims", "--family", "custom", "--p", "1", "--q", "1"])
     assert code == 2

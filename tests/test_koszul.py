@@ -162,6 +162,25 @@ def test_tor_of_the_mixed_yang_mills_algebra_through_order_7():
     assert tor_dims(Y, 4, 7).dims == {0: {0: 1}, 1: {1: 2}, 2: {3: 2}, 3: {5: 2}, 4: {7: 2}}
 
 
+def test_tor_of_the_cubic_symmetric_2_1_algebra_through_order_7():
+    # Koszul, so Tor_i is D_nu(i) in degree nu(i) = 1, 3, 4, 6, 7
+    A = n_symmetric(SuperSpace.standard(2, 1), 3)
+    assert tor_dims(A, 5, 7).dims == {
+        0: {0: 1}, 1: {1: 3}, 2: {3: 4}, 3: {4: 4}, 4: {6: 4}, 5: {7: 4}
+    }
+    assert [A.dual_star_component(jump(3, i)).dim for i in range(1, 6)] == [3, 4, 4, 4, 4]
+
+
+@pytest.mark.parametrize("call, bounds", [
+    (tor_dims, (-1, 3)),
+    (tor_dims, (2, -1)),
+    (koszul_check, (-2,)),
+], ids=["tor_i_max", "tor_deg_max", "koszul_deg_max"])
+def test_negative_bounds_are_rejected(call, bounds):
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        call(n_symmetric(SuperSpace.standard(1, 1), 2), *bounds)
+
+
 def test_tor_two_lives_in_relation_degrees():
     for A in (
         n_symmetric(SuperSpace.standard(1, 1), 3),

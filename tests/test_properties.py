@@ -10,8 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superkoszul.homogeneous import custom_algebra
-from superkoszul.koszul import jump, koszul_check, koszul_duality_check, koszul_matrix, tor_dims
-from superkoszul.tensorspace import Subspace, SuperSpace, subspace_intersection
+from superkoszul.koszul import _times, jump, koszul_check, koszul_duality_check, koszul_matrix, tor_dims
+from superkoszul.tensorspace import (
+    RankCounter,
+    Subspace,
+    SuperSpace,
+    kernel_of_vectors,
+    subspace_intersection,
+)
 
 MAX_WORDS = 729
 COEFFS = [Fraction(c) for c in (-2, -1, 1, 2)] + [Fraction(1, 2), Fraction(-3, 2)]
@@ -144,6 +150,60 @@ def test_tor_counts_the_generators_and_the_minimal_relations(A):
     table = tor_dims(A, 2, N + 1)
     assert table.dims[1] == {1: d}
     assert table.dims[2] == {N: A.R.dim}
+
+
+def two_elimination_tor(A, i_max, deg_max):
+    """Tor dimensions by two eliminations per (i, n): the radical
+    V . ker(d_i)_{n-1} as its own echelon, and ker(d_i)_n over the images of
+    every basis element of F_i, degree-n generators included."""
+    dims = {0: {0: 1}}
+    gens = []  # generators of F_i: (degree, element of F_{i-1})
+    for i in range(i_max):
+        if i == 0:
+            kernels = {n: [{(w, 0): 1} for w in A.reduced_words(n)] for n in range(1, deg_max + 1)}
+        else:
+            kernels = {}
+            for n in range(1, deg_max + 1):
+                basis = [(w, g) for g, (m, _) in enumerate(gens) if m <= n
+                         for w in A.reduced_words(n - m)]
+                images = [_times(A, w, gens[g][1]) for w, g in basis]
+                kernels[n] = [{basis[k]: c for k, c in tags.items()}
+                              for tags in kernel_of_vectors(images)]
+        gens, dims[i + 1] = [], {}
+        for n in range(1, deg_max + 1):
+            radical = RankCounter()
+            for letter in range(1, A.dim_V + 1):
+                for z in kernels.get(n - 1, []):
+                    radical.insert(_times(A, (letter,), z))
+            complements = [z for z in kernels[n] if radical.insert(z)]
+            if complements:
+                dims[i + 1][n] = len(complements)
+                gens.extend((n, z) for z in complements)
+        if not gens:
+            break
+    return dims
+
+
+@PROPERTY_SETTINGS
+@given(presentations())
+def test_tor_matches_the_two_elimination_route(A):
+    # the radical's rank is counted from the next kernel, not eliminated
+    assert tor_dims(A, 3, A.N + 2).dims == two_elimination_tor(A, 3, A.N + 2)
+
+
+@PROPERTY_SETTINGS
+@given(presentations())
+def test_tor_of_an_exact_koszul_complex_is_the_dual_coalgebra(A):
+    # exact through degree n, the Koszul complex is a minimal free resolution
+    # there, so Tor_i sits in degree nu(i) with the dimension of D_nu(i)
+    n = min(A.N + 2, max(degrees(A)))
+    if not koszul_check(A, n).passed:
+        return
+    table = tor_dims(A, n, n)
+    for i in range(n + 1):
+        for m in range(n + 1):
+            want = A.dual_star_component(m).dim if m == jump(A.N, i) else 0
+            assert table.dim(i, m) == want, (i, m)
 
 
 @PROPERTY_SETTINGS
