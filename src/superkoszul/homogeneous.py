@@ -17,7 +17,10 @@ lexicographically larger words.  A word is *reduced* (the rewriting notion of
 when no length-N window is a pivot.  Rewriting terminates because every step
 strictly raises the word; when the system is confluent (checked once, see
 :meth:`HomogAlgebra.confluence_report`) the reduced words represent a basis
-of A and rewriting gives the normal forms.
+of A and rewriting gives the normal forms.  The rewrite step reads one table,
+built once from :meth:`HomogAlgebra.rewrite_map`: pivot -> [(tail word,
+-coefficient)], each coefficient an int when it is integral (every S_N and
+the even and odd Yang-Mills algebras), so integral normal forms hold ints.
 
 Normal forms without confluence.  u - nf(u) lies in R_|u|, so the residual
 of a word modulo the echelon of R_n is an exact normal form and the
@@ -39,9 +42,9 @@ against elimination in each of them.
 Placements.  R's rows placed at window i are already the reduced echelon
 basis of the placement V^(x i) x R x V^(x j), so a placement is never
 eliminated: :meth:`HomogAlgebra.reduce_at` reduces modulo it by rewriting
-window i, in one pass.  The dual components D_n, the confluence and
-extra-condition tests and the normal-form rewrite step all go through it;
-only R_n, the sum of the placements, is eliminated.
+window i, in one pass, with the same rewrite table as the normal forms.  The
+dual components D_n and the confluence and extra-condition tests go through
+it; only R_n, the sum of the placements, is eliminated.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ from .tensorspace import (
     Subspace,
     SuperSpace,
     TensorVector,
+    _integral,
     antisymmetrizer_image,
     axpy,
     dual_complement,
@@ -134,6 +138,7 @@ class HomogAlgebra:
         self._dual_star: dict[int, Subspace] = {}
         self._dual_coproduct: dict[tuple[int, int], dict] = {}
         self._nf_memo: dict[Word, dict] = {}
+        self._table: dict | None = None  # pivot -> [(tail word, -coefficient)]
         self._reduced_words: dict[int, list] = {}
         self._count_checked = False
         self._confluence: ConfluenceReport | None = None
@@ -156,6 +161,16 @@ class HomogAlgebra:
             rw[pivot] = {w: -c for w, c in row.items() if w != pivot}
         return rw
 
+    def _rewrite_table(self) -> dict:
+        """pivot word -> [(tail word, -coefficient)], read off
+        :meth:`rewrite_map` once; integral coefficients are ints."""
+        if self._table is None:
+            self._table = {
+                pivot: [(t, _integral(c)) for t, c in tail.items()]
+                for pivot, tail in self.rewrite_map().items()
+            }
+        return self._table
+
     def placement_rows(self, i: int, j: int):
         """Rows of V^(x i) x R x V^(x j): R's rows placed at window i.  They
         are already a reduced echelon basis, so a placement is never
@@ -170,17 +185,26 @@ class HomogAlgebra:
         """Residual of ``vec`` modulo the placement V^(x i) x R x V^(x j).
 
         Each word whose window [i, i+N) is a pivot loses its coefficient
-        times that pivot's row placed at window i.  Row tails avoid every
-        pivot, so one pass suffices and every pivot coefficient is read
-        from ``vec`` itself.
+        times that pivot's row placed at window i: the word drops out (every
+        pivot coefficient of R's rows is 1) and c times the rewrite table's
+        tail lands on the placed tail words.  Row tails avoid every pivot, so
+        one pass suffices and every pivot coefficient is read from ``vec``
+        itself.
         """
-        pivots, N = self.R.rows, self.N
+        table, N = self._rewrite_table(), self.N
         residual = dict(vec)
         for w, c in vec.items():
-            row = pivots.get(w[i : i + N])
-            if row is not None:
+            tail = table.get(w[i : i + N])
+            if tail is not None:
                 prefix, suffix = w[:i], w[i + N :]
-                axpy(residual, {prefix + t + suffix: a for t, a in row.items()}, -c)
+                del residual[w]
+                for t, a in tail:
+                    key = prefix + t + suffix
+                    s = residual.get(key, 0) + c * a
+                    if s:
+                        residual[key] = s
+                    else:
+                        residual.pop(key, None)
         return residual
 
     def graded_component(self, n: int):
@@ -208,6 +232,8 @@ class HomogAlgebra:
         return self.count_reduced_words(n)
 
     def dims(self, deg_max: int) -> list[int]:
+        if deg_max < 0:
+            raise ValueError("deg_max must be nonnegative")
         return [self.dim_component(n) for n in range(deg_max + 1)]
 
     def _graded_relations(self, n: int) -> Subspace:
@@ -281,8 +307,7 @@ class HomogAlgebra:
             for w, c in row.items():
                 split.setdefault(w[:k], {})[w[k:]] = c
             out[pvt] = [
-                (u, {t: c.numerator if c.denominator == 1 else c
-                     for t, c in tails.coordinates(tail).items()})
+                (u, {t: _integral(c) for t, c in tails.coordinates(tail).items()})
                 for u, tail in split.items()
             ]
         self._dual_coproduct[key] = out
@@ -407,23 +432,23 @@ class HomogAlgebra:
         return self._nf(word)
 
     def _nf(self, word: Word) -> dict:
+        """Rewriting normal form: the leftmost pivot window becomes its
+        rewrite-table tail, and each placed tail word is rewritten in turn.
+        A reduced word is {word: 1}; integral tables give int coefficients."""
         memo = self._nf_memo
         if word in memo:
             return memo[word]
-        pivots = self.R.rows
-        N = self.N
-        hit = None
+        table, N = self._rewrite_table(), self.N
         for k in range(len(word) - N + 1):
-            if word[k : k + N] in pivots:
-                hit = k
+            tail = table.get(word[k : k + N])
+            if tail is not None:
+                prefix, suffix = word[:k], word[k + N :]
+                result: dict = {}
+                for t, a in tail:
+                    axpy(result, self._nf(prefix + t + suffix), a)
                 break
-        if hit is None:
-            result = {word: Fraction(1)}
         else:
-            # word ~ word - (pivot row at window hit) = minus the placed tail in A
-            result = {}
-            for w, c in self.reduce_at({word: Fraction(1)}, hit).items():
-                axpy(result, self._nf(w), c)
+            result = {word: 1}
         memo[word] = result
         return result
 

@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from .homogeneous import HomogAlgebra
 from .superpoly import TruncatedSeries
-from .tensorspace import RankCounter, axpy, kernel_of_vectors, matrix_rank
+from .tensorspace import RankCounter, _integral, axpy, kernel_of_vectors, matrix_rank
 
 
 def jump(N: int, i: int) -> int:
@@ -82,15 +82,14 @@ class KoszulSlice:
 def _times(A: HomogAlgebra, w, elem: dict) -> dict:
     """w * elem in a free A-module with elem = {(reduced word u, slot h): c}:
     the sum of c * nf(w u), keyed by (reduced word v, slot h).  Integral
-    normal-form coefficients enter as ints, so integral elements stay
+    normal-form coefficients enter as ints (the echelon route of a
+    non-confluent algebra gives Fractions), so integral elements stay
     integral and skip Fraction normalisation."""
     out: dict = {}
     for (u, h), c in elem.items():
         for v, a in A.normal_form_word(w + u).items():
-            if a.denominator == 1:
-                a = a.numerator
             key = (v, h)
-            s = out.get(key, 0) + c * a
+            s = out.get(key, 0) + c * _integral(a)
             if s:
                 out[key] = s
             else:
@@ -116,7 +115,8 @@ def koszul_matrix(A: HomogAlgebra, i: int, n: int) -> KoszulSlice:
     steps = nu(i) - nu(i-1).  Each row splits once, in the coproduct table
     :meth:`HomogAlgebra.dual_coproduct`, as the sum of u (x) tail_u with the
     tails in target coordinates; the column of (w, row) is then the sum of
-    nf(w u) (x) coordinates(tail_u).  Integral coefficients stay ints.
+    nf(w u) (x) coordinates(tail_u).  Rewriting normal forms and the table
+    hold integral coefficients as ints, so integral columns stay ints.
     """
     if i < 1:
         raise ValueError("differentials start at homological degree 1")
@@ -130,9 +130,13 @@ def koszul_matrix(A: HomogAlgebra, i: int, n: int) -> KoszulSlice:
         col: dict = {}
         for u, coords in table[pvt]:
             for v, a in A.normal_form_word(w + u).items():
-                if a.denominator == 1:
-                    a = a.numerator
-                axpy(col, {(v, t): c for t, c in coords.items()}, a)
+                for t, c in coords.items():
+                    key = (v, t)
+                    s = col.get(key, 0) + a * c
+                    if s:
+                        col[key] = s
+                    else:
+                        del col[key]
         if col:
             columns[idx] = col
     return KoszulSlice(A, i, n, source, target, columns)
@@ -268,6 +272,8 @@ def tor_dims(A: HomogAlgebra, i_max: int, deg_max: int) -> TorTable:
 def hilbert_series(A: HomogAlgebra, K: int) -> TruncatedSeries:
     """sum of dim A_n t^n, truncated at order K; see
     :meth:`HomogAlgebra.dim_component` for how each coefficient is found."""
+    if K < 0:
+        raise ValueError("the truncation order K must be nonnegative")
     return TruncatedSeries(K, [Fraction(A.dim_component(n)) for n in range(K + 1)])
 
 
@@ -277,6 +283,8 @@ def alternating_dual_series(A: HomogAlgebra, K: int) -> TruncatedSeries:
 
     dim D_m = dim A^!_m, so from degree 2N on a confluent A^! gives it as a
     reduced-word count; otherwise D_m is built by intersection."""
+    if K < 0:
+        raise ValueError("the truncation order K must be nonnegative")
     coeffs = [Fraction(0)] * (K + 1)
     dual = A.dual_algebra()
     i = 0
@@ -306,7 +314,7 @@ class DualityVerdict:
 
 def koszul_duality_check(A: HomogAlgebra, K: int) -> DualityVerdict:
     """The dimension-level duality: H_A(t) times the alternating dual series
-    equals 1 through the truncation order."""
+    equals 1 through the truncation order, K >= 0."""
     H = hilbert_series(A, K)
     P = alternating_dual_series(A, K)
     prod = H * P

@@ -47,7 +47,7 @@ from .superpoly import (
     VariableTable,
     newton_elementary,
 )
-from .tensorspace import SuperSpace, check_entry_parities, wedge_dimension
+from .tensorspace import SuperSpace, _integral, check_entry_parities, wedge_dimension
 
 
 class GenericSupermatrix:
@@ -356,8 +356,7 @@ def diagonal_coefficients(X: GenericSupermatrix, A: HomogAlgebra, length: int):
         items = nf_memo.get(word)
         if items is None:
             items = nf_memo[word] = [
-                (u, c.numerator if c.denominator == 1 else c)
-                for u, c in A.normal_form_word(word).items()
+                (u, _integral(c)) for u, c in A.normal_form_word(word).items()
             ]
         return items
 

@@ -4,6 +4,7 @@ import io
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -294,6 +295,19 @@ def test_koszul_command_machine_lines_are_pinned(flags, code, lines, capsys):
     assert main(["koszul", *flags, "--order", "6"]) == code
     out = [line for line in machine_lines(capsys.readouterr().out) if "elapsed_s=" not in line]
     assert out == [f"{MACHINE_PREFIX} {line}" for line in lines]
+
+
+def test_koszul_command_machine_lines_are_pinned_on_a_dyadic_presentation(monkeypatch, capsys):
+    # Lambda_3 of dj_operator(2, 1, 2): its rewrite table holds the Fractions
+    # -1/2, -1/4, -1/8, so normal forms and slices leave the int path
+    text = "family = lambda_RN\nformat = 0 0 1\nN = 3\nhecke_q = 2\n"
+    tails = build_algebra(parse_spec(text))._rewrite_table().values()
+    assert all(type(a) is Fraction for tail in tails for _, a in tail)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["koszul", "--spec", "-", "--order", "7"]) == 0
+    out = [line for line in machine_lines(capsys.readouterr().out) if "elapsed_s=" not in line]
+    assert out == [f"{MACHINE_PREFIX} koszul verdict=PASS deg_max=7",
+                   f"{MACHINE_PREFIX} koszul check=duality verdict=PASS"]
 
 
 @pytest.mark.parametrize("p, q, lines", [

@@ -246,6 +246,17 @@ def test_normal_form_is_idempotent_and_a_congruence():
         assert A.normal_form(v) == v
 
 
+@pytest.mark.parametrize("A", [
+    n_symmetric(SuperSpace.standard(2, 1), 3),
+    yang_mills(SuperSpace.standard(3, 0)),
+], ids=["S3(2|1)", "YM(3|0)"])
+def test_integral_presentations_have_integer_normal_forms(A):
+    assert A.confluence_report().passed
+    for n in range(7):
+        for w in A.space.words(n):
+            assert all(type(c) is int for c in A.normal_form_word(w).values()), w
+
+
 def test_rewriting_strategy_does_not_matter_when_confluent():
     # window rewriting agrees with the residual modulo the echelon of R_5
     A = n_symmetric(SuperSpace.standard(1, 2), 3)

@@ -6,6 +6,7 @@ import pytest
 
 from superkoszul.hecke import dj_operator
 from superkoszul.homogeneous import (
+    HomogAlgebra,
     custom_algebra,
     lambda_operator_algebra,
     n_symmetric,
@@ -40,6 +41,18 @@ def test_first_differential_is_multiplication():
         col = sl.columns.get(idx, {})
         expected = {(u, ()): c for u, c in A.normal_form_word(w + pvt).items()}
         assert col == expected
+
+
+def test_cubic_symmetric_slices_have_integer_columns():
+    # the rewrite table and the coproduct table are integral on S_N, so every
+    # slice column is assembled in ints
+    A = n_symmetric(SuperSpace.standard(2, 1), 3)
+    for n in range(1, 7):
+        i = 1
+        while jump(A.N, i) <= n:
+            for col in koszul_matrix(A, i, n).columns.values():
+                assert all(type(c) is int for c in col.values()), (i, n)
+            i += 1
 
 
 def test_differentials_compose_to_zero():
@@ -175,7 +188,12 @@ def test_tor_of_the_cubic_symmetric_2_1_algebra_through_order_7():
     (tor_dims, (-1, 3)),
     (tor_dims, (2, -1)),
     (koszul_check, (-2,)),
-], ids=["tor_i_max", "tor_deg_max", "koszul_deg_max"])
+    (hilbert_series, (-1,)),
+    (alternating_dual_series, (-1,)),
+    (HomogAlgebra.dims, (-3,)),
+    (koszul_duality_check, (-2,)),
+], ids=["tor_i_max", "tor_deg_max", "koszul_deg_max", "hilbert_order", "dual_series_order",
+        "dims_deg_max", "duality_order"])
 def test_negative_bounds_are_rejected(call, bounds):
     with pytest.raises(ValueError, match="must be nonnegative"):
         call(n_symmetric(SuperSpace.standard(1, 1), 2), *bounds)

@@ -15,6 +15,7 @@ from superkoszul.tensorspace import (
     RankCounter,
     Subspace,
     SuperSpace,
+    axpy,
     kernel_of_vectors,
     subspace_intersection,
 )
@@ -88,6 +89,35 @@ def test_window_rewriting_reduces_modulo_the_placement(A, data):
     terms += data.draw(st.lists(st.sampled_from(hits), min_size=1, max_size=4))
     v = {w: data.draw(st.sampled_from(COEFFS)) for w in terms}
     assert A.reduce_at(v, i) == placement(A, i, n).reduce(v)
+
+
+def placed_row_residual(A, vec, i):
+    """Reference for :meth:`reduce_at`: each word whose window [i, i+N) is
+    a pivot subtracts its coefficient times R's row placed at window i."""
+    N = A.N
+    residual = dict(vec)
+    for w, c in vec.items():
+        row = A.R.rows.get(w[i : i + N])
+        if row is not None:
+            axpy(residual, {w[:i] + t + w[i + N :]: a for t, a in row.items()}, -c)
+    return residual
+
+
+@PROPERTY_SETTINGS
+@given(presentations(), st.data())
+def test_window_rewriting_matches_the_placed_row_subtraction(A, data):
+    if not A.confluence_report().passed:
+        return
+    N = A.N
+    n = data.draw(st.sampled_from([n for n in degrees(A) if N <= n <= N + 3]))
+    i = data.draw(st.integers(0, n - N))
+    words = list(A.space.words(n))
+    hits = [w for w in words if w[i : i + N] in A.R.rows]
+    terms = data.draw(st.lists(st.sampled_from(words), max_size=4))
+    terms += data.draw(st.lists(st.sampled_from(hits), min_size=1, max_size=4))
+    # int and Fraction entries side by side, as the engine's residuals hold
+    v = {w: data.draw(st.sampled_from(COEFFS + [-3, -1, 1, 2])) for w in terms}
+    assert A.reduce_at(v, i) == placed_row_residual(A, v, i)
 
 
 @PROPERTY_SETTINGS
