@@ -21,11 +21,11 @@ from superkoszul.cli import (
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_cli(args, stdin=None):
+def run_cli(args, stdin=None, module="superkoszul.cli"):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "superkoszul.cli", *args],
+        [sys.executable, "-m", module, *args],
         capture_output=True,
         text=True,
         input=stdin,
@@ -331,6 +331,16 @@ def test_input_error_exit_code():
     assert "input error" in err
     code, _, err = run_cli(["dims"])
     assert code == 2
+
+
+def test_package_runs_as_a_module_like_main(capsys):
+    argv = ["koszul", "--family", "n_symmetric", "--p", "2", "--q", "1", "-N", "3", "--order", "6"]
+    code, out, err = run_cli(argv, module="superkoszul")
+    assert (code, err) == (main(argv), "")
+    by_module = [line for line in machine_lines(out) if "elapsed_s=" not in line]
+    in_process = machine_lines(capsys.readouterr().out)
+    assert by_module == [line for line in in_process if "elapsed_s=" not in line]
+    assert by_module
 
 
 def test_main_returns_exit_code_in_process(capsys):

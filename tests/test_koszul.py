@@ -119,6 +119,30 @@ def test_koszul_check_runs_without_confluence():
     assert koszul_duality_check(A, 6).passed
 
 
+@pytest.mark.parametrize("A, deg_max, interior", [
+    (n_symmetric(SuperSpace.standard(2, 1), 3), 8, True),
+    (yang_mills(SuperSpace.standard(1, 1)), 7, True),
+    (n_symmetric(SuperSpace.standard(1, 0), 2), 6, False),  # k[x]: D_2 = 0
+])
+def test_koszul_check_eliminates_only_interior_slices(A, deg_max, interior, monkeypatch):
+    # delta_1, the top slices nu(i) = n and the slices with an empty source
+    # have ranks read from the presentation, so none of them is built
+    built = []
+
+    def counting_koszul_matrix(A, i, n):
+        built.append((i, n))
+        return koszul_matrix(A, i, n)
+
+    monkeypatch.setattr("superkoszul.koszul.koszul_matrix", counting_koszul_matrix)
+    koszul_check(A, deg_max)
+    assert bool(built) == interior
+    assert len(set(built)) == len(built)
+    for i, n in built:
+        m = jump(A.N, i)
+        assert 1 < i and m < n, (i, n)
+        assert A.reduced_words(n - m) and A.dual_star_component(m).dim, (i, n)
+
+
 def test_mixed_yang_mills_1_1_is_not_exact_where_duality_breaks():
     A = yang_mills(SuperSpace.standard(1, 1))
     assert not A.confluence_report().passed

@@ -6,10 +6,11 @@ and every degree is kept to d^n <= 729 words so elimination stays cheap.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superkoszul.homogeneous import custom_algebra
+from superkoszul.homogeneous import custom_algebra, yang_mills
 from superkoszul.koszul import _times, jump, koszul_check, koszul_duality_check, koszul_matrix, tor_dims
 from superkoszul.tensorspace import (
     RankCounter,
@@ -283,3 +284,46 @@ def test_slices_from_the_coproduct_table_match_the_per_pair_route(A):
         while jump(A.N, i) <= n:
             assert koszul_matrix(A, i, n).columns == per_pair_columns(A, i, n), (i, n)
             i += 1
+
+
+@PROPERTY_SETTINGS
+@given(presentations())
+def test_first_and_top_slice_ranks_are_read_from_the_presentation(A):
+    # delta_1 is onto A_n, and the top differential out of A_0 x D_m is the
+    # inclusion of D_m in V^(x k) x D_{m-k}
+    top = max(degrees(A))
+    for n in range(1, top + 1):
+        assert koszul_matrix(A, 1, n).rank() == len(A.reduced_words(n)), n
+    i = 1
+    while (m := jump(A.N, i)) <= top:
+        assert koszul_matrix(A, i, m).rank() == A.dual_star_component(m).dim, i
+        i += 1
+
+
+def eliminating_koszul_failures(A, deg_max):
+    """Reference for :func:`koszul_check`: every slice, delta_1 and the top
+    slices included, assembled and eliminated."""
+    failures = []
+    for n in range(1, deg_max + 1):
+        i = 1
+        while (m := jump(A.N, i)) <= n:
+            middle = len(A.reduced_words(n - m)) * A.dual_star_component(m).dim
+            if middle:
+                defect = middle - koszul_matrix(A, i, n).rank() - koszul_matrix(A, i + 1, n).rank()
+                if defect:
+                    failures.append((i, n, defect))
+            i += 1
+    return failures
+
+
+@PROPERTY_SETTINGS
+@given(presentations())
+def test_koszul_check_matches_the_route_that_eliminates_every_slice(A):
+    n = min(max(degrees(A)), 2 * A.N + 1)
+    assert koszul_check(A, n).failures == eliminating_koszul_failures(A, n)
+
+
+@pytest.mark.parametrize("fmt, deg_max", [((1, 1), 7), ((2, 1), 6), ((3, 0), 6)])
+def test_yang_mills_koszul_check_matches_the_route_that_eliminates_every_slice(fmt, deg_max):
+    A = yang_mills(SuperSpace.standard(*fmt))
+    assert koszul_check(A, deg_max).failures == eliminating_koszul_failures(A, deg_max)
