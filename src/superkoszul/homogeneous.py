@@ -53,11 +53,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .hecke import YangBaxterOperator, symmetrizer_image
+from .superpoly import _integral
 from .tensorspace import (
     Subspace,
     SuperSpace,
     TensorVector,
-    _integral,
     antisymmetrizer_image,
     axpy,
     dual_complement,

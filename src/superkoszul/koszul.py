@@ -43,8 +43,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .homogeneous import HomogAlgebra
-from .superpoly import TruncatedSeries
-from .tensorspace import RankCounter, _integral, axpy, kernel_of_vectors, matrix_rank
+from .superpoly import TruncatedSeries, _integral
+from .tensorspace import RankCounter, axpy, kernel_of_vectors, matrix_rank
 
 
 def jump(N: int, i: int) -> int:

@@ -45,9 +45,10 @@ from .superpoly import (
     SuperPolynomial,
     TruncatedSeries,
     VariableTable,
+    _integral,
     newton_elementary,
 )
-from .tensorspace import SuperSpace, _integral, check_entry_parities, wedge_dimension
+from .tensorspace import SuperSpace, check_entry_parities, wedge_dimension
 
 
 class GenericSupermatrix:
@@ -142,9 +143,9 @@ def _flat_monomials(X: GenericSupermatrix):
     Returns the step table x[i,j] -> (is odd, odd id or exponent slot), with
     one exponent slot per even variable in id order; the number of slots; and
     the conversion of a leaf {(even exponents, odd ids): coefficient} to a
-    :class:`SuperPolynomial` with ``Fraction`` coefficients.  Each walk
-    applies a step inline: it is the innermost loop, where a function call
-    per term measurably slows the bosonic walk."""
+    :class:`SuperPolynomial`, which passes the walk's ``int`` coefficients
+    through unwrapped.  Each walk applies a step inline: it is the innermost
+    loop, where a function call per term measurably slows the bosonic walk."""
     table = X.table
     even_vids = [vid for vid in range(len(table)) if not table.parity(vid)]
     slot = {vid: k for k, vid in enumerate(even_vids)}
@@ -155,7 +156,7 @@ def _flat_monomials(X: GenericSupermatrix):
 
     def leaf(terms: dict) -> SuperPolynomial:
         return SuperPolynomial(table, {
-            (tuple((even_vids[k], e) for k, e in enumerate(ev) if e), od): Fraction(c)
+            (tuple((even_vids[k], e) for k, e in enumerate(ev) if e), od): c
             for (ev, od), c in terms.items()
         })
 

@@ -2,7 +2,10 @@
 
 A polynomial ring here is a free supercommutative algebra on a finite set of
 Z2-graded ("even"/"odd") variables with coefficients in Q.  All arithmetic is
-exact: coefficients are ``fractions.Fraction``, never floats.
+exact: a coefficient is an ``int`` when it is integral and an exact
+``fractions.Fraction`` otherwise, never a float.  The two compare and hash
+alike, so the choice never shows in a result; it only keeps the integral
+polynomials of the master identity out of ``Fraction`` normalisation.
 
 Representation
 --------------
@@ -14,8 +17,8 @@ A monomial is a pair
 where ``even_part`` is a tuple of ``(vid, exponent)`` pairs sorted by vid
 (exponents >= 1) and ``odd_part`` is a strictly increasing tuple of odd vids.
 Odd variables square to zero, so they never repeat.  A polynomial is a dict
-mapping monomials to nonzero ``Fraction`` coefficients; the zero polynomial
-has an empty dict.
+mapping monomials to nonzero coefficients; the zero polynomial has an empty
+dict.
 
 Multiplication follows the rule of signs: interchanging two odd variables
 flips the sign.  Merging the two (sorted) odd id sequences of a product
@@ -61,6 +64,12 @@ def _merge_odd(a: tuple, b: tuple):
     return tuple(merged), inversions
 
 
+def _integral(c):
+    """c (an int or a Fraction) as an int when it is integral, unchanged
+    otherwise: int arithmetic stays exact and skips Fraction normalisation."""
+    return c.numerator if c.denominator == 1 else c
+
+
 def _mul_even(a: tuple, b: tuple) -> tuple:
     exps: dict[int, int] = dict(a)
     for vid, e in b:
@@ -97,7 +106,7 @@ class VariableTable:
             mono = ((), (vid,))
         else:
             mono = (((vid, 1),), ())
-        return SuperPolynomial(self, {mono: Fraction(1)})
+        return SuperPolynomial(self, {mono: 1})
 
     def zero(self) -> "SuperPolynomial":
         return SuperPolynomial(self, {})
@@ -106,10 +115,7 @@ class VariableTable:
         return self.constant(1)
 
     def constant(self, c) -> "SuperPolynomial":
-        c = Fraction(c)
-        if c == 0:
-            return self.zero()
-        return SuperPolynomial(self, {ONE_MONOMIAL: c})
+        return SuperPolynomial(self, {ONE_MONOMIAL: Fraction(c)})
 
 
 class ContextError(ValueError):
@@ -121,9 +127,9 @@ class SuperPolynomial:
 
     __slots__ = ("table", "terms")
 
-    def __init__(self, table: VariableTable, terms: Mapping[tuple, Fraction]):
+    def __init__(self, table: VariableTable, terms: Mapping[tuple, int | Fraction]):
         self.table = table
-        self.terms = {m: c for m, c in terms.items() if c != 0}
+        self.terms = {m: _integral(c) for m, c in terms.items() if c != 0}
 
     # -- helpers -------------------------------------------------------
 
@@ -152,8 +158,8 @@ class SuperPolynomial:
     def is_constant(self) -> bool:
         return not self.terms or set(self.terms) == {ONE_MONOMIAL}
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get(ONE_MONOMIAL, Fraction(0))
+    def constant_term(self) -> int | Fraction:
+        return self.terms.get(ONE_MONOMIAL, 0)
 
     # -- ring operations ----------------------------------------------
 
@@ -163,7 +169,7 @@ class SuperPolynomial:
             return NotImplemented
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            s = terms.get(m, Fraction(0)) + c
+            s = terms.get(m, 0) + c
             if s:
                 terms[m] = s
             else:
@@ -418,7 +424,7 @@ class TruncatedSeries:
         if isinstance(c0, SuperPolynomial):
             if not c0.is_constant() or c0.constant_term() == 0:
                 raise ZeroDivisionError("constant term is not an invertible scalar")
-            inv0 = c0.table.constant(1 / c0.constant_term())
+            inv0 = c0.table.constant(Fraction(1) / c0.constant_term())
         else:
             if c0 == 0:
                 raise ZeroDivisionError("constant term is not an invertible scalar")

@@ -301,12 +301,6 @@ def axpy(dst: dict, src: dict, factor) -> dict:
     return dst
 
 
-def _integral(c):
-    """c as an int when it is integral, unchanged otherwise: int arithmetic
-    stays exact and skips Fraction normalisation."""
-    return c.numerator if c.denominator == 1 else c
-
-
 def _reduce(rows: dict, vector: dict) -> tuple:
     """(residual, coordinates) of a vector against fully reduced rows.
 

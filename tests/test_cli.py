@@ -209,6 +209,20 @@ def test_mt_command_passes():
     assert any("verdict=PASS" in line for line in machine_lines(out))
 
 
+EXPECTED = Path(__file__).resolve().parent / "expected"
+
+
+@pytest.mark.parametrize("p, q, N, order", [(1, 1, 2, 6), (2, 1, 3, 5), (0, 2, 2, 5)])
+def test_mt_command_output_is_pinned(p, q, N, order):
+    # the whole stdout, factor polynomials included, as recorded in
+    # tests/expected/; only the elapsed_s timer line varies between runs
+    code, out, _ = run_cli(["mt", "--p", str(p), "--q", str(q), "-N", str(N), "--order", str(order)])
+    assert code == 0
+    lines = [line for line in out.splitlines(keepends=True) if "elapsed_s=" not in line]
+    expected = EXPECTED / f"mt_{p}_{q}_N{N}_K{order}.txt"
+    assert "".join(lines) == expected.read_text()
+
+
 def test_koszul_command_flags_mixed_yang_mills():
     code, out, _ = run_cli(["koszul", "--family", "yang_mills", "--p", "1", "--q", "1", "--order", "6"])
     assert code == 1

@@ -391,6 +391,31 @@ def test_master_identity_fermionic_factor_signs():
     assert right.coeffs[4] == -es[4]
 
 
+# -- integral coefficients ------------------------------------------------------
+
+
+def coefficient_types(polys):
+    """The types of every coefficient of every polynomial in ``polys``."""
+    return {type(c) for poly in polys for c in poly.terms.values()}
+
+
+@pytest.mark.parametrize("p,q,K", [(1, 1, 5), (2, 1, 4), (0, 2, 5), (2, 0, 4)])
+def test_generic_supermatrix_series_have_int_coefficients(p, q, K):
+    X = GenericSupermatrix(p, q)
+    assert coefficient_types(X.power_sums(K)) == {int}
+    assert coefficient_types(berezinian_series(X, K).coeffs) == {int}
+    assert coefficient_types(char_function(X, K)) == {int}
+    assert coefficient_types(bosonic_factor(p, q, 2, K, X=X).coeffs) == {int}
+
+
+@pytest.mark.parametrize("p,q,N", [(2, 1, 3), (2, 2, 2)])
+def test_master_identity_factors_and_product_have_int_coefficients(p, q, N):
+    report = master_verify(p, q, N, 5)
+    assert report.passed
+    assert coefficient_types(report.product.coeffs) == {int}
+    assert coefficient_types(report.left.coeffs + report.right.coeffs) == {int}
+
+
 # -- closed-form Hilbert series -----------------------------------------------------
 
 

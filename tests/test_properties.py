@@ -1,7 +1,8 @@
 """Randomized invariants of small presentations (d <= 3, N <= 3).
 
 Each draw is a parity-homogeneous ``custom_algebra``; every check is exact,
-and every degree is kept to d^n <= 729 words so elimination stays cheap.
+and every degree is kept to d^n <= 729 words so elimination stays cheap.  The
+last properties draw small supercommutative polynomials instead.
 """
 
 from fractions import Fraction
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from superkoszul.homogeneous import custom_algebra, yang_mills
 from superkoszul.koszul import _times, jump, koszul_check, koszul_duality_check, koszul_matrix, tor_dims
+from superkoszul.superpoly import TruncatedSeries, VariableTable
 from superkoszul.tensorspace import (
     RankCounter,
     Subspace,
@@ -327,3 +329,65 @@ def test_koszul_check_matches_the_route_that_eliminates_every_slice(A):
 def test_yang_mills_koszul_check_matches_the_route_that_eliminates_every_slice(fmt, deg_max):
     A = yang_mills(SuperSpace.standard(*fmt))
     assert koszul_check(A, deg_max).failures == eliminating_koszul_failures(A, deg_max)
+
+
+# -- the supercommutative ring: int and Fraction coefficients -----------------
+
+RING = VariableTable()
+for _name, _parity in [("a", 0), ("b", 0), ("u", 1), ("v", 1)]:
+    RING.add(_name, _parity)
+RING_COEFFS = [-3, -1, 1, 2] + COEFFS
+
+
+@st.composite
+def superpolynomials(draw):
+    """Sums of 0..4 terms c * (a product of 0..3 variables of RING), with c an
+    int or a Fraction, integral or not."""
+    poly = RING.zero()
+    for _ in range(draw(st.integers(0, 4))):
+        term = RING.constant(draw(st.sampled_from(RING_COEFFS)))
+        for vid in draw(st.lists(st.integers(0, len(RING) - 1), max_size=3)):
+            term = term * RING.variable(vid)
+        poly = poly + term
+    return poly
+
+
+def as_fractions(poly):
+    """poly with every coefficient a Fraction, set past the constructor,
+    which would turn the integral ones back into ints."""
+    cast = RING.zero()
+    cast.terms = {m: Fraction(c) for m, c in poly.terms.items()}
+    return cast
+
+
+def exact(terms):
+    """No coefficient is a float: each is an int or a Fraction."""
+    return all(type(c) in (int, Fraction) for c in terms.values())
+
+
+def normalised(poly):
+    """Every coefficient is an int when integral and a Fraction otherwise."""
+    return all(type(c) is int or c.denominator > 1 for c in poly.terms.values())
+
+
+@PROPERTY_SETTINGS
+@given(superpolynomials(), superpolynomials(), st.sampled_from([1, -1]))
+def test_int_coefficients_compute_what_fraction_coefficients_compute(f, g, sign):
+    F, G = as_fractions(f), as_fractions(g)
+    for got, want in [(f * g, F * G), (f + g, F + G), (f - g, F - G), (g * f, G * F)]:
+        assert got == want
+        assert normalised(got)
+    # sign * f * g added into a copy of f's terms: accumulation and cancellation
+    got = f.mul_into(dict(f.terms), g, sign)
+    assert got == F.mul_into(dict(F.terms), G, sign)
+    assert exact(got)
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(RING_COEFFS), st.lists(superpolynomials(), min_size=3, max_size=3))
+def test_series_inverse_with_int_coefficients_matches_fraction_coefficients(c0, tail):
+    s = TruncatedSeries(3, [RING.constant(c0), *tail])
+    inverse = s.inverse()
+    assert inverse == TruncatedSeries(3, [as_fractions(c) for c in s.coeffs]).inverse()
+    assert all(normalised(c) for c in inverse.coeffs)
+    assert s * inverse == TruncatedSeries.one(3, one=RING.one(), zero=RING.zero())

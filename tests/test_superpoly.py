@@ -215,3 +215,57 @@ def prod_of(xs):
     for x in xs:
         out *= x
     return out
+
+
+# -- int coefficients -------------------------------------------------------
+
+
+def test_integral_coefficients_are_stored_as_ints():
+    table = make_table(["a"], ["u"])
+    a, u = table.variable(0), table.variable(1)
+    p = (a + Fraction(1, 2)) * (a + Fraction(3, 2)) - u * table.constant(Fraction(4, 2))
+    assert p.terms == {
+        (((0, 1),), ()): 2,
+        (((0, 2),), ()): 1,
+        ((), ()): Fraction(3, 4),
+        ((), (1,)): -2,
+    }
+    assert all(type(c) is (Fraction if c.denominator > 1 else int) for c in p.terms.values())
+
+
+def test_constant_stores_the_exact_value():
+    table = make_table(["a"], [])
+    assert table.constant(Fraction(6, 3)).terms == {((), ()): 2}
+    assert type(table.constant(Fraction(6, 3)).terms[((), ())]) is int
+    assert table.constant("1/3").terms == {((), ()): Fraction(1, 3)}
+    assert table.constant(0.5).terms == {((), ()): Fraction(1, 2)}
+    assert table.constant(0) == table.zero()
+
+
+def test_inverse_of_the_polynomial_constant_three_is_exactly_a_third():
+    table = make_table(["a"], [])
+    a = table.variable(0)
+    inv = TruncatedSeries(2, [table.constant(3), a, table.zero()]).inverse()
+    assert inv.coeffs[0].terms == {((), ()): Fraction(1, 3)}
+    assert inv.coeffs[1] == a * Fraction(-1, 9)
+    assert inv.coeffs[2] == a * a * Fraction(1, 27)
+
+
+def test_inverse_of_the_polynomial_constant_minus_one_is_the_int_minus_one():
+    table = make_table(["a"], [])
+    a = table.variable(0)
+    inv = TruncatedSeries(2, [table.constant(-1), a, table.zero()]).inverse()
+    assert [type(c) for c in inv.coeffs[0].terms.values()] == [int]
+    assert inv.coeffs[0].constant_term() == -1
+    # 1 / (-1 + a t) = -(1 + a t + a^2 t^2 + ...)
+    assert inv.coeffs[1] == -a and inv.coeffs[2] == -(a * a)
+
+
+def test_newton_on_polynomial_power_sums_keeps_a_non_integral_coefficient():
+    # p_1 = x, p_2 = 0 is no matrix's power sums: e_2 = (x^2 - 0) / 2
+    table = make_table(["x"], [])
+    x = table.variable(0)
+    es = newton_elementary([x, table.zero()], 2)
+    assert es[1].terms == {(((0, 1),), ()): 1}
+    assert es[2].terms == {(((0, 2),), ()): Fraction(1, 2)}
+    assert type(es[2].terms[(((0, 2),), ())]) is Fraction
