@@ -541,10 +541,7 @@ def main(argv=None) -> int:
         if args.q_param is not None:
             options["q_param"] = _parse_fraction(args.q_param)
         report, code = run(args.command, spec, options)
-    except SpecError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # SpecError is a ValueError
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     report.print()

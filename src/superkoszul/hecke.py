@@ -27,6 +27,8 @@ from .tensorspace import (
     SuperSpace,
     all_permutations,
     axpy,
+    matrix_rank,
+    subspace_intersection,
 )
 
 
@@ -271,8 +273,6 @@ class LinearOperator:
         return Subspace(self.space, self.degree, self.columns.values())
 
     def rank(self) -> int:
-        from .tensorspace import matrix_rank
-
         return matrix_rank(self.columns.values())
 
 
@@ -431,8 +431,6 @@ def symmetrizer_image(R: YangBaxterOperator, n: int, kind: str) -> Subspace:
 
 def intersection_of_generator_images(R: YangBaxterOperator, n: int) -> Subspace:
     """The intersection of the images of rho(T_i) + 1 over i = 1..n-1."""
-    from .tensorspace import subspace_intersection
-
     space = R.space
     ident = LinearOperator.identity(space, n)
     out = None

@@ -17,10 +17,10 @@ lexicographically larger words.  A word is *reduced* (the rewriting notion of
 when no length-N window is a pivot.  Rewriting terminates because every step
 strictly raises the word; when the system is confluent (checked once, see
 :meth:`HomogAlgebra.confluence_report`) the reduced words represent a basis
-of A and rewriting gives the normal forms.  The rewrite step reads one table,
-built once from :meth:`HomogAlgebra.rewrite_map`: pivot -> [(tail word,
--coefficient)], each coefficient an int when it is integral (every S_N and
-the even and odd Yang-Mills algebras), so integral normal forms hold ints.
+of A and rewriting gives the normal forms.  The rewrite step reads one map,
+built once by :meth:`HomogAlgebra.rewrite_map`: pivot -> {tail word:
+-coefficient}.  Its numbers are R's row coefficients in the form
+:class:`Subspace` gives them, and a normal form keeps that form.
 
 Normal forms without confluence.  u - nf(u) lies in R_|u|, so the residual
 of a word modulo the echelon of R_n is an exact normal form and the
@@ -42,7 +42,7 @@ against elimination in each of them.
 Placements.  R's rows placed at window i are already the reduced echelon
 basis of the placement V^(x i) x R x V^(x j), so a placement is never
 eliminated: :meth:`HomogAlgebra.reduce_at` reduces modulo it by rewriting
-window i, in one pass, with the same rewrite table as the normal forms.  The
+window i, in one pass, with the same rewrite map as the normal forms.  The
 dual components D_n and the confluence and extra-condition tests go through
 it; only R_n, the sum of the placements, is eliminated.
 """
@@ -53,7 +53,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .hecke import YangBaxterOperator, symmetrizer_image
-from .superpoly import _integral
 from .tensorspace import (
     Subspace,
     SuperSpace,
@@ -61,6 +60,7 @@ from .tensorspace import (
     antisymmetrizer_image,
     axpy,
     dual_complement,
+    integral_as_int,
     matrix_rank,
     span_meet,
 )
@@ -138,7 +138,7 @@ class HomogAlgebra:
         self._dual_star: dict[int, Subspace] = {}
         self._dual_coproduct: dict[tuple[int, int], dict] = {}
         self._nf_memo: dict[Word, dict] = {}
-        self._table: dict | None = None  # pivot -> [(tail word, -coefficient)]
+        self._rewrite_map: dict | None = None
         self._reduced_words: dict[int, list] = {}
         self._count_checked = False
         self._confluence: ConfluenceReport | None = None
@@ -154,22 +154,15 @@ class HomogAlgebra:
         return self.space.dim
 
     def rewrite_map(self) -> dict:
-        """pivot word -> tail dict; the reduction operator S sends a pivot
-        monomial to minus the tail and fixes every other monomial."""
-        rw = {}
-        for pivot, row in self.R.rows.items():
-            rw[pivot] = {w: -c for w, c in row.items() if w != pivot}
-        return rw
-
-    def _rewrite_table(self) -> dict:
-        """pivot word -> [(tail word, -coefficient)], read off
-        :meth:`rewrite_map` once; integral coefficients are ints."""
-        if self._table is None:
-            self._table = {
-                pivot: [(t, _integral(c)) for t, c in tail.items()]
-                for pivot, tail in self.rewrite_map().items()
+        """pivot word -> tail dict, built once and shared, so callers must
+        not change it; the reduction operator S sends a pivot monomial to
+        minus the tail and fixes every other monomial."""
+        if self._rewrite_map is None:
+            self._rewrite_map = {
+                pivot: {w: -c for w, c in row.items() if w != pivot}
+                for pivot, row in self.R.rows.items()
             }
-        return self._table
+        return self._rewrite_map
 
     def placement_rows(self, i: int, j: int):
         """Rows of V^(x i) x R x V^(x j): R's rows placed at window i.  They
@@ -186,19 +179,19 @@ class HomogAlgebra:
 
         Each word whose window [i, i+N) is a pivot loses its coefficient
         times that pivot's row placed at window i: the word drops out (every
-        pivot coefficient of R's rows is 1) and c times the rewrite table's
+        pivot coefficient of R's rows is 1) and c times the rewrite map's
         tail lands on the placed tail words.  Row tails avoid every pivot, so
         one pass suffices and every pivot coefficient is read from ``vec``
         itself.
         """
-        table, N = self._rewrite_table(), self.N
+        rewrite, N = self.rewrite_map(), self.N
         residual = dict(vec)
         for w, c in vec.items():
-            tail = table.get(w[i : i + N])
+            tail = rewrite.get(w[i : i + N])
             if tail is not None:
                 prefix, suffix = w[:i], w[i + N :]
                 del residual[w]
-                for t, a in tail:
+                for t, a in tail.items():
                     key = prefix + t + suffix
                     s = residual.get(key, 0) + c * a
                     if s:
@@ -296,7 +289,7 @@ class HomogAlgebra:
 
         D_m lies in V^(x k) x D_{m-k}, so every tail has coordinates; they
         are found by :meth:`Subspace.coordinates`, which raises if a tail
-        leaves D_{m-k}.  Integral coordinates are held as ints."""
+        leaves D_{m-k}."""
         key = (m, k)
         if key in self._dual_coproduct:
             return self._dual_coproduct[key]
@@ -306,10 +299,7 @@ class HomogAlgebra:
             split: dict = {}
             for w, c in row.items():
                 split.setdefault(w[:k], {})[w[k:]] = c
-            out[pvt] = [
-                (u, {t: _integral(c) for t, c in tails.coordinates(tail).items()})
-                for u, tail in split.items()
-            ]
+            out[pvt] = [(u, tails.coordinates(tail)) for u, tail in split.items()]
         self._dual_coproduct[key] = out
         return out
 
@@ -428,24 +418,26 @@ class HomogAlgebra:
         if self._rewrites is None:
             self._rewrites = self.confluence_report().passed
         if not self._rewrites:
-            return self._graded_relations(len(word)).reduce({word: Fraction(1)})
+            return self._graded_relations(len(word)).reduce({word: 1})
         return self._nf(word)
 
     def _nf(self, word: Word) -> dict:
         """Rewriting normal form: the leftmost pivot window becomes its
-        rewrite-table tail, and each placed tail word is rewritten in turn.
-        A reduced word is {word: 1}; integral tables give int coefficients."""
+        rewrite-map tail, and each placed tail word is rewritten in turn.
+        A reduced word is {word: 1}; a sum of Fractions that comes out
+        integral is stored as an int."""
         memo = self._nf_memo
         if word in memo:
             return memo[word]
-        table, N = self._rewrite_table(), self.N
+        rewrite, N = self.rewrite_map(), self.N
         for k in range(len(word) - N + 1):
-            tail = table.get(word[k : k + N])
+            tail = rewrite.get(word[k : k + N])
             if tail is not None:
                 prefix, suffix = word[:k], word[k + N :]
                 result: dict = {}
-                for t, a in tail:
+                for t, a in tail.items():
                     axpy(result, self._nf(prefix + t + suffix), a)
+                result = integral_as_int(result)
                 break
         else:
             result = {word: 1}
@@ -515,8 +507,8 @@ def homog_product(kind: str, A: HomogAlgebra, B: HomogAlgebra) -> HomogAlgebra:
     N = A.N
     W = product_space(A.space, B.space)
     fmt1, fmt2, d2 = A.space.format, B.space.format, B.space.dim
-    full_A = [{w: Fraction(1)} for w in A.space.words(N)]
-    full_B = [{w: Fraction(1)} for w in B.space.words(N)]
+    full_A = [{w: 1} for w in A.space.words(N)]
+    full_B = [{w: 1} for w in B.space.words(N)]
     rows_A = list(A.R.rows.values())
     rows_B = list(B.R.rows.values())
     if kind == "white":

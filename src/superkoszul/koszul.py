@@ -40,10 +40,9 @@ Only the interior slices with a nonzero source are assembled and eliminated;
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .homogeneous import HomogAlgebra
-from .superpoly import TruncatedSeries, _integral
+from .superpoly import TruncatedSeries
 from .tensorspace import RankCounter, axpy, kernel_of_vectors, matrix_rank
 
 
@@ -90,22 +89,30 @@ class KoszulSlice:
         return True
 
 
-def _times(A: HomogAlgebra, w, elem: dict) -> dict:
-    """w * elem in a free A-module with elem = {(reduced word u, slot h): c}:
-    the sum of c * nf(w u), keyed by (reduced word v, slot h).  Integral
-    normal-form coefficients enter as ints (the echelon route of a
-    non-confluent algebra gives Fractions), so integral elements stay
-    integral and skip Fraction normalisation."""
+def _times(A: HomogAlgebra, w, pairs) -> dict:
+    """w * elem in a free A-module, with elem the sum of u (x) coords over
+    the pairs (reduced word u, {slot h: c}): the sum of nf(w u) (x) coords,
+    keyed by (reduced word v, slot h)."""
     out: dict = {}
-    for (u, h), c in elem.items():
+    for u, coords in pairs:
         for v, a in A.normal_form_word(w + u).items():
-            key = (v, h)
-            s = out.get(key, 0) + c * _integral(a)
-            if s:
-                out[key] = s
-            else:
-                del out[key]
+            for h, c in coords.items():
+                key = (v, h)
+                s = out.get(key, 0) + a * c
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
     return out
+
+
+def _by_word(elem: dict) -> list:
+    """elem = {(reduced word u, slot h): c} as the pairs (u, {h: c}) that
+    :func:`_times` reads, one per word."""
+    split: dict = {}
+    for (u, h), c in elem.items():
+        split.setdefault(u, {})[h] = c
+    return list(split.items())
 
 
 def _slice_bases(A: HomogAlgebra, i: int, n: int):
@@ -125,9 +132,8 @@ def koszul_matrix(A: HomogAlgebra, i: int, n: int) -> KoszulSlice:
     differential contracts the first ``steps`` letters of a D_m row into A,
     steps = nu(i) - nu(i-1).  Each row splits once, in the coproduct table
     :meth:`HomogAlgebra.dual_coproduct`, as the sum of u (x) tail_u with the
-    tails in target coordinates; the column of (w, row) is then the sum of
-    nf(w u) (x) coordinates(tail_u).  Rewriting normal forms and the table
-    hold integral coefficients as ints, so integral columns stay ints.
+    tails in target coordinates; the column of (w, row) is then
+    :func:`_times` of w and the row's table entry.
     """
     if i < 1:
         raise ValueError("differentials start at homological degree 1")
@@ -138,16 +144,7 @@ def koszul_matrix(A: HomogAlgebra, i: int, n: int) -> KoszulSlice:
     table = A.dual_coproduct(m, m - m_prev)
     columns: dict = {}
     for idx, (w, pvt) in enumerate(source):
-        col: dict = {}
-        for u, coords in table[pvt]:
-            for v, a in A.normal_form_word(w + u).items():
-                for t, c in coords.items():
-                    key = (v, t)
-                    s = col.get(key, 0) + a * c
-                    if s:
-                        col[key] = s
-                    else:
-                        del col[key]
+        col = _times(A, w, table[pvt])
         if col:
             columns[idx] = col
     return KoszulSlice(A, i, n, source, target, columns)
@@ -277,7 +274,7 @@ def tor_dims(A: HomogAlgebra, i_max: int, deg_max: int) -> TorTable:
     table = TorTable(i_max, deg_max, {0: {0: 1}})
     kernels = {n: [{(w, 0): 1} for w in A.reduced_words(n)] for n in range(1, deg_max + 1)}
     for i in range(i_max):
-        gens: list = []  # generators of F_{i+1}: (degree, element of F_i)
+        gens: list = []  # generators of F_{i+1}: (degree, _by_word pairs in F_i)
         next_kernels: dict = {}
         dims: dict = {}
         for n in range(1, deg_max + 1):
@@ -292,7 +289,7 @@ def tor_dims(A: HomogAlgebra, i_max: int, deg_max: int) -> TorTable:
                     radical.insert(v)
                 new = [z for z in kernels[n] if radical.insert(z)]
                 dims[n] = len(new)
-                gens.extend((n, z) for z in new)
+                gens.extend((n, _by_word(z)) for z in new)
         table.dims[i + 1] = dims
         if not gens:
             break
@@ -310,7 +307,7 @@ def hilbert_series(A: HomogAlgebra, K: int) -> TruncatedSeries:
     :meth:`HomogAlgebra.dim_component` for how each coefficient is found."""
     if K < 0:
         raise ValueError("the truncation order K must be nonnegative")
-    return TruncatedSeries(K, [Fraction(A.dim_component(n)) for n in range(K + 1)])
+    return TruncatedSeries(K, [A.dim_component(n) for n in range(K + 1)])
 
 
 def alternating_dual_series(A: HomogAlgebra, K: int) -> TruncatedSeries:
@@ -321,7 +318,7 @@ def alternating_dual_series(A: HomogAlgebra, K: int) -> TruncatedSeries:
     reduced-word count; otherwise D_m is built by intersection."""
     if K < 0:
         raise ValueError("the truncation order K must be nonnegative")
-    coeffs = [Fraction(0)] * (K + 1)
+    coeffs = [0] * (K + 1)
     dual = A.dual_algebra()
     i = 0
     while jump(A.N, i) <= K:
@@ -330,7 +327,7 @@ def alternating_dual_series(A: HomogAlgebra, K: int) -> TruncatedSeries:
             dim = dual.dim_component(m)
         else:
             dim = A.dual_star_component(m).dim
-        coeffs[m] = Fraction((-1) ** i * dim)
+        coeffs[m] = (-1) ** i * dim
         i += 1
     return TruncatedSeries(K, coeffs)
 

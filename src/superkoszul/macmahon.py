@@ -45,7 +45,6 @@ from .superpoly import (
     SuperPolynomial,
     TruncatedSeries,
     VariableTable,
-    _integral,
     newton_elementary,
 )
 from .tensorspace import SuperSpace, check_entry_parities, wedge_dimension
@@ -352,13 +351,9 @@ def diagonal_coefficients(X: GenericSupermatrix, A: HomogAlgebra, length: int):
     results: dict[tuple, SuperPolynomial] = {}
 
     def nf(word):
-        # integral coefficients as ints: the arithmetic stays exact, and
-        # Fraction normalisation would triple the time of this loop
         items = nf_memo.get(word)
         if items is None:
-            items = nf_memo[word] = [
-                (u, _integral(c)) for u, c in A.normal_form_word(word).items()
-            ]
+            items = nf_memo[word] = list(A.normal_form_word(word).items())
         return items
 
     def extend(prefix, state: dict):

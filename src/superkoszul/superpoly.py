@@ -349,8 +349,9 @@ def newton_elementary(power_sums: list, K: int):
 class TruncatedSeries:
     """Power series in one even variable t, truncated at a fixed order.
 
-    Coefficients may be ``Fraction`` or :class:`SuperPolynomial` (any type
-    with ring operations).  Terms of degree > K are discarded by every
+    Coefficients may be rationals (``int`` or ``Fraction``, as the engine
+    hands them out) or :class:`SuperPolynomial` (any type with ring
+    operations).  Terms of degree > K are discarded by every
     operation; binary operations truncate to the smaller of the two orders.
     """
 

@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm
 
-from .superpoly import SuperPolynomial
+from .superpoly import SuperPolynomial, _integral
 
 Word = tuple  # tuple of letters in 1..d
 
@@ -301,30 +301,42 @@ def axpy(dst: dict, src: dict, factor) -> dict:
     return dst
 
 
+def integral_as_int(vec: dict) -> dict:
+    """``vec`` with each integral number as an int.  Sums and products of
+    Fractions can be integral; a vec with no Fraction is returned as is."""
+    if Fraction in set(map(type, vec.values())):
+        return {w: _integral(c) for w, c in vec.items()}
+    return vec
+
+
 def _reduce(rows: dict, vector: dict) -> tuple:
-    """(residual, coordinates) of a vector against fully reduced rows.
+    """(residual, coordinates) of a vector against fully reduced rows, each
+    number an int when it is integral.
 
     One pass over the vector's pivot words suffices: row tails avoid
     every pivot, so subtracting a row never creates another pivot hit.
     """
-    residual = {w: Fraction(c) for w, c in vector.items() if c}
+    residual = {w: c for w, c in vector.items() if c}
     coords = {}
     for p in [w for w in residual if w in rows]:
-        coords[p] = c = residual[p]
+        coords[p] = c = _integral(residual[p])
         axpy(residual, rows[p], -c)
-    return residual, coords
+    return integral_as_int(residual), coords
 
 
 class Subspace:
     """Subspace of V^(x n) held as a fully reduced row echelon basis.
 
     ``rows`` maps each pivot (the row's smallest word, i.e. largest
-    monomial) to its row ``{word: Fraction}``, with coefficient 1 at the
+    monomial) to its row {word: coefficient}, with coefficient 1 at the
     pivot and no other pivot in it, so equal subspaces have equal rows.
     Inserts go to a :class:`RankCounter`; the first read of ``rows`` after
     one back-substitutes its integer rows once, into the same dict, and
     ``dim`` is the forward rank.  ``reduce`` and ``coordinates`` take a dict
-    {word: coefficient}, ``insert`` also a :class:`TensorVector`.
+    {word: coefficient}, ``insert`` also a :class:`TensorVector`.  Every
+    number of a row, residual or coordinate is an ``int`` when it is
+    integral and an exact ``Fraction`` otherwise: the one place elimination
+    output is converted, so the layers above convert nothing.
     """
 
     def __init__(self, space: SuperSpace, degree: int, rows=()):
@@ -340,7 +352,7 @@ class Subspace:
 
     @classmethod
     def full(cls, space: SuperSpace, degree: int) -> "Subspace":
-        rows = ({w: Fraction(1)} for w in space.words(degree))
+        rows = ({w: 1} for w in space.words(degree))
         return cls(space, degree, rows)
 
     def insert(self, row) -> bool:
@@ -358,8 +370,10 @@ class Subspace:
             rows.clear()
             for lead in sorted(self._forward.rows, reverse=True):
                 row = _reduce(rows, self._forward.rows[lead])[0]
-                inv = 1 / row[lead]
-                rows[lead] = {w: c * inv for w, c in row.items()}
+                if row[lead] != 1:
+                    inv = Fraction(1, row[lead])
+                    row = {w: _integral(c * inv) for w, c in row.items()}
+                rows[lead] = row
             self._stale = False
         return rows
 
@@ -559,8 +573,6 @@ def antisymmetrizer_image(space: SuperSpace, n: int) -> Subspace:
 
 def wedge_dimension(p: int, q: int, n: int) -> int:
     """Closed-form dimension of the antisymmetric n-tensors of a p|q space."""
-    from math import comb
-
     total = 0
     for m in range(0, n + 1):
         mp = n - m
@@ -588,7 +600,7 @@ def dual_complement(R: Subspace) -> Subspace:
     for w in space.words(n):
         if w in rows:
             continue
-        vec = {w: Fraction(1)}
+        vec = {w: 1}
         for pvt, row in rows.items():
             c = row.get(w)
             if c:

@@ -312,11 +312,11 @@ def test_koszul_command_machine_lines_are_pinned(flags, code, lines, capsys):
 
 
 def test_koszul_command_machine_lines_are_pinned_on_a_dyadic_presentation(monkeypatch, capsys):
-    # Lambda_3 of dj_operator(2, 1, 2): its rewrite table holds the Fractions
+    # Lambda_3 of dj_operator(2, 1, 2): its rewrite map holds the Fractions
     # -1/2, -1/4, -1/8, so normal forms and slices leave the int path
     text = "family = lambda_RN\nformat = 0 0 1\nN = 3\nhecke_q = 2\n"
-    tails = build_algebra(parse_spec(text))._rewrite_table().values()
-    assert all(type(a) is Fraction for tail in tails for _, a in tail)
+    tails = build_algebra(parse_spec(text)).rewrite_map().values()
+    assert all(type(a) is Fraction for tail in tails for a in tail.values())
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     assert main(["koszul", "--spec", "-", "--order", "7"]) == 0
     out = [line for line in machine_lines(capsys.readouterr().out) if "elapsed_s=" not in line]

@@ -1,0 +1,34 @@
+"""The package runs on the standard library alone: every import in
+``src/superkoszul`` is relative or names a standard-library module, and
+``pyproject.toml`` declares no runtime dependency."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def absolute_imports(path):
+    """The top-level names of the absolute imports in one source file."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "src" / "superkoszul").glob("*.py")), ids=lambda p: p.name
+)
+def test_every_import_is_relative_or_standard_library(path):
+    outside = {name for name in absolute_imports(path) if name not in sys.stdlib_module_names}
+    assert not outside
+
+
+def test_pyproject_declares_no_runtime_dependencies():
+    lines = (ROOT / "pyproject.toml").read_text().splitlines()
+    declared = [line.strip() for line in lines if line.strip().startswith("dependencies")]
+    assert declared == ["dependencies = []"]

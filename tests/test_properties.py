@@ -162,6 +162,30 @@ def test_normal_forms_are_supported_on_reduced_words(A):
             assert basis.issuperset(A.normal_form_word(w)), w
 
 
+def int_when_integral(numbers):
+    """Every number is an int when integral and a Fraction otherwise, never a
+    float."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1) for c in numbers)
+
+
+@PROPERTY_SETTINGS
+@given(presentations())
+def test_elimination_output_is_an_int_when_integral(A):
+    # tensorspace applies the rule to what elimination and the normal forms'
+    # sums make; nothing that reads rows, the rewrite map, the coproduct
+    # coordinates or either normal-form route converts again
+    assert int_when_integral(c for row in A.R.rows.values() for c in row.values())
+    assert int_when_integral(c for tail in A.rewrite_map().values() for c in tail.values())
+    for n in (n for n in degrees(A) if n <= A.N + 2):
+        for k in {1, A.N - 1} & set(range(n + 1)):
+            for pairs in A.dual_coproduct(n, k).values():
+                assert int_when_integral(c for _, coords in pairs for c in coords.values())
+        Rn = A._graded_relations(n)
+        for w in A.space.words(n):
+            for nf in (A._nf(w), Rn.reduce({w: 1}), A.normal_form_word(w)):
+                assert int_when_integral(nf.values()), w
+
+
 @PROPERTY_SETTINGS
 @given(presentations())
 def test_echelon_residual_is_the_rewriting_normal_form_when_confluent(A):
@@ -185,6 +209,14 @@ def test_tor_counts_the_generators_and_the_minimal_relations(A):
     assert table.dims[2] == {N: A.R.dim}
 
 
+def pairs_by_word(z):
+    """{(word u, generator g): c} as the pairs (u, {g: c}) that _times reads."""
+    pairs = {}
+    for (u, g), c in z.items():
+        pairs.setdefault(u, {})[g] = c
+    return pairs.items()
+
+
 def two_elimination_tor(A, i_max, deg_max):
     """Tor dimensions by two eliminations per (i, n): the radical
     V . ker(d_i)_{n-1} as its own echelon, and ker(d_i)_n over the images of
@@ -199,7 +231,7 @@ def two_elimination_tor(A, i_max, deg_max):
             for n in range(1, deg_max + 1):
                 basis = [(w, g) for g, (m, _) in enumerate(gens) if m <= n
                          for w in A.reduced_words(n - m)]
-                images = [_times(A, w, gens[g][1]) for w, g in basis]
+                images = [_times(A, w, pairs_by_word(gens[g][1])) for w, g in basis]
                 kernels[n] = [{basis[k]: c for k, c in tags.items()}
                               for tags in kernel_of_vectors(images)]
         gens, dims[i + 1] = [], {}
@@ -207,7 +239,7 @@ def two_elimination_tor(A, i_max, deg_max):
             radical = RankCounter()
             for letter in range(1, A.dim_V + 1):
                 for z in kernels.get(n - 1, []):
-                    radical.insert(_times(A, (letter,), z))
+                    radical.insert(_times(A, (letter,), pairs_by_word(z)))
             complements = [z for z in kernels[n] if radical.insert(z)]
             if complements:
                 dims[i + 1][n] = len(complements)
@@ -367,7 +399,7 @@ def exact(terms):
 
 def normalised(poly):
     """Every coefficient is an int when integral and a Fraction otherwise."""
-    return all(type(c) is int or c.denominator > 1 for c in poly.terms.values())
+    return int_when_integral(poly.terms.values())
 
 
 @PROPERTY_SETTINGS

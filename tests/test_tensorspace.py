@@ -26,6 +26,12 @@ from superkoszul.tensorspace import (
 )
 
 
+def int_when_integral(numbers):
+    """Every number is an int when integral and a Fraction otherwise, never a
+    float."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1) for c in numbers)
+
+
 def test_swap_of_two_odd_vectors_picks_up_a_sign():
     sp = SuperSpace((1, 1))
     v = TensorVector.basis(sp, (1, 2))
@@ -207,6 +213,8 @@ def test_reduce_and_coordinates_reassemble_the_vector():
         for w, c in residual.items():
             in_span[w] = in_span.get(w, 0) - c
         coords = S.coordinates(in_span)
+        # Fraction inputs, integral ones among them, come back as ints
+        assert int_when_integral([*residual.values(), *coords.values()])
         total = dict(residual)
         for p, c in coords.items():
             for w, a in S.rows[p].items():
@@ -357,7 +365,7 @@ def test_subspace_rows_are_the_gauss_jordan_form_in_any_order(seed):
             rng.shuffle(vectors)
             rows = Subspace(sp, degree, vectors).rows
             assert rows == reference
-            assert all(type(c) is Fraction for row in rows.values() for c in row.values())
+            assert int_when_integral(c for row in rows.values() for c in row.values())
 
 
 @pytest.mark.parametrize("seed", range(4))
