@@ -355,7 +355,7 @@ def _cmd_koszul(report, spec, options, order):
 
 def _cmd_tor(report, spec, options, order):
     A = build_algebra(spec)
-    i_max = options.get("i_max", 4)
+    i_max = options["i_max"]
     report.say(f"Tor dimensions for {A.label} (rows i=0..{i_max}, degrees 0..{order})")
     table = tor_dims(A, i_max, order)
     report.say(str(table))
@@ -367,8 +367,8 @@ def _cmd_tor(report, spec, options, order):
 
 
 def _cmd_mt(report, spec, options, order):
-    p, q, N = options["p"], options["q"], options.get("N", 2)
-    ceiling = options.get("ceiling")
+    p, q, N = options["p"], options["q"], options["N"]
+    ceiling = options["ceiling"]
     if ceiling is None:
         ceiling = int(os.environ.get("SUPERKOSZUL_MT_CEILING", DEFAULT_TRUNCATION_CEILING))
     result = master_verify(p, q, N, order, ceiling=ceiling)
@@ -396,7 +396,7 @@ def _cmd_hilbert(report, spec, options, order):
 
 
 def _cmd_hecke_verify(report, spec, options, order):
-    kind = options.get("operator", "dj")
+    kind = options["operator"]
     p, q = options["p"], options["q"]
     if kind == "dj":
         op = dj_operator(p, q, options.get("q_param", Fraction(1)))
@@ -529,15 +529,12 @@ def main(argv=None) -> int:
             raise SpecError("this command needs an algebra: give --family or --spec")
         if args.command in ("mt", "hecke-verify") and (args.p is None or args.q is None):
             raise SpecError("this command needs --p and --q")
+        # command-only flags keep their argparse defaults; None where absent
         options = {
-            "order": args.order,
-            "p": args.p,
-            "q": args.q,
-            "N": 2 if args.N is None else args.N,
-            "i_max": getattr(args, "i_max", 4),
-            "operator": getattr(args, "operator", "dj"),
-            "ceiling": getattr(args, "ceiling", None),
+            key: getattr(args, key, None)
+            for key in ("order", "p", "q", "i_max", "operator", "ceiling")
         }
+        options["N"] = 2 if args.N is None else args.N
         if args.q_param is not None:
             options["q_param"] = _parse_fraction(args.q_param)
         report, code = run(args.command, spec, options)

@@ -25,9 +25,10 @@ built once by :meth:`HomogAlgebra.rewrite_map`: pivot -> {tail word:
 Normal forms without confluence.  u - nf(u) lies in R_|u|, so the residual
 of a word modulo the echelon of R_n is an exact normal form and the
 non-pivot words of R_n are a basis of A_n (a degree-truncated Groebner basis;
-Bergman 1978, Mora 1994).  :meth:`HomogAlgebra.normal_form_word` and
-:meth:`HomogAlgebra.reduced_words` take this route when rewriting is not
-confluent.
+Bergman 1978, Mora 1994).  The algebra picks the route itself, from its
+cached confluence test: :meth:`HomogAlgebra.normal_form_word`,
+:meth:`HomogAlgebra.reduced_words` and :meth:`HomogAlgebra.dim_component`
+take this one when rewriting is not confluent, and no caller asks.
 
 Graded dimensions.  :meth:`HomogAlgebra.graded_component` eliminates R_n and
 gives dim A_n = d^n - dim R_n for any presentation.  When the rewriting
@@ -49,6 +50,7 @@ it; only R_n, the sum of the placements, is eliminated.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -68,6 +70,25 @@ from .tensorspace import (
 Word = tuple
 
 
+def _cached(method):
+    """Memoise a :class:`HomogAlgebra` method in its instance's one dict,
+    ``self._cache``, keyed by (method name, *args).  The memo is freed with
+    the algebra; a call that raises stores nothing."""
+    name = method.__name__
+
+    @functools.wraps(method)
+    def wrapper(self, *args):
+        key = (name, *args)
+        try:
+            return self._cache[key]
+        except KeyError:
+            pass
+        self._cache[key] = out = method(self, *args)
+        return out
+
+    return wrapper
+
+
 class InternalInconsistencyError(AssertionError):
     """Two independent routes to the same quantity disagreed; an
     implementation bug."""
@@ -78,13 +99,11 @@ class ConfluenceReport:
     """Outcome of the overlap-dimension test, one entry per overlap width."""
 
     entries: list = field(default_factory=list)  # (i, lhs, rhs)
+    passed: bool = True  # kept by add: every normal form reads it
 
     def add(self, i: int, lhs: int, rhs: int):
         self.entries.append((i, lhs, rhs))
-
-    @property
-    def passed(self) -> bool:
-        return all(lhs <= rhs for _, lhs, rhs in self.entries)
+        self.passed = self.passed and lhs <= rhs
 
     def __str__(self):
         if not self.entries:
@@ -134,16 +153,8 @@ class HomogAlgebra:
         self.N = N
         self.R = relations
         self.label = label or f"A({space.p}|{space.q}, N={N})"
-        self._Rn: dict[int, Subspace] = {}
-        self._dual_star: dict[int, Subspace] = {}
-        self._dual_coproduct: dict[tuple[int, int], dict] = {}
-        self._nf_memo: dict[Word, dict] = {}
-        self._rewrite_map: dict | None = None
-        self._reduced_words: dict[int, list] = {}
-        self._count_checked = False
-        self._confluence: ConfluenceReport | None = None
-        self._rewrites: bool | None = None  # the normal-form route, fixed on first use
-        self._extra: ExtraConditionReport | None = None
+        self._cache: dict = {}  # see _cached
+        self._nf_memo: dict[Word, dict] = {}  # the rewriting normal forms, see _nf
 
     # ------------------------------------------------------------------
     # presentation data
@@ -153,16 +164,15 @@ class HomogAlgebra:
     def dim_V(self) -> int:
         return self.space.dim
 
+    @_cached
     def rewrite_map(self) -> dict:
         """pivot word -> tail dict, built once and shared, so callers must
         not change it; the reduction operator S sends a pivot monomial to
         minus the tail and fixes every other monomial."""
-        if self._rewrite_map is None:
-            self._rewrite_map = {
-                pivot: {w: -c for w, c in row.items() if w != pivot}
-                for pivot, row in self.R.rows.items()
-            }
-        return self._rewrite_map
+        return {
+            pivot: {w: -c for w, c in row.items() if w != pivot}
+            for pivot, row in self.R.rows.items()
+        }
 
     def placement_rows(self, i: int, j: int):
         """Rows of V^(x i) x R x V^(x j): R's rows placed at window i.  They
@@ -213,39 +223,37 @@ class HomogAlgebra:
         :class:`InternalInconsistencyError` on a mismatch."""
         if n < 2 * self.N or not self.confluence_report().passed:
             return self.graded_component(n)[1]
-        if not self._count_checked:
-            for m in range(2 * self.N):
-                counted, eliminated = self.count_reduced_words(m), self.graded_component(m)[1]
-                if counted != eliminated:
-                    raise InternalInconsistencyError(
-                        f"{self.label}: {counted} reduced words of length {m} "
-                        f"but dim A_{m} = {eliminated} by elimination"
-                    )
-            self._count_checked = True
+        self._check_counts()
         return self.count_reduced_words(n)
+
+    @_cached
+    def _check_counts(self) -> None:
+        """The count check of :meth:`dim_component`; the memo runs it once."""
+        for m in range(2 * self.N):
+            counted, eliminated = self.count_reduced_words(m), self.graded_component(m)[1]
+            if counted != eliminated:
+                raise InternalInconsistencyError(
+                    f"{self.label}: {counted} reduced words of length {m} "
+                    f"but dim A_{m} = {eliminated} by elimination"
+                )
 
     def dims(self, deg_max: int) -> list[int]:
         if deg_max < 0:
             raise ValueError("deg_max must be nonnegative")
         return [self.dim_component(n) for n in range(deg_max + 1)]
 
+    @_cached
     def _graded_relations(self, n: int) -> Subspace:
-        if n in self._Rn:
-            return self._Rn[n]
         sp, N = self.space, self.N
-        if n < N:
-            out = Subspace(sp, n)
-        elif n == N:
-            out = self.R
-        else:
-            prev = self._graded_relations(n - 1)
-            out = Subspace(sp, n)
-            for row in prev.rows.values():
+        if n == N:
+            return self.R
+        out = Subspace(sp, n)
+        if n > N:
+            for row in self._graded_relations(n - 1).rows.values():
                 for letter in range(1, sp.dim + 1):
                     out.insert({w + (letter,): c for w, c in row.items()})
             for row in self.placement_rows(n - N, 0):
                 out.insert(row)
-        self._Rn[n] = out
         return out
 
     # ------------------------------------------------------------------
@@ -257,30 +265,27 @@ class HomogAlgebra:
             self.space, self.N, dual_complement(self.R), label=f"{self.label}!"
         )
 
+    @_cached
     def dual_star_component(self, n: int) -> Subspace:
         """Degree-n component of the graded dual of the dual algebra:
         the full tensor power below degree N, the intersection of all
         placements of R from degree N on."""
-        if n in self._dual_star:
-            return self._dual_star[n]
         sp, N = self.space, self.N
         if n < N:
-            out = Subspace.full(sp, n)
-        elif n == N:
-            out = self.R
-        else:
-            # D_n = (V x D_{n-1}) cap (R x V^(x n-N)); the lifted rows are
-            # already a reduced echelon basis of V x D_{n-1}
-            prev = self.dual_star_component(n - 1).rows.values()
-            lifted = [
-                {(letter,) + w: c for w, c in row.items()}
-                for letter in range(1, sp.dim + 1)
-                for row in prev
-            ]
-            out = span_meet(sp, n, lifted, lambda v: self.reduce_at(v, 0))
-        self._dual_star[n] = out
-        return out
+            return Subspace.full(sp, n)
+        if n == N:
+            return self.R
+        # D_n = (V x D_{n-1}) cap (R x V^(x n-N)); the lifted rows are
+        # already a reduced echelon basis of V x D_{n-1}
+        prev = self.dual_star_component(n - 1).rows.values()
+        lifted = [
+            {(letter,) + w: c for w, c in row.items()}
+            for letter in range(1, sp.dim + 1)
+            for row in prev
+        ]
+        return span_meet(sp, n, lifted, lambda v: self.reduce_at(v, 0))
 
+    @_cached
     def dual_coproduct(self, m: int, k: int) -> dict:
         """The (k, m-k) component of the coproduct of the dual coalgebra:
         each row pivot of D_m -> [(prefix u, coordinates of tail_u in
@@ -290,9 +295,6 @@ class HomogAlgebra:
         D_m lies in V^(x k) x D_{m-k}, so every tail has coordinates; they
         are found by :meth:`Subspace.coordinates`, which raises if a tail
         leaves D_{m-k}."""
-        key = (m, k)
-        if key in self._dual_coproduct:
-            return self._dual_coproduct[key]
         tails = self.dual_star_component(m - k)
         out = {}
         for pvt, row in self.dual_star_component(m).rows.items():
@@ -300,7 +302,6 @@ class HomogAlgebra:
             for w, c in row.items():
                 split.setdefault(w[:k], {})[w[k:]] = c
             out[pvt] = [(u, tails.coordinates(tail)) for u, tail in split.items()]
-        self._dual_coproduct[key] = out
         return out
 
     # ------------------------------------------------------------------
@@ -330,16 +331,14 @@ class HomogAlgebra:
             ends = nxt
         return sum(ends.values())
 
+    @_cached
     def reduced_words(self, n: int) -> list:
         """The basis words of A_n in lexicographic order: the reduced words,
         built letter by letter, when the rewriting system is confluent, the
         non-pivot words of R_n otherwise."""
-        if n in self._reduced_words:
-            return self._reduced_words[n]
         if not self.confluence_report().passed:
             Rn = self._graded_relations(n).rows
-            out = self._reduced_words[n] = [w for w in self.space.words(n) if w not in Rn]
-            return out
+            return [w for w in self.space.words(n) if w not in Rn]
         pivots = self.R.rows
         N, d = self.N, self.dim_V
         out: list = []
@@ -355,9 +354,9 @@ class HomogAlgebra:
                 extend(nxt)
 
         extend(())
-        self._reduced_words[n] = out
         return out
 
+    @_cached
     def confluence_report(self) -> ConfluenceReport:
         """Overlap test for the reduction operator S with kernel R.
 
@@ -367,8 +366,6 @@ class HomogAlgebra:
         by the monomials reduced for at least one of them).  Confluent means
         the first is no larger than the second.
         """
-        if self._confluence is not None:
-            return self._confluence
         report = ConfluenceReport()
         sp, N, d = self.space, self.N, self.dim_V
         pivots = self.R.rows
@@ -387,13 +384,11 @@ class HomogAlgebra:
             )
             rhs = d ** n - both_nonreduced
             report.add(i, lhs, rhs)
-        self._confluence = report
         return report
 
+    @_cached
     def extra_condition_report(self) -> ExtraConditionReport:
         """Containment R x V^n cap V^n x R <= V^(n-1) x R x V, 2 <= n < N."""
-        if self._extra is not None:
-            return self._extra
         report = ExtraConditionReport()
         sp, N = self.space, self.N
         for n in range(2, N):
@@ -402,22 +397,20 @@ class HomogAlgebra:
             )
             defect = sum(1 for row in meet.rows.values() if self.reduce_at(row, n - 1))
             report.entries.append((n, defect == 0, defect))
-        self._extra = report
         return report
 
     def normal_form_word(self, word: Word) -> dict:
         """Normal form of a basis word as {basis word of A_n: coefficient},
         supported on :meth:`reduced_words`.
 
-        A confluent system rewrites the leftmost non-reduced window first.
-        Otherwise the word is reduced modulo the echelon of R_n, which uses
-        no strategy.  The first call reads the confluence test and fixes the
-        route for the algebra.
+        A confluent system rewrites the leftmost non-reduced window first
+        (:meth:`_nf`).  Otherwise the word is reduced modulo the echelon of
+        R_n, which uses no strategy.  The route is read from the cached
+        confluence test; the echelon route stores nothing in the
+        rewriting memo.
         """
         word = tuple(word)
-        if self._rewrites is None:
-            self._rewrites = self.confluence_report().passed
-        if not self._rewrites:
+        if not self.confluence_report().passed:
             return self._graded_relations(len(word)).reduce({word: 1})
         return self._nf(word)
 

@@ -64,7 +64,7 @@ class KoszulSlice:
     n: int
     source_basis: list  # (reduced word, pivot of dual-star row)
     target_basis: list
-    columns: dict  # source index -> {target index: coeff}
+    columns: dict  # source index -> {target basis element (reduced word, D-row pivot): coeff}
 
     @property
     def source_dim(self) -> int:
@@ -314,8 +314,8 @@ def alternating_dual_series(A: HomogAlgebra, K: int) -> TruncatedSeries:
     """sum over i of (-1)^i dim D_{nu(i)} t^{nu(i)} where D is the graded
     dual of the dual algebra; all other coefficients vanish.
 
-    dim D_m = dim A^!_m, so from degree 2N on a confluent A^! gives it as a
-    reduced-word count; otherwise D_m is built by intersection."""
+    dim D_m = dim A^!_m, read from :meth:`HomogAlgebra.dim_component` of
+    A^!, which picks its own route."""
     if K < 0:
         raise ValueError("the truncation order K must be nonnegative")
     coeffs = [0] * (K + 1)
@@ -323,11 +323,7 @@ def alternating_dual_series(A: HomogAlgebra, K: int) -> TruncatedSeries:
     i = 0
     while jump(A.N, i) <= K:
         m = jump(A.N, i)
-        if m >= 2 * A.N and dual.confluence_report().passed:
-            dim = dual.dim_component(m)
-        else:
-            dim = A.dual_star_component(m).dim
-        coeffs[m] = (-1) ** i * dim
+        coeffs[m] = (-1) ** i * dual.dim_component(m)
         i += 1
     return TruncatedSeries(K, coeffs)
 

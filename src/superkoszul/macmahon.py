@@ -479,21 +479,19 @@ def closed_form_hilbert(p: int, q: int, N: int, K: int, kind: str = "dim") -> Tr
     kind='dim': coefficients count the reduced words of each length.
     kind='sdim': coefficients are the parity-signed counts.
     """
-    denom = [Fraction(0)] * (K + 1)
+    denom = [0] * (K + 1)
     for m in range(K + 1):
         r = m % N
         if r not in (0, 1):
             continue
         if kind == "dim":
-            denom[m] = Fraction((-1) ** r * wedge_dimension(p, q, m))
+            denom[m] = (-1) ** r * wedge_dimension(p, q, m)
         elif kind == "sdim":
             if p >= q:
-                denom[m] = Fraction((-1) ** r * comb(p - q, m)) if m <= p - q else Fraction(0)
+                denom[m] = (-1) ** r * comb(p - q, m) if m <= p - q else 0
             else:
                 alpha = m - m % N
-                denom[m] = Fraction(
-                    (-1) ** alpha * comb(m + q - p - 1, q - p - 1)
-                )
+                denom[m] = (-1) ** alpha * comb(m + q - p - 1, q - p - 1)
         else:
             raise ValueError(f"unknown kind {kind!r}")
     series = TruncatedSeries(K, denom).inverse()
@@ -503,11 +501,9 @@ def closed_form_hilbert(p: int, q: int, N: int, K: int, kind: str = "dim") -> Tr
     for length in range(K + 1):
         words = A.reduced_words(length)
         if kind == "dim":
-            expected = Fraction(len(words))
+            expected = len(words)
         else:
-            expected = Fraction(
-                sum(1 if _word_parity(w, p) == 0 else -1 for w in words)
-            )
+            expected = sum(1 if _word_parity(w, p) == 0 else -1 for w in words)
         if series.coeffs[length] != expected:
             raise InternalInconsistencyError(
                 f"closed-form {kind} coefficient at t^{length} is "

@@ -336,7 +336,7 @@ def newton_elementary(power_sums: list, K: int):
     if power_sums and isinstance(power_sums[0], SuperPolynomial):
         one, zero = power_sums[0].table.one(), power_sums[0].table.zero()
     else:
-        one, zero = Fraction(1), Fraction(0)
+        one, zero = 1, 0
     es = [one]
     for n in range(1, K + 1):
         acc = _signed_products(zero, (
@@ -365,14 +365,14 @@ class TruncatedSeries:
         self.coeffs = coeffs
 
     @classmethod
-    def one(cls, order: int, one=Fraction(1), zero=Fraction(0)):
+    def one(cls, order: int, one=1, zero=0):
         return cls(order, [one] + [zero] * order)
 
     def _zero_like(self):
         c0 = self.coeffs[0]
         if isinstance(c0, SuperPolynomial):
             return c0.table.zero()
-        return Fraction(0)
+        return 0
 
     def _match(self, other: "TruncatedSeries"):
         K = min(self.order, other.order)
@@ -391,7 +391,8 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return TruncatedSeries(self.order, [c * Fraction(other) for c in self.coeffs])
+            other = _integral(Fraction(other))
+            return TruncatedSeries(self.order, [c * other for c in self.coeffs])
         K, a, b = self._match(other)
         zero = self._zero_like()
         return TruncatedSeries(K, [
@@ -429,7 +430,7 @@ class TruncatedSeries:
         else:
             if c0 == 0:
                 raise ZeroDivisionError("constant term is not an invertible scalar")
-            inv0 = Fraction(1) / Fraction(c0)
+            inv0 = _integral(Fraction(1) / Fraction(c0))
         zero = self._zero_like()
         out = [inv0]
         for n in range(1, self.order + 1):

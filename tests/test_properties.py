@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superkoszul.homogeneous import custom_algebra, yang_mills
+from superkoszul.homogeneous import HomogAlgebra, custom_algebra, yang_mills
 from superkoszul.koszul import _times, jump, koszul_check, koszul_duality_check, koszul_matrix, tor_dims
 from superkoszul.superpoly import TruncatedSeries, VariableTable
 from superkoszul.tensorspace import (
@@ -132,6 +132,28 @@ def test_dual_star_component_is_the_meet_of_all_placements(A):
         for i in range(1, n - N + 1):
             meet = subspace_intersection(meet, placement(A, i, n))
         assert A.dual_star_component(n) == meet, n
+
+
+def memo_queries(A):
+    """Every query that the per-algebra memo answers, through degree 2N."""
+    out = [("rewrite_map", ()), ("confluence_report", ()), ("extra_condition_report", ())]
+    for n in (n for n in degrees(A) if n <= 2 * A.N):
+        for name in ("reduced_words", "dual_star_component", "graded_component"):
+            out.append((name, (n,)))
+        out += [("dual_coproduct", (n, k)) for k in sorted({1, A.N - 1}) if k <= n]
+    return out
+
+
+@PROPERTY_SETTINGS
+@given(presentations())
+def test_memoised_tables_do_not_depend_on_the_query_order(A):
+    # a memo key that dropped the method name or an argument would hand one
+    # query's table to another, and which one wins depends on the order
+    queries = memo_queries(A)
+    B = HomogAlgebra(A.space, A.N, Subspace(A.space, A.N, A.R.rows.values()))
+    forward = [getattr(A, name)(*args) for name, args in queries]
+    backward = [getattr(B, name)(*args) for name, args in reversed(queries)]
+    assert forward == backward[::-1]
 
 
 @PROPERTY_SETTINGS

@@ -6,12 +6,16 @@ from itertools import combinations
 
 import pytest
 
+from superkoszul.homogeneous import n_symmetric
+from superkoszul.koszul import koszul_duality_check
+from superkoszul.macmahon import closed_form_hilbert
 from superkoszul.superpoly import (
     SuperPolynomial,
     TruncatedSeries,
     VariableTable,
     newton_elementary,
 )
+from superkoszul.tensorspace import SuperSpace
 
 
 def make_table(evens, odds):
@@ -177,6 +181,28 @@ def test_binary_operations_truncate_to_smaller_order():
     b = TruncatedSeries(2, [Fraction(1)] * 3)
     assert (a * b).order == 2
     assert (a + b).order == 2
+
+
+def test_scalar_series_coefficients_are_ints_when_integral():
+    def kinds(series):
+        return {type(c) for c in series.coeffs}
+
+    assert kinds(TruncatedSeries.one(3)) == {int}
+    duality = koszul_duality_check(n_symmetric(SuperSpace.standard(1, 1), 2), 4)
+    assert duality.passed
+    for series in (duality.series, duality.dual_series, duality.product):
+        assert kinds(series) == {int}
+    assert kinds(closed_form_hilbert(1, 1, 2, 4)) == {int}
+    assert kinds(closed_form_hilbert(1, 2, 3, 6, kind="sdim")) == {int}
+    assert kinds(TruncatedSeries(2, [1, -2, 0]) * 3) == {int}
+    assert kinds(TruncatedSeries(2, [1, -2, 0]) * Fraction(4, 2)) == {int}
+    # a constant term that is not a unit of Z gives exact Fractions, never floats
+    assert TruncatedSeries(2, [2, 1, 0]).inverse().coeffs == [
+        Fraction(1, 2), Fraction(-1, 4), Fraction(1, 8)
+    ]
+    assert kinds(TruncatedSeries(2, [2, 1, 0]).inverse()) == {Fraction}
+    assert (TruncatedSeries(1, [1, 3]) * Fraction(1, 2)).coeffs == [Fraction(1, 2), Fraction(3, 2)]
+    assert kinds(TruncatedSeries(1, [1, 3]) * Fraction(1, 2)) == {Fraction}
 
 
 # -- Newton's recurrence ----------------------------------------------------
