@@ -220,8 +220,15 @@ class HomogAlgebra:
         system is confluent (the diamond lemma makes them a basis), the
         elimination d^n - dim R_n otherwise.  The first counted call checks
         the count against elimination in every degree below 2N and raises
-        :class:`InternalInconsistencyError` on a mismatch."""
+        :class:`InternalInconsistencyError` on a mismatch.
+
+        Elimination stops at the first zero: past degree N, A_(n-1) = 0 means
+        R_(n-1) = V^(x n-1), so R_n, which holds R_(n-1) x V, is all of
+        V^(x n) and dim A_n = 0.  R_n needs R_(n-1) anyway, so the check adds
+        no elimination."""
         if n < 2 * self.N or not self.confluence_report().passed:
+            if n > self.N and self.dim_component(n - 1) == 0:
+                return 0
             return self.graded_component(n)[1]
         self._check_counts()
         return self.count_reduced_words(n)

@@ -21,15 +21,19 @@ series of diagonal expansion coefficients of products y_i = sum_j x_j (x) x[j,i]
 over the reduced words of the N-symmetric superalgebra, and the alternating
 subseries of the e_m with m = 0, 1 mod N.  The product must be exactly 1.
 
-:func:`diagonal_coefficients` expands those products on a flat state
-{(reduced word, even exponents, odd ids): coefficient} of A (x) B, so the
-inner loop bumps an exponent or inserts an odd id and never multiplies
-polynomials.  It drops every term whose word is tuple-greater than the
-current prefix.  That is safe because a pivot is the smallest word of its
-relation row: rewriting only makes words tuple-greater, so such a term can
-never come back to the index word.  :meth:`GenericSupermatrix.power_sums`
-walks the same kind of state, with the current matrix index in place of the
-word.
+:func:`diagonal_coefficients` expands those products on a state of A (x) B
+grouped by word, {reduced word: {(even exponents, odd ids): coefficient}},
+so the inner loop bumps an exponent or inserts an odd id and never
+multiplies polynomials, and each word's normal form and prunes are settled
+once for all its monomials.  Two prunes drop terms that can never come back
+to the index word.  The triangular one drops every word tuple-greater than
+the current prefix: a pivot is the smallest word of its relation row, so
+rewriting only makes words tuple-greater.  The content one drops every word
+whose letter content is too far from the prefix's to be mended by the
+letters still to come: the relation rows of S_N keep the letter content, so
+rewriting keeps it too.  :meth:`GenericSupermatrix.power_sums` walks the
+same kind of monomial state, flat, with the current matrix index in place of
+the word.
 """
 
 from __future__ import annotations
@@ -333,21 +337,41 @@ def diagonal_coefficients(X: GenericSupermatrix, A: HomogAlgebra, length: int):
     tree over the reduced words and read off, at every node, the coefficient
     of the basis word equal to the index word itself.
 
-    The state is one flat dict {(reduced word, even exponents, odd ids):
-    coefficient}, with one exponent slot per even x[j,i] in id order and the
-    odd ids strictly increasing.  Multiplying by x[j,i] on the right bumps
-    one slot, or inserts one odd id and flips the sign once per larger id it
-    passes.  Each node builds one :class:`SuperPolynomial`, from the terms of
-    its own word; nothing else does.
+    The state is grouped by word: {reduced word: {(even exponents, odd ids):
+    coefficient}}, with one exponent slot per even x[j,i] in id order and the
+    odd ids strictly increasing.  Multiplying by y_i = sum_j x_j (x) x[j,i]
+    forms w + (j,), its prunes and its normal form once per (word w, letter
+    j), then walks the monomials of w: each bumps one slot, or inserts one odd
+    id and flips the sign once per larger id it passes.  Each node builds one
+    :class:`SuperPolynomial`, from the group of its own word; nothing else
+    does.
 
     Triangular prune: a pivot is the smallest word of its relation row, so
     every rewrite replaces a window by tuple-greater windows and every word
     of nf(w) is tuple->= w.  A term whose word is tuple-greater than the
     prefix therefore stays greater than every word extending the prefix, and
-    it is dropped as soon as it appears."""
-    fmt = X.space.format
+    it is dropped as soon as it appears.
+
+    Content prune: every relation row of A holds words of one letter content
+    (checked here; :class:`ValueError` otherwise), so every rewrite keeps the
+    content and every word of nf(w) has the content of w.  At a node of
+    length l, a term of word w can reach the index word prefix + s of a node
+    below, |s| <= ``length`` - l, only as a word of nf(w + s') with |s'| =
+    |s|.  Equal contents need content(s) - content(s') = content(w) -
+    content(prefix), so |s| is at least the positive part of that
+    difference, which is half its L1 norm because both contents count l
+    letters.  The pair (w, j) is dropped, before its normal form is read,
+    when w + (j,) breaks this bound at the new node; appending j raises the
+    positive part by one exactly when w holds j at least as often as the new
+    index word does."""
+    fmt, d = X.space.format, X.d
+    for row in A.R.rows.values():
+        if len({tuple(sorted(w)) for w in row}) > 1:
+            raise ValueError(f"{A.label}: a relation row mixes letter contents")
     step, slots, leaf = _flat_monomials(X)
+    letters = range(1, d + 1)
     nf_memo: dict[tuple, list] = {}
+    contents: dict[tuple, tuple] = {}
     results: dict[tuple, SuperPolynomial] = {}
 
     def nf(word):
@@ -356,48 +380,63 @@ def diagonal_coefficients(X: GenericSupermatrix, A: HomogAlgebra, length: int):
             items = nf_memo[word] = list(A.normal_form_word(word).items())
         return items
 
+    def content(word):
+        c = contents.get(word)
+        if c is None:
+            c = contents[word] = tuple(map(word.count, letters))
+        return c
+
     def extend(prefix, state: dict):
         if prefix:
-            results[prefix] = leaf(
-                {(ev, od): c for (w, ev, od), c in state.items() if w == prefix}
-            )
-        if len(prefix) == length:
+            results[prefix] = leaf(state.get(prefix, {}))
+        budget = length - len(prefix) - 1  # letters still to come below nxt
+        if budget < 0:
             return
-        for i in range(1, X.d + 1):
+        for i in letters:
             nxt = prefix + (i,)
             if not A.is_reduced(nxt):
                 continue
+            target = content(nxt)
             # multiply the state by y_i = sum_j x_j (x) x[j,i]
             new: dict = {}
-            for (w, ev, od), c in state.items():
-                for j in range(1, X.d + 1):
+            for w, monos in state.items():
+                # the content prune; every later j adds 0 or 1 to the excess
+                cw = content(w)
+                excess = sum(a - b for a, b in zip(cw, target) if a > b)
+                if excess > budget:
+                    continue
+                for j in letters:
                     wj = w + (j,)
                     if wj > nxt:  # so is every word of nf(wj), and every later j
                         break
-                    # x_j passes the B-coefficient, whose parity is len(od) mod 2
-                    a = -c if fmt[j - 1] and len(od) % 2 else c
+                    if excess == budget and cw[j - 1] >= target[j - 1]:
+                        continue
+                    buckets = [(new.setdefault(u, {}), b) for u, b in nf(wj) if u <= nxt]
+                    if not buckets:
+                        continue
                     odd, k = step[(j, i)]
-                    if odd:
-                        if k in od:
-                            continue
-                        pos = bisect_left(od, k)
-                        od_new, ev_new = od[:pos] + (k,) + od[pos:], ev
-                        if (len(od) - pos) % 2:
-                            a = -a
-                    else:
-                        od_new, ev_new = od, ev[:k] + (ev[k] + 1,) + ev[k + 1 :]
-                    for u, b in nf(wj):
-                        if u > nxt:
-                            continue
-                        key = (u, ev_new, od_new)
-                        s = new.get(key, 0) + a * b
-                        if s:
-                            new[key] = s
+                    passes = fmt[j - 1]
+                    for (ev, od), c in monos.items():
+                        # x_j passes the B-coefficient, whose parity is len(od) mod 2
+                        a = -c if passes and len(od) % 2 else c
+                        if odd:
+                            if k in od:
+                                continue
+                            pos = bisect_left(od, k)
+                            mono = (ev, od[:pos] + (k,) + od[pos:])
+                            if (len(od) - pos) % 2:
+                                a = -a
                         else:
-                            del new[key]
-            extend(nxt, new)
+                            mono = (ev[:k] + (ev[k] + 1,) + ev[k + 1 :], od)
+                        for bucket, b in buckets:
+                            s = bucket.get(mono, 0) + a * b
+                            if s:
+                                bucket[mono] = s
+                            else:
+                                del bucket[mono]
+            extend(nxt, {u: monos for u, monos in new.items() if monos})
 
-    extend((), {((), (0,) * slots, ()): 1})
+    extend((), {(): {((0,) * slots, ()): 1}})
     return results
 
 

@@ -200,17 +200,42 @@ class SuperPolynomial:
 
     def mul_into(self, terms: dict, other: "SuperPolynomial", sign: int = 1) -> dict:
         """Add sign * self * other into the monomial dict ``terms`` in place,
-        dropping every coefficient that cancels to zero, and return it."""
+        dropping every coefficient that cancels to zero, and return it.
+
+        Each distinct pair of odd parts, and of even parts, is merged once per
+        call, in two call-local dicts keyed by the left part and then the
+        right one, so equal merged parts are shared between the monomials.  An
+        empty part needs no merge."""
+        odd_memo: dict = {}
+        even_memo: dict = {}
+        flip = sign < 0
         for (ev_a, od_a), ca in self.terms.items():
+            odd_row = odd_memo.setdefault(od_a, {})
+            even_row = even_memo.setdefault(ev_a, {})
             for (ev_b, od_b), cb in other.terms.items():
-                merged = _merge_odd(od_a, od_b)
-                if merged is None:
-                    continue
-                odd, inversions = merged
+                if not od_b:
+                    odd, inversions = od_a, 0
+                elif not od_a:
+                    odd, inversions = od_b, 0
+                else:
+                    merged = odd_row.get(od_b, False)
+                    if merged is False:
+                        merged = odd_row[od_b] = _merge_odd(od_a, od_b)
+                    if merged is None:
+                        continue
+                    odd, inversions = merged
+                if not ev_b:
+                    even = ev_a
+                elif not ev_a:
+                    even = ev_b
+                else:
+                    even = even_row.get(ev_b)
+                    if even is None:
+                        even = even_row[ev_b] = _mul_even(ev_a, ev_b)
                 c = ca * cb
-                if (inversions + (sign < 0)) % 2:
+                if (inversions + flip) % 2:
                     c = -c
-                mono = (_mul_even(ev_a, ev_b), odd)
+                mono = (even, odd)
                 s = terms.get(mono, 0) + c
                 if s:
                     terms[mono] = s
@@ -342,7 +367,8 @@ def newton_elementary(power_sums: list, K: int):
         acc = _signed_products(zero, (
             (-1 if i % 2 == 0 else 1, power_sums[i - 1], es[n - i]) for i in range(1, n + 1)
         ))
-        es.append(acc * Fraction(1, n))
+        e = acc * Fraction(1, n)  # a polynomial converts in its constructor
+        es.append(e if isinstance(e, SuperPolynomial) else _integral(e))
     return es
 
 

@@ -212,7 +212,8 @@ def test_mt_command_passes():
 EXPECTED = Path(__file__).resolve().parent / "expected"
 
 
-@pytest.mark.parametrize("p, q, N, order", [(1, 1, 2, 6), (2, 1, 3, 5), (0, 2, 2, 5)])
+@pytest.mark.parametrize("p, q, N, order", [(1, 1, 2, 6), (2, 1, 3, 5), (0, 2, 2, 5),
+                                             (2, 1, 3, 6), (2, 2, 2, 7)])
 def test_mt_command_output_is_pinned(p, q, N, order):
     # the whole stdout, factor polynomials included, as recorded in
     # tests/expected/; only the elapsed_s timer line varies between runs

@@ -334,6 +334,31 @@ def test_hilbert_series_of_the_super_plane():
     assert H == expected
 
 
+def test_dual_series_eliminates_nothing_above_the_first_zero(monkeypatch):
+    # the dual of YM(2|2) has A^!_4 = 0, so R^!_4 is all of V^(x 4) and every
+    # later component is 0 without eliminating 4^6 or 4^7 words
+    calls = []
+    graded_component = HomogAlgebra.graded_component
+
+    def counted(self, n):
+        calls.append(n)
+        return graded_component(self, n)
+
+    monkeypatch.setattr(HomogAlgebra, "graded_component", counted)
+    series = alternating_dual_series(yang_mills(SuperSpace.standard(2, 2)), 8)
+    assert series.coeffs == [1, -4, 0, 4, 0, 0, 0, 0, 0]
+    assert max(calls) == 4
+
+
+@pytest.mark.parametrize("p, q", [(2, 1), (1, 2), (1, 1)])
+def test_dimensions_after_the_first_zero_match_elimination(p, q):
+    # the shortcut against the full elimination of R_n, degree by degree
+    dual = yang_mills(SuperSpace.standard(p, q)).dual_algebra()
+    dims = dual.dims(7)
+    assert dims[:4] == [1, p + q, (p + q) ** 2, p + q] and dims[4:] == [0] * 4
+    assert dims == [dual.graded_component(n)[1] for n in range(8)]
+
+
 def test_duality_fails_for_the_mixed_yang_mills_algebra():
     M = yang_mills(SuperSpace.standard(1, 1))
     check = koszul_duality_check(M, 6)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from superkoszul.homogeneous import n_symmetric
+from superkoszul.homogeneous import custom_algebra, n_symmetric
 from superkoszul.macmahon import (
     GenericSupermatrix,
     berezinian_series,
@@ -366,6 +366,58 @@ def test_bosonic_factor_on_the_diagonal_is_the_signed_word_content(p, q, N):
             if not odd and all(vid in diagonal for vid, _ in even)
         }
         assert diagonal_part == expected.terms, length
+
+
+def diagonal_coefficients_by_words(X, A, length):
+    """Reference for the walk, with no prune: y_{i_1}...y_{i_l} is the sum
+    over letter words j of nf(x_{j_1}...x_{j_l}) (x) x[j_1,i_1]...x[j_l,i_l],
+    signed once for every odd x_{j_k} that passes an odd product of earlier
+    B-coefficients; X(i) is the coefficient of the basis word i."""
+    fmt = X.space.format
+    out = {}
+    for l in range(1, length + 1):
+        for j in A.space.words(l):
+            for i, b in A.normal_form_word(j).items():
+                sign, parity, monomial = 1, 0, X.table.one()
+                for jk, ik in zip(j, i):
+                    if fmt[jk - 1] and parity:
+                        sign = -sign
+                    parity ^= X.entry_parity(jk, ik)
+                    monomial = monomial * X.entry(jk, ik)
+                out[i] = out.get(i, X.table.zero()) + monomial * (sign * b)
+    return out
+
+
+@pytest.mark.parametrize("p,q,N", MASTER_CASES)
+def test_diagonal_coefficients_match_the_expansion_over_all_letter_words(p, q, N):
+    K = 4
+    X = GenericSupermatrix(p, q)
+    A = n_symmetric(SuperSpace.standard(p, q), N)
+    walk = diagonal_coefficients(X, A, K)
+    reference = diagonal_coefficients_by_words(X, A, K)
+    assert set(walk) == {w for n in range(1, K + 1) for w in A.reduced_words(n)}
+    assert set(reference) <= set(walk)
+    for word, poly in walk.items():
+        assert poly == reference.get(word, X.table.zero()), word
+
+
+@pytest.mark.parametrize("p,q,N", MASTER_CASES)
+def test_normal_forms_of_the_n_symmetric_algebra_keep_the_letter_content(p, q, N):
+    # the precondition of the content prune, on every word through degree N + 2
+    A = n_symmetric(SuperSpace.standard(p, q), N)
+    for n in range(N + 3):
+        for w in A.space.words(n):
+            assert all(sorted(u) == sorted(w) for u in A.normal_form_word(w)), w
+
+
+def test_diagonal_coefficients_refuse_relations_that_mix_letter_contents():
+    X = GenericSupermatrix(2, 0)
+    mixed = custom_algebra((0, 0), 2, [[(1, (1, 1)), (1, (2, 2))]])
+    with pytest.raises(ValueError, match="letter contents"):
+        diagonal_coefficients(X, mixed, 2)
+    # a content-homogeneous relation is accepted: x_1 x_2 = 2 x_2 x_1
+    plane = custom_algebra((0, 0), 2, [[(1, (1, 2)), (-2, (2, 1))]])
+    assert set(diagonal_coefficients(X, plane, 2)) == {(1,), (2,), (1, 1), (2, 1), (2, 2)}
 
 
 @pytest.mark.parametrize("p,q,N", [(1, 0, 2), (0, 1, 2), (1, 1, 2), (1, 1, 3), (2, 0, 3)])

@@ -295,3 +295,14 @@ def test_newton_on_polynomial_power_sums_keeps_a_non_integral_coefficient():
     assert es[1].terms == {(((0, 1),), ()): 1}
     assert es[2].terms == {(((0, 2),), ()): Fraction(1, 2)}
     assert type(es[2].terms[(((0, 2),), ())]) is Fraction
+
+
+def test_newton_on_scalar_power_sums_gives_ints_when_integral():
+    # two eigenvalues 1: e_1 = 2 and e_2 = (2 * 2 - 2) / 2 = 1 are ints
+    es = newton_elementary([2, 2], 2)
+    assert es == [1, 2, 1]
+    assert [type(e) for e in es] == [int, int, int]
+    # p_1 = 1, p_2 = 2: e_2 = (1 - 2) / 2 stays a Fraction
+    es = newton_elementary([1, 2], 2)
+    assert es == [1, 1, Fraction(-1, 2)]
+    assert [type(e) for e in es] == [int, int, Fraction]
