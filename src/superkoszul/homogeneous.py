@@ -36,9 +36,10 @@ system is confluent, the reduced words are a basis of A in every degree
 (Bergman's diamond lemma; Berger, "Confluence and Koszulity", 1998), so
 :meth:`HomogAlgebra.dim_component` counts them instead from degree 2N on,
 with a transfer count over the last N-1 letters that needs no elimination
-and no word list.  Below 2N it eliminates; the overlap degrees N+1..2N-1 are
-where the confluence test works, and the first counted call checks the count
-against elimination in each of them.
+and no word list.  Below 2N it eliminates (degree N+1 reads the overlap
+meet instead); the overlap degrees N+1..2N-1 are where the confluence test
+works, and the first counted call checks the count against elimination in
+each of them.
 
 Placements.  R's rows placed at window i are already the reduced echelon
 basis of the placement V^(x i) x R x V^(x j), so a placement is never
@@ -51,6 +52,8 @@ it; only R_n, the sum of the placements, is eliminated.
 from __future__ import annotations
 
 import functools
+import weakref
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -154,6 +157,7 @@ class HomogAlgebra:
         self.R = relations
         self.label = label or f"A({space.p}|{space.q}, N={N})"
         self._cache: dict = {}  # see _cached
+        self._predual = None  # weak reference to the algebra this one is the dual of
         self._nf_memo: dict[Word, dict] = {}  # the rewriting normal forms, see _nf
 
     # ------------------------------------------------------------------
@@ -225,10 +229,13 @@ class HomogAlgebra:
         Elimination stops at the first zero: past degree N, A_(n-1) = 0 means
         R_(n-1) = V^(x n-1), so R_n, which holds R_(n-1) x V, is all of
         V^(x n) and dim A_n = 0.  R_n needs R_(n-1) anyway, so the check adds
-        no elimination."""
+        no elimination.  At n = N+1 nothing is eliminated: R_n = R x V + V x R
+        has dimension 2 d dim R minus that of the confluence test's meet."""
         if n < 2 * self.N or not self.confluence_report().passed:
             if n > self.N and self.dim_component(n - 1) == 0:
                 return 0
+            if n == self.N + 1:
+                return self.dim_V ** n - 2 * self.R.dim * self.dim_V + self._overlap_meet_dim(1)
             return self.graded_component(n)[1]
         self._check_counts()
         return self.count_reduced_words(n)
@@ -267,10 +274,11 @@ class HomogAlgebra:
     # the dual algebra and its graded dual components
     # ------------------------------------------------------------------
 
+    @_cached
     def dual_algebra(self) -> "HomogAlgebra":
-        return HomogAlgebra(
-            self.space, self.N, dual_complement(self.R), label=f"{self.label}!"
-        )
+        dual = HomogAlgebra(self.space, self.N, dual_complement(self.R), label=f"{self.label}!")
+        dual._predual = weakref.ref(self)
+        return dual
 
     @_cached
     def dual_star_component(self, n: int) -> Subspace:
@@ -294,22 +302,22 @@ class HomogAlgebra:
 
     @_cached
     def dual_coproduct(self, m: int, k: int) -> dict:
-        """The (k, m-k) component of the coproduct of the dual coalgebra:
-        each row pivot of D_m -> [(prefix u, coordinates of tail_u in
-        D_{m-k})], where the row is the sum of u (x) tail_u over the words u
-        of length k that begin its words.
+        """The (k, m-k) component of the coproduct of the dual coalgebra on
+        the dual basis of D_m = (A^!_m)^*: basis word b of A^!_m -> [(prefix
+        u, coordinates of tail_u in D_{m-k})], xi_b = sum of u (x) tail_u.
 
-        D_m lies in V^(x k) x D_{m-k}, so every tail has coordinates; they
-        are found by :meth:`Subspace.coordinates`, which raises if a tail
-        leaves D_{m-k}."""
-        tails = self.dual_star_component(m - k)
-        out = {}
-        for pvt, row in self.dual_star_component(m).rows.items():
-            split: dict = {}
-            for w, c in row.items():
-                split.setdefault(w[:k], {})[w[k:]] = c
-            out[pvt] = [(u, tails.coordinates(tail)) for u, tail in split.items()]
-        return out
+        D_m is the annihilator of R^!_m under the reversal pairing, and holds
+        xi_b = sum over words w of coef_b(nf^!(reverse w)) w, as nf^! kills
+        R^!_m.  Its coefficient at reverse(c) is delta_bc for the basis words
+        c, so the xi_b are a basis of D_m, and the coordinate of xi_c in
+        tail_u is coef_b(nf^!(c + reverse(u))), read from A^!'s normal forms."""
+        dual = self.dual_algebra()
+        out: dict = {b: {} for b in dual.reduced_words(m)}
+        for u in self.space.words(k):
+            for c in dual.reduced_words(m - k):
+                for b, a in dual.normal_form_word(c + u[::-1]).items():
+                    out[b].setdefault(u, {})[c] = a
+        return {b: list(parts.items()) for b, parts in out.items()}
 
     # ------------------------------------------------------------------
     # rewriting: reduced words, confluence, normal forms
@@ -341,27 +349,23 @@ class HomogAlgebra:
     @_cached
     def reduced_words(self, n: int) -> list:
         """The basis words of A_n in lexicographic order: the reduced words,
-        built letter by letter, when the rewriting system is confluent, the
-        non-pivot words of R_n otherwise."""
+        built letter by letter from those of A_(n-1), when the rewriting
+        system is confluent, else the non-pivot words of R_n, none if
+        dim A_n = 0 above degree N."""
         if not self.confluence_report().passed:
+            if n > self.N and self.dim_component(n) == 0:
+                return []
             Rn = self._graded_relations(n).rows
             return [w for w in self.space.words(n) if w not in Rn]
-        pivots = self.R.rows
-        N, d = self.N, self.dim_V
-        out: list = []
-
-        def extend(word):
-            if len(word) == n:
-                out.append(word)
-                return
-            for letter in range(1, d + 1):
-                nxt = word + (letter,)
-                if len(nxt) >= N and nxt[-N:] in pivots:
-                    continue
-                extend(nxt)
-
-        extend(())
-        return out
+        if n == 0:
+            return [()]
+        pivots, N = self.R.rows, self.N
+        return [
+            w + (letter,)
+            for w in self.reduced_words(n - 1)
+            for letter in range(1, self.dim_V + 1)
+            if w[1 - N :] + (letter,) not in pivots
+        ]
 
     @_cached
     def confluence_report(self) -> ConfluenceReport:
@@ -374,24 +378,30 @@ class HomogAlgebra:
         the first is no larger than the second.
         """
         report = ConfluenceReport()
-        sp, N, d = self.space, self.N, self.dim_V
+        N, d = self.N, self.dim_V
         pivots = self.R.rows
         for i in range(1, N):
             n = N + i
-            # kernel cap (R x V^i) cap (V^i x R): the rows of V^i x R are
-            # independent, and the rank of their residuals modulo R x V^i
-            # is what they add to it
-            right_residuals = (self.reduce_at(r, 0) for r in self.placement_rows(i, 0))
-            dim_ker_join = self.R.dim * d ** i - matrix_rank(right_residuals)
-            lhs = d ** n - dim_ker_join
-            both_nonreduced = sum(
-                1
-                for w in sp.words(n)
-                if w[:N] in pivots and w[i:] in pivots
-            )
-            rhs = d ** n - both_nonreduced
+            lhs = d ** n - self._overlap_meet_dim(i)
+            # a word p + s with p[i:] + s = q, over pivot pairs p, q
+            heads = Counter(q[: N - i] for q in pivots)
+            rhs = d ** n - sum(heads[p[i:]] for p in pivots)
             report.add(i, lhs, rhs)
         return report
+
+    @_cached
+    def _overlap_meet_dim(self, i: int) -> int:
+        """dim (R x V^i) cap (V^i x R): the rows of V^i x R are independent,
+        and their residuals modulo R x V^i have the rank they add to it.  An R
+        over half of V^(x N) goes through R^! (a live predual, as R^!! = R):
+        the meet is the annihilator of R^! x V^i + V^i x R^! (reversal pairing)."""
+        d, N = self.dim_V, self.N
+        if 2 * self.R.dim > d ** N:
+            dual = (self._predual and self._predual()) or self.dual_algebra()
+            dual_sum = 2 * (d ** N - self.R.dim) * d ** i - dual._overlap_meet_dim(i)
+            return d ** (N + i) - dual_sum
+        right_residuals = (self.reduce_at(r, 0) for r in self.placement_rows(i, 0))
+        return self.R.dim * d ** i - matrix_rank(right_residuals)
 
     @_cached
     def extra_condition_report(self) -> ExtraConditionReport:

@@ -14,12 +14,15 @@ of R from degree N on) and the jump function
     nu(i) = ((i-1)/2) N + 1   for odd i.
 
 The differential into homological degree i-1 applies d once when i is odd and
-N-1 times when i is even.  Since D_m lies in V^(x k) x D_{m-k}, applying d k
-times to a row of D_m needs that row split only once, as the sum of
+N-1 times when i is even.  The complex is defined over any basis of D_m
+(Berger, J. Algebra 239, 2001); the one used here is dual to the basis words
+b of A^!_m, xi_b(x) = coef_b(nf^!(reverse x)), read from A^!'s normal forms
+with no meet of placements eliminated.  Since D_m lies in V^(x k) x D_{m-k},
+applying d k times to xi_b needs it split only once, as the sum of
 u (x) tail_u with u of length k: one component of the coproduct of the dual
-coalgebra, tabulated per (m, k) by :meth:`HomogAlgebra.dual_coproduct` with
-the tails in coordinates of D_{m-k}.  A slice column is then assembled from
-that table and the normal forms of A alone.
+coalgebra, tabulated per (m, k) by :meth:`HomogAlgebra.dual_coproduct`, whose
+coordinate of xi_c in tail_u is coef_b(nf^!(c + reverse u)).  A slice column
+is then assembled from that table and the normal forms of A alone.
 
 Exactness in positive homological degrees, checked per total degree by exact
 rank arithmetic, is the Koszul property; the checker only ever claims it up
@@ -62,9 +65,9 @@ class KoszulSlice:
     algebra: HomogAlgebra
     i: int
     n: int
-    source_basis: list  # (reduced word, pivot of dual-star row)
+    source_basis: list  # (basis word of A, basis word b of A^! naming xi_b)
     target_basis: list
-    columns: dict  # source index -> {target basis element (reduced word, D-row pivot): coeff}
+    columns: dict  # source index -> {target basis element (word of A, word of A^!): coeff}
 
     @property
     def source_dim(self) -> int:
@@ -119,21 +122,20 @@ def _slice_bases(A: HomogAlgebra, i: int, n: int):
     m = jump(A.N, i)
     if n - m < 0:
         return m, []
-    words = A.reduced_words(n - m)
-    dual_rows = sorted(A.dual_star_component(m).rows)
-    return m, [(w, pvt) for w in words for pvt in dual_rows]
+    dual_words = A.dual_algebra().reduced_words(m)
+    return m, [(w, b) for w in A.reduced_words(n - m) for b in dual_words]
 
 
 def koszul_matrix(A: HomogAlgebra, i: int, n: int) -> KoszulSlice:
     """The differential delta_i : A_{n-nu(i)} x D_{nu(i)} -> previous slot.
 
     Bases: the basis words of A (:meth:`HomogAlgebra.reduced_words`)
-    tensored with the echelon rows of the graded dual components.  The
-    differential contracts the first ``steps`` letters of a D_m row into A,
-    steps = nu(i) - nu(i-1).  Each row splits once, in the coproduct table
+    tensored with the dual basis xi_b of D_m, one per basis word b of A^!_m.
+    The differential contracts the first ``steps`` letters of xi_b into A,
+    steps = nu(i) - nu(i-1).  Each xi_b splits once, in the coproduct table
     :meth:`HomogAlgebra.dual_coproduct`, as the sum of u (x) tail_u with the
-    tails in target coordinates; the column of (w, row) is then
-    :func:`_times` of w and the row's table entry.
+    tails in coordinates on the xi_c; the column of (w, b) is then
+    :func:`_times` of w and b's table entry.
     """
     if i < 1:
         raise ValueError("differentials start at homological degree 1")
@@ -143,8 +145,8 @@ def koszul_matrix(A: HomogAlgebra, i: int, n: int) -> KoszulSlice:
         return KoszulSlice(A, i, n, source, target, {})
     table = A.dual_coproduct(m, m - m_prev)
     columns: dict = {}
-    for idx, (w, pvt) in enumerate(source):
-        col = _times(A, w, table[pvt])
+    for idx, (w, b) in enumerate(source):
+        col = _times(A, w, table[b])
         if col:
             columns[idx] = col
     return KoszulSlice(A, i, n, source, target, columns)
@@ -176,27 +178,29 @@ def koszul_check(A: HomogAlgebra, deg_max: int) -> KoszulVerdict:
       word v' of A_{n-1} as prefix (a prefix of a reduced word is reduced; a
       pivot v' of R_{n-1} would make v'x a pivot of R_n), and nf(v'x) =
       {v: 1}, so the column of (v', x) is the unit vector of v in A_n x D_0.
-    * rank(delta_i at n = nu(i)) = dim D_n.  The target is A_k x D_{n-k}
-      with k = 1 or N-1 < N, where nf(u) = {u: 1}, so the column of a D_n
-      row is that row split in V^(x k) x D_{n-k}: the map is the inclusion.
+    * rank(delta_i at n = nu(i)) = dim D_n = dim A^!_n.  The target is
+      A_k x D_{n-k} with k = 1 or N-1 < N, where nf(u) = {u: 1}, so the
+      column of xi_b is xi_b split in V^(x k) x D_{n-k}: the map is the
+      inclusion.
     * a slice with an empty source, nu(i) > n among them, has rank 0.
     """
     if deg_max < 0:
         raise ValueError("deg_max must be nonnegative")
     failures = []
     rank_cache: dict = {}
+    dual = A.dual_algebra()
 
     def source_dim(i: int, n: int) -> int:
         m = jump(A.N, i)
         if m > n:
             return 0
-        return len(A.reduced_words(n - m)) * A.dual_star_component(m).dim
+        return len(A.reduced_words(n - m)) * len(dual.reduced_words(m))
 
     def rank_of(i: int, n: int) -> int:
         if i == 1:
             return len(A.reduced_words(n))
         if jump(A.N, i) == n:
-            return A.dual_star_component(n).dim
+            return len(dual.reduced_words(n))
         if not source_dim(i, n):
             return 0
         key = (i, n)

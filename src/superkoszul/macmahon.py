@@ -83,12 +83,9 @@ class GenericSupermatrix:
 
     def identity_assignment(self) -> dict:
         """x[i,j] -> Kronecker delta (the counit of the coefficient algebra)."""
-        return {
-            vid: Fraction(1) if i == j else Fraction(0)
-            for (i, j), vid in self.ids.items()
-        }
+        return {vid: int(i == j) for (i, j), vid in self.ids.items()}
 
-    def counit(self, poly: SuperPolynomial) -> Fraction:
+    def counit(self, poly: SuperPolynomial) -> int | Fraction:
         return poly.evaluate(self.identity_assignment())
 
     def power_sums(self, K: int) -> list[SuperPolynomial]:

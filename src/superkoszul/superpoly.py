@@ -71,10 +71,14 @@ def _integral(c):
 
 
 def _mul_even(a: tuple, b: tuple) -> tuple:
-    exps: dict[int, int] = dict(a)
-    for vid, e in b:
-        exps[vid] = exps.get(vid, 0) + e
-    return tuple(sorted(exps.items()))
+    """Product of two even parts, sorted (vid, exponent) tuples, in one merge."""
+    out, i, j = [], 0, 0
+    while i < len(a) and j < len(b):
+        va, vb = a[i][0], b[j][0]
+        out.append(a[i] if va < vb else b[j] if vb < va else (va, a[i][1] + b[j][1]))
+        i += va <= vb
+        j += vb <= va
+    return (*out, *a[i:], *b[j:])
 
 
 class VariableTable:
@@ -267,8 +271,8 @@ class SuperPolynomial:
 
     # -- evaluation ----------------------------------------------------
 
-    def evaluate(self, assignment: Mapping[int, Fraction]) -> Fraction:
-        """Evaluate at a scalar point.  Odd variables must be sent to 0.
+    def evaluate(self, assignment: Mapping[int, Fraction]) -> int | Fraction:
+        """Evaluate at a scalar point, as an int when integral.  Odd variables must be sent to 0.
 
         Raises KeyError for an unassigned variable and ValueError if an odd
         variable receives a nonzero value (there is no such rational point).
@@ -276,7 +280,7 @@ class SuperPolynomial:
         for vid, value in assignment.items():
             if self.table.parity(vid) == ODD and value != 0:
                 raise ValueError(f"odd variable {self.table.names[vid]} must be assigned 0")
-        total = Fraction(0)
+        total = 0
         for (even, odd), c in self.terms.items():
             if odd:
                 for vid in odd:
@@ -287,7 +291,7 @@ class SuperPolynomial:
             for vid, e in even:
                 val *= Fraction(assignment[vid]) ** e
             total += val
-        return total
+        return _integral(Fraction(total))
 
     # -- printing ------------------------------------------------------
 

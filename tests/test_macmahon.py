@@ -118,6 +118,16 @@ def test_supertrace_counit_is_the_superdimension():
     assert X.counit(p1) == 1  # p - q
 
 
+def test_counit_follows_the_number_rule():
+    # an int when the value is integral, a Fraction otherwise, never a float
+    X = GenericSupermatrix(1, 1)
+    assert all(type(v) is int for v in X.identity_assignment().values())
+    x11 = X.entry(1, 1)
+    assert type(X.counit(2 * x11)) is int and X.counit(2 * x11) == 2
+    assert type(X.counit(x11 * Fraction(1, 2))) is Fraction
+    assert type(X.counit(X.entry(1, 2))) is int  # an odd entry counts 0
+
+
 @pytest.mark.parametrize("p,q", [pytest.param(p, q, id=f"{p}-{q}") for p, q in FORMATS_3])
 def test_every_power_sum_counit_is_the_superdimension(p, q):
     # the counit sends X to the identity, and str(1^n) = sdim = p - q

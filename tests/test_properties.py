@@ -6,6 +6,7 @@ last properties draw small supercommutative polynomials instead.
 """
 
 from fractions import Fraction
+from operator import methodcaller
 
 import pytest
 from hypothesis import given, settings
@@ -20,8 +21,10 @@ from superkoszul.tensorspace import (
     SuperSpace,
     axpy,
     kernel_of_vectors,
+    matrix_rank,
     subspace_intersection,
 )
+from test_koszul import dual_basis_vectors, reassembled
 
 MAX_WORDS = 729
 COEFFS = [Fraction(c) for c in (-2, -1, 1, 2)] + [Fraction(1, 2), Fraction(-3, 2)]
@@ -134,13 +137,47 @@ def test_dual_star_component_is_the_meet_of_all_placements(A):
         assert A.dual_star_component(n) == meet, n
 
 
+@PROPERTY_SETTINGS
+@given(presentations())
+def test_overlap_meet_from_the_dual_matches_the_explicit_meet(A):
+    # a relation space over half of V^(x N) is met through its annihilator,
+    # the dual's placement sum; the dual of a small R takes that route
+    for X in (A, A.dual_algebra()):
+        for i in (i for i in range(1, X.N) if X.N + i in degrees(X)):
+            meet = subspace_intersection(placement(X, 0, X.N + i), placement(X, i, X.N + i))
+            assert X._overlap_meet_dim(i) == meet.dim, (X.R.dim, i)
+
+
+@PROPERTY_SETTINGS
+@given(presentations())
+def test_dual_basis_vectors_are_a_basis_of_the_dual_star_component(A):
+    # xi_b, rebuilt from A^!'s normal forms, against the echelon meet
+    for m in (m for m in degrees(A) if m <= A.N + 2):
+        meet, xi = A.dual_star_component(m), dual_basis_vectors(A, m)
+        assert len(xi) == meet.dim, m
+        assert all(not meet.reduce(v) for v in xi.values()), m
+        assert Subspace(A.space, m, xi.values()).dim == len(xi), m
+
+
+@PROPERTY_SETTINGS
+@given(presentations())
+def test_dual_coproduct_reproduces_every_dual_basis_vector(A):
+    for m in (m for m in degrees(A) if m <= A.N + 2):
+        for k in {1, A.N - 1} & set(range(m + 1)):
+            assert reassembled(A, m, k) == dual_basis_vectors(A, m), (m, k)
+
+
 def memo_queries(A):
-    """Every query that the per-algebra memo answers, through degree 2N."""
-    out = [("rewrite_map", ()), ("confluence_report", ()), ("extra_condition_report", ())]
+    """Every query that the per-algebra memo answers, through degree 2N, as
+    calls on an algebra; the dual basis words go through the memoised dual."""
+    out = [methodcaller(name) for name in ("rewrite_map", "confluence_report", "extra_condition_report")]
+    out.append(lambda X: X.dual_algebra().R)
+    out += [methodcaller("_overlap_meet_dim", i) for i in range(1, A.N)]
     for n in (n for n in degrees(A) if n <= 2 * A.N):
         for name in ("reduced_words", "dual_star_component", "graded_component"):
-            out.append((name, (n,)))
-        out += [("dual_coproduct", (n, k)) for k in sorted({1, A.N - 1}) if k <= n]
+            out.append(methodcaller(name, n))
+        out.append(lambda X, n=n: X.dual_algebra().reduced_words(n))
+        out += [methodcaller("dual_coproduct", n, k) for k in sorted({1, A.N - 1}) if k <= n]
     return out
 
 
@@ -151,8 +188,8 @@ def test_memoised_tables_do_not_depend_on_the_query_order(A):
     # query's table to another, and which one wins depends on the order
     queries = memo_queries(A)
     B = HomogAlgebra(A.space, A.N, Subspace(A.space, A.N, A.R.rows.values()))
-    forward = [getattr(A, name)(*args) for name, args in queries]
-    backward = [getattr(B, name)(*args) for name, args in reversed(queries)]
+    forward = [query(A) for query in queries]
+    backward = [query(B) for query in reversed(queries)]
     assert forward == backward[::-1]
 
 
@@ -311,9 +348,37 @@ def test_pairing_vanishes_between_the_relations_and_the_dual_relations(A):
 
 
 def per_pair_columns(A, i, n):
-    """The columns of delta_i at total degree n, built pair by pair: split
-    the D_m row, multiply each prefix into w, and find the coordinates of
-    the combined tail in D_{m-steps} for every reduced word."""
+    """The columns of delta_i at total degree n, built pair by pair on the
+    dual basis: split xi_b, multiply each prefix into w, and read the
+    coordinates of each combined tail on the xi_c of D_{m-steps} at the
+    reversed words c, checking that they rebuild the tail."""
+    m, m_prev = jump(A.N, i), jump(A.N, i - 1)
+    steps = m - m_prev
+    source, target = dual_basis_vectors(A, m), dual_basis_vectors(A, m_prev)
+    pairs = [(w, b) for w in A.reduced_words(n - m) for b in source]
+    columns = {}
+    for idx, (w, b) in enumerate(pairs):
+        by_word = {}
+        for x, c in source[b].items():
+            for v, a in A.normal_form_word(w + x[:steps]).items():
+                axpy(by_word.setdefault(v, {}), {x[steps:]: a * c}, 1)
+        col = {}
+        for v, tail in by_word.items():
+            coords = {h: tail[h[::-1]] for h in target if h[::-1] in tail}
+            rebuilt = {}
+            for h, c in coords.items():
+                axpy(rebuilt, target[h], c)
+            assert rebuilt == tail, (w, b, v)
+            col.update(((v, h), c) for h, c in coords.items())
+        if col:
+            columns[idx] = col
+    return columns
+
+
+def echelon_row_columns(A, i, n):
+    """The same slice on the echelon rows of D_m, the basis the slices used
+    before the dual basis: each tail's coordinates are solved for in the
+    echelon of D_{m-steps}."""
     m, m_prev = jump(A.N, i), jump(A.N, i - 1)
     steps = m - m_prev
     source, target = A.dual_star_component(m), A.dual_star_component(m_prev)
@@ -339,6 +404,17 @@ def test_slices_from_the_coproduct_table_match_the_per_pair_route(A):
         i = 1
         while jump(A.N, i) <= n:
             assert koszul_matrix(A, i, n).columns == per_pair_columns(A, i, n), (i, n)
+            i += 1
+
+
+@PROPERTY_SETTINGS
+@given(presentations())
+def test_slices_have_the_rank_of_the_echelon_row_slices(A):
+    for n in (n for n in degrees(A) if n <= A.N + 2):
+        i = 1
+        while jump(A.N, i) <= n:
+            sl = koszul_matrix(A, i, n)
+            assert sl.rank() == matrix_rank(echelon_row_columns(A, i, n).values()), (i, n)
             i += 1
 
 

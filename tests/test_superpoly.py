@@ -13,6 +13,7 @@ from superkoszul.superpoly import (
     SuperPolynomial,
     TruncatedSeries,
     VariableTable,
+    _mul_even,
     newton_elementary,
 )
 from superkoszul.tensorspace import SuperSpace
@@ -122,6 +123,26 @@ def test_evaluate_rejects_nonzero_odd_assignment():
     with pytest.raises(ValueError):
         p.evaluate({0: Fraction(1), 1: Fraction(1)})
     assert p.evaluate({0: Fraction(5), 1: Fraction(0)}) == 5
+
+
+def test_evaluate_is_an_int_when_integral():
+    table = make_table(["a", "b"], [])
+    a, b = table.variable(0), table.variable(1)
+    assert type(table.zero().evaluate({})) is int
+    assert type((a * b).evaluate({0: Fraction(2), 1: Fraction(1, 2)})) is int
+    assert (a * b).evaluate({0: 1, 1: Fraction(1, 3)}) == Fraction(1, 3)
+
+
+def test_even_parts_multiply_by_merging_exponents():
+    # _mul_even against the dict-and-sort reference on random sorted parts
+    rng = random.Random(5)
+    for _ in range(200):
+        a, b = (tuple(sorted((v, rng.randint(1, 3)) for v in rng.sample(range(6), rng.randint(0, 4))))
+                for _ in range(2))
+        exps = dict(a)
+        for v, e in b:
+            exps[v] = exps.get(v, 0) + e
+        assert _mul_even(a, b) == tuple(sorted(exps.items())), (a, b)
 
 
 def test_evaluate_requires_assignment():
