@@ -36,10 +36,9 @@ system is confluent, the reduced words are a basis of A in every degree
 (Bergman's diamond lemma; Berger, "Confluence and Koszulity", 1998), so
 :meth:`HomogAlgebra.dim_component` counts them instead from degree 2N on,
 with a transfer count over the last N-1 letters that needs no elimination
-and no word list.  Below 2N it eliminates (degree N+1 reads the overlap
-meet instead); the overlap degrees N+1..2N-1 are where the confluence test
-works, and the first counted call checks the count against elimination in
-each of them.
+and no word list.  Below 2N it eliminates (N+1 reads the overlap meet); the
+overlap degrees N+1..2N-1 are where the confluence test works, and the first
+counted call checks the count against elimination in each of them.
 
 Placements.  R's rows placed at window i are already the reduced echelon
 basis of the placement V^(x i) x R x V^(x j), so a placement is never
@@ -52,8 +51,6 @@ it; only R_n, the sum of the placements, is eliminated.
 from __future__ import annotations
 
 import functools
-import weakref
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -157,7 +154,6 @@ class HomogAlgebra:
         self.R = relations
         self.label = label or f"A({space.p}|{space.q}, N={N})"
         self._cache: dict = {}  # see _cached
-        self._predual = None  # weak reference to the algebra this one is the dual of
         self._nf_memo: dict[Word, dict] = {}  # the rewriting normal forms, see _nf
 
     # ------------------------------------------------------------------
@@ -276,9 +272,9 @@ class HomogAlgebra:
 
     @_cached
     def dual_algebra(self) -> "HomogAlgebra":
-        dual = HomogAlgebra(self.space, self.N, dual_complement(self.R), label=f"{self.label}!")
-        dual._predual = weakref.ref(self)
-        return dual
+        return HomogAlgebra(
+            self.space, self.N, dual_complement(self.R), label=f"{self.label}!"
+        )
 
     @_cached
     def dual_star_component(self, n: int) -> Subspace:
@@ -378,14 +374,17 @@ class HomogAlgebra:
         the first is no larger than the second.
         """
         report = ConfluenceReport()
-        N, d = self.N, self.dim_V
+        sp, N, d = self.space, self.N, self.dim_V
         pivots = self.R.rows
         for i in range(1, N):
             n = N + i
             lhs = d ** n - self._overlap_meet_dim(i)
-            # a word p + s with p[i:] + s = q, over pivot pairs p, q
-            heads = Counter(q[: N - i] for q in pivots)
-            rhs = d ** n - sum(heads[p[i:]] for p in pivots)
+            both_nonreduced = sum(
+                1
+                for w in sp.words(n)
+                if w[:N] in pivots and w[i:] in pivots
+            )
+            rhs = d ** n - both_nonreduced
             report.add(i, lhs, rhs)
         return report
 
@@ -393,11 +392,11 @@ class HomogAlgebra:
     def _overlap_meet_dim(self, i: int) -> int:
         """dim (R x V^i) cap (V^i x R): the rows of V^i x R are independent,
         and their residuals modulo R x V^i have the rank they add to it.  An R
-        over half of V^(x N) goes through R^! (a live predual, as R^!! = R):
-        the meet is the annihilator of R^! x V^i + V^i x R^! (reversal pairing)."""
+        over half of V^(x N) goes through R^! (as R^!! = R): the meet is the
+        annihilator of R^! x V^i + V^i x R^! (reversal pairing)."""
         d, N = self.dim_V, self.N
         if 2 * self.R.dim > d ** N:
-            dual = (self._predual and self._predual()) or self.dual_algebra()
+            dual = self.dual_algebra()
             dual_sum = 2 * (d ** N - self.R.dim) * d ** i - dual._overlap_meet_dim(i)
             return d ** (N + i) - dual_sum
         right_residuals = (self.reduce_at(r, 0) for r in self.placement_rows(i, 0))

@@ -8,7 +8,6 @@ import pytest
 from superkoszul.hecke import dj_operator, supersymmetry_operator
 from superkoszul.homogeneous import (
     ConfluenceReport,
-    HomogAlgebra,
     InternalInconsistencyError,
     custom_algebra,
     end_algebra,
@@ -96,21 +95,6 @@ def test_dual_of_quantum_superspace():
 def test_double_dual_restores_the_relations():
     A = n_symmetric(SuperSpace.standard(2, 1), 2)
     assert A.dual_algebra().dual_algebra().R == A.R
-
-
-def test_overlap_meet_of_a_dual_reads_its_live_predual():
-    # R^! of S_3(2|1) is over half of V^(x 3), so its overlap meet goes
-    # through the smaller side: A itself while A lives, a rebuilt A^!! after
-    A = n_symmetric(SuperSpace.standard(2, 1), 3)
-    dual = A.dual_algebra()
-    assert 2 * dual.R.dim > dual.dim_V ** 3 and dual._predual() is A
-    meets = [dual._overlap_meet_dim(i) for i in (1, 2)]
-    assert ("dual_algebra",) not in dual._cache
-    orphan = HomogAlgebra(dual.space, dual.N, dual.R)
-    assert [orphan._overlap_meet_dim(i) for i in (1, 2)] == meets
-    assert ("dual_algebra",) in orphan._cache
-    del A
-    assert dual._predual() is None  # held weakly: no reference cycle
 
 
 def test_dual_star_components_of_the_symmetric_algebra():
