@@ -20,7 +20,13 @@ strictly raises the word; when the system is confluent (checked once, see
 of A and rewriting gives the normal forms.  The rewrite step reads one map,
 built once by :meth:`HomogAlgebra.rewrite_map`: pivot -> {tail word:
 -coefficient}.  Its numbers are R's row coefficients in the form
-:class:`Subspace` gives them, and a normal form keeps that form.
+:class:`Subspace` gives them.
+
+The normal-form store (:meth:`HomogAlgebra._nf_ints`) holds nf(word) in
+integers, (ints, den) with nf = ints/den and den > 0 coprime to the content;
+rewriting fills it from the tails times the lcm of their denominators, and
+the echelon route below is converted once.  The coproduct and the Koszul
+slices read it; :meth:`HomogAlgebra.normal_form_word` is its exact view.
 
 Normal forms without confluence.  u - nf(u) lies in R_|u|, so the residual
 of a word modulo the echelon of R_n is an exact normal form and the
@@ -53,6 +59,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 from .hecke import YangBaxterOperator, symmetrizer_image
 from .tensorspace import (
@@ -62,8 +69,10 @@ from .tensorspace import (
     antisymmetrizer_image,
     axpy,
     dual_complement,
-    integral_as_int,
     matrix_rank,
+    rescale,
+    scaled_ints,
+    scaled_view,
     span_meet,
 )
 
@@ -154,7 +163,7 @@ class HomogAlgebra:
         self.R = relations
         self.label = label or f"A({space.p}|{space.q}, N={N})"
         self._cache: dict = {}  # see _cached
-        self._nf_memo: dict[Word, dict] = {}  # the rewriting normal forms, see _nf
+        self._nf_store: dict[Word, tuple] = {}  # word -> (ints, den), see _nf_ints
 
     # ------------------------------------------------------------------
     # presentation data
@@ -173,6 +182,11 @@ class HomogAlgebra:
             pivot: {w: -c for w, c in row.items() if w != pivot}
             for pivot, row in self.R.rows.items()
         }
+
+    @_cached
+    def _rewrite_ints(self) -> dict:
+        """:meth:`rewrite_map` in integers: pivot -> (tail ints, den)."""
+        return {pivot: scaled_ints(tail) for pivot, tail in self.rewrite_map().items()}
 
     def placement_rows(self, i: int, j: int):
         """Rows of V^(x i) x R x V^(x j): R's rows placed at window i.  They
@@ -272,9 +286,15 @@ class HomogAlgebra:
 
     @_cached
     def dual_algebra(self) -> "HomogAlgebra":
-        return HomogAlgebra(
-            self.space, self.N, dual_complement(self.R), label=f"{self.label}!"
-        )
+        """A^!.  When R is the smaller side, A^! gets its overlap meets as
+        numbers, so it never rebuilds R as its own dual."""
+        d, N, r = self.dim_V, self.N, self.R.dim
+        dual = HomogAlgebra(self.space, N, dual_complement(self.R), label=f"{self.label}!")
+        if 2 * r <= d ** N:
+            for i in range(1, N):
+                meet = d ** (N + i) - 2 * d ** i * r + self._overlap_meet_dim(i)
+                dual._cache[("_overlap_meet_dim", i)] = meet
+        return dual
 
     @_cached
     def dual_star_component(self, n: int) -> Subspace:
@@ -297,6 +317,19 @@ class HomogAlgebra:
         return span_meet(sp, n, lifted, lambda v: self.reduce_at(v, 0))
 
     @_cached
+    def _dual_coproduct_ints(self, m: int, k: int) -> tuple:
+        """:meth:`dual_coproduct` times its scale, the lcm of the dens of the
+        normal forms of A^! it reads, as (table, scale)."""
+        dual = self.dual_algebra()
+        words = dual.reduced_words(m - k)
+        parts = [(u, c, dual._nf_ints(c + u[::-1])) for u in self.space.words(k) for c in words]
+        scale = lcm(*(den for _, _, (_, den) in parts))
+        out: dict = {b: {} for b in dual.reduced_words(m)}
+        for u, c, (ints, den) in parts:
+            for b, a in ints.items():
+                out[b].setdefault(u, {})[c] = a * (scale // den)
+        return {b: list(parts.items()) for b, parts in out.items()}, scale
+
     def dual_coproduct(self, m: int, k: int) -> dict:
         """The (k, m-k) component of the coproduct of the dual coalgebra on
         the dual basis of D_m = (A^!_m)^*: basis word b of A^!_m -> [(prefix
@@ -306,14 +339,10 @@ class HomogAlgebra:
         xi_b = sum over words w of coef_b(nf^!(reverse w)) w, as nf^! kills
         R^!_m.  Its coefficient at reverse(c) is delta_bc for the basis words
         c, so the xi_b are a basis of D_m, and the coordinate of xi_c in
-        tail_u is coef_b(nf^!(c + reverse(u))), read from A^!'s normal forms."""
-        dual = self.dual_algebra()
-        out: dict = {b: {} for b in dual.reduced_words(m)}
-        for u in self.space.words(k):
-            for c in dual.reduced_words(m - k):
-                for b, a in dual.normal_form_word(c + u[::-1]).items():
-                    out[b].setdefault(u, {})[c] = a
-        return {b: list(parts.items()) for b, parts in out.items()}
+        tail_u is coef_b(nf^!(c + reverse(u))), read from A^!'s normal forms.
+        This is the exact view of the integer table the slices read."""
+        table, scale = self._dual_coproduct_ints(m, k)
+        return {b: [(u, scaled_view(x, scale)) for u, x in parts] for b, parts in table.items()}
 
     # ------------------------------------------------------------------
     # rewriting: reduced words, confluence, normal forms
@@ -417,41 +446,51 @@ class HomogAlgebra:
 
     def normal_form_word(self, word: Word) -> dict:
         """Normal form of a basis word as {basis word of A_n: coefficient},
-        supported on :meth:`reduced_words`.
+        supported on :meth:`reduced_words`: the exact view of the store
+        (:meth:`_nf_ints`), int when integral and Fraction otherwise, and the
+        stored dict itself when den is 1."""
+        return scaled_view(*self._nf_ints(tuple(word)))
 
-        A confluent system rewrites the leftmost non-reduced window first
-        (:meth:`_nf`).  Otherwise the word is reduced modulo the echelon of
-        R_n, which uses no strategy.  The route is read from the cached
-        confluence test; the echelon route stores nothing in the
-        rewriting memo.
-        """
-        word = tuple(word)
+    _nf = normal_form_word
+
+    def _nf_ints(self, word: Word) -> tuple:
+        """The store's entry (ints, den): nf(word) = ints/den, den > 0 coprime
+        to the content.  A confluent system rewrites (:meth:`_rewrite_nf`);
+        otherwise the residual modulo the echelon of R_n is converted once."""
+        store = self._nf_store
+        entry = store.get(word)
+        if entry is not None:
+            return entry
         if not self.confluence_report().passed:
-            return self._graded_relations(len(word)).reduce({word: 1})
-        return self._nf(word)
+            store[word] = scaled_ints(self._graded_relations(len(word)).reduce({word: 1}))
+            return store[word]
+        return self._rewrite_nf(word, self._rewrite_ints(), store)
 
-    def _nf(self, word: Word) -> dict:
-        """Rewriting normal form: the leftmost pivot window becomes its
-        rewrite-map tail, and each placed tail word is rewritten in turn.
-        A reduced word is {word: 1}; a sum of Fractions that comes out
-        integral is stored as an int."""
-        memo = self._nf_memo
-        if word in memo:
-            return memo[word]
-        rewrite, N = self.rewrite_map(), self.N
+    def _rewrite_nf(self, word: Word, rewrite: dict, store: dict) -> tuple:
+        """The rewriting route of :meth:`_nf_ints`: the leftmost pivot window
+        becomes its integer tail, and the placed tail words' entries are
+        summed over the lcm of their dens, each filled in turn."""
+        N = self.N
+        entry = {word: 1}, 1
         for k in range(len(word) - N + 1):
-            tail = rewrite.get(word[k : k + N])
-            if tail is not None:
+            hit = rewrite.get(word[k : k + N])
+            if hit is not None:
+                tail, den = hit
                 prefix, suffix = word[:k], word[k + N :]
-                result: dict = {}
+                ints, sum_den = {}, 1
                 for t, a in tail.items():
-                    axpy(result, self._nf(prefix + t + suffix), a)
-                result = integral_as_int(result)
+                    sub_word = prefix + t + suffix
+                    sub, sub_den = store.get(sub_word) or self._rewrite_nf(sub_word, rewrite, store)
+                    if sum_den % sub_den:
+                        sum_den = rescale(ints, sum_den, sub_den)
+                    axpy(ints, sub, a * (sum_den // sub_den))
+                den *= sum_den
+                if den > 1 and (g := gcd(den, *ints.values())) > 1:
+                    ints, den = {w: c // g for w, c in ints.items()}, den // g
+                entry = ints, den
                 break
-        else:
-            result = {word: 1}
-        memo[word] = result
-        return result
+        store[word] = entry
+        return entry
 
     def normal_form(self, v: TensorVector) -> TensorVector:
         if v.space != self.space:

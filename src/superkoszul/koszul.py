@@ -24,6 +24,13 @@ coalgebra, tabulated per (m, k) by :meth:`HomogAlgebra.dual_coproduct`, whose
 coordinate of xi_c in tail_u is coef_b(nf^!(c + reverse u)).  A slice column
 is then assembled from that table and the normal forms of A alone.
 
+Slices are assembled in integers: the coproduct table holds its coordinates
+times one scale, A's normal forms come from its integer store, and the column
+of (w, b), the sum of nf(w u) (x) tail_u(b), is an int dict over the lcm of
+the dens it meets times the table's scale.  :class:`KoszulSlice` keeps the
+int columns with their scales; ``columns`` is the exact view, built on
+demand, and ``rank`` eliminates the int columns, as scaling does not change it.
+
 Exactness in positive homological degrees, checked per total degree by exact
 rank arithmetic, is the Koszul property; the checker only ever claims it up
 to the requested truncation.  Two ranks in each total degree n are theorems
@@ -46,7 +53,7 @@ from dataclasses import dataclass, field
 
 from .homogeneous import HomogAlgebra
 from .superpoly import TruncatedSeries
-from .tensorspace import RankCounter, axpy, kernel_of_vectors, matrix_rank
+from .tensorspace import RankCounter, kernel_of_vectors, matrix_rank, rescale, scaled_view
 
 
 def jump(N: int, i: int) -> int:
@@ -60,14 +67,16 @@ def jump(N: int, i: int) -> int:
 
 @dataclass
 class KoszulSlice:
-    """The matrix of one differential delta_i in one total degree n."""
+    """The matrix of one differential delta_i in one total degree n: column k
+    is int_columns[k] / scales.get(k, 1)."""
 
     algebra: HomogAlgebra
     i: int
     n: int
     source_basis: list  # (basis word of A, basis word b of A^! naming xi_b)
     target_basis: list
-    columns: dict  # source index -> {target basis element (word of A, word of A^!): coeff}
+    int_columns: dict  # source index -> {target basis element (word of A, word of A^!): int}
+    scales: dict  # source index -> its column's scale, where that is not 1
 
     @property
     def source_dim(self) -> int:
@@ -77,28 +86,29 @@ class KoszulSlice:
     def target_dim(self) -> int:
         return len(self.target_basis)
 
+    @property
+    def columns(self) -> dict:
+        """The exact matrix, built on each read."""
+        return {k: scaled_view(col, self.scales.get(k, 1)) for k, col in self.int_columns.items()}
+
     def rank(self) -> int:
-        return matrix_rank(self.columns.values())
-
-    def compose_is_zero_with(self, next_slice: "KoszulSlice") -> bool:
-        """delta_i . delta_{i+1} = 0 on the given slices."""
-        index = {b: k for k, b in enumerate(self.source_basis)}
-        for col in next_slice.columns.values():
-            out: dict = {}
-            for b, c in col.items():
-                axpy(out, self.columns.get(index[b], {}), c)
-            if out:
-                return False
-        return True
+        return matrix_rank(self.int_columns.values())
 
 
-def _times(A: HomogAlgebra, w, pairs) -> dict:
+def _times_ints(A: HomogAlgebra, w, pairs) -> tuple:
     """w * elem in a free A-module, with elem the sum of u (x) coords over
     the pairs (reduced word u, {slot h: c}): the sum of nf(w u) (x) coords,
-    keyed by (reduced word v, slot h)."""
+    keyed by (reduced word v, slot h), as ints over the lcm of the dens of
+    the normal forms it reads, (ints, scale)."""
     out: dict = {}
+    scale = 1
     for u, coords in pairs:
-        for v, a in A.normal_form_word(w + u).items():
+        nf, den = A._nf_ints(w + u)
+        if scale % den:
+            scale = rescale(out, scale, den)
+        f = scale // den
+        for v, a in nf.items():
+            a *= f
             for h, c in coords.items():
                 key = (v, h)
                 s = out.get(key, 0) + a * c
@@ -106,7 +116,12 @@ def _times(A: HomogAlgebra, w, pairs) -> dict:
                     out[key] = s
                 else:
                     del out[key]
-    return out
+    return out, scale
+
+
+def _times(A: HomogAlgebra, w, pairs) -> dict:
+    """The exact view of :func:`_times_ints`."""
+    return scaled_view(*_times_ints(A, w, pairs))
 
 
 def _by_word(elem: dict) -> list:
@@ -135,21 +150,24 @@ def koszul_matrix(A: HomogAlgebra, i: int, n: int) -> KoszulSlice:
     steps = nu(i) - nu(i-1).  Each xi_b splits once, in the coproduct table
     :meth:`HomogAlgebra.dual_coproduct`, as the sum of u (x) tail_u with the
     tails in coordinates on the xi_c; the column of (w, b) is then
-    :func:`_times` of w and b's table entry.
+    :func:`_times_ints` of w and b's entry in the integer table, over its
+    scale times the table's.
     """
     if i < 1:
         raise ValueError("differentials start at homological degree 1")
     m, source = _slice_bases(A, i, n)
     m_prev, target = _slice_bases(A, i - 1, n)
     if not source:  # no column reads D_m, so it is not built
-        return KoszulSlice(A, i, n, source, target, {})
-    table = A.dual_coproduct(m, m - m_prev)
-    columns: dict = {}
+        return KoszulSlice(A, i, n, source, target, {}, {})
+    table, table_scale = A._dual_coproduct_ints(m, m - m_prev)
+    columns, scales = {}, {}
     for idx, (w, b) in enumerate(source):
-        col = _times(A, w, table[b])
+        col, scale = _times_ints(A, w, table[b])
         if col:
             columns[idx] = col
-    return KoszulSlice(A, i, n, source, target, columns)
+            if scale * table_scale > 1:
+                scales[idx] = scale * table_scale
+    return KoszulSlice(A, i, n, source, target, columns, scales)
 
 
 @dataclass
@@ -243,9 +261,6 @@ class TorTable:
 
     def dim(self, i: int, n: int) -> int:
         return self.dims.get(i, {}).get(n, 0)
-
-    def concentrated_degrees(self, i: int):
-        return sorted(n for n, v in self.dims.get(i, {}).items() if v)
 
     def __str__(self):
         lines = []

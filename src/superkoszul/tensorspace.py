@@ -309,6 +309,31 @@ def integral_as_int(vec: dict) -> dict:
     return vec
 
 
+def scaled_ints(vec: dict) -> tuple:
+    """(ints, den) with vec = ints/den: den, the lcm of vec's denominators, is
+    coprime to the gcd of the ints, and zero entries are dropped."""
+    if Fraction not in set(map(type, vec.values())):
+        return {w: c for w, c in vec.items() if c}, 1
+    den = lcm(*(c.denominator for c in vec.values()))
+    return {w: c.numerator * (den // c.denominator) for w, c in vec.items() if c}, den
+
+
+def scaled_view(ints: dict, den: int) -> dict:
+    """ints/den exactly, each number an int when integral and a Fraction
+    otherwise; ``ints`` itself, not a copy, when den is 1."""
+    if den == 1:
+        return ints
+    return {w: c // den if c % den == 0 else Fraction(c, den) for w, c in ints.items()}
+
+
+def rescale(ints: dict, den: int, other: int) -> int:
+    """Scale ``ints``, held over den, in place to lcm(den, other); return it."""
+    f = other // gcd(den, other)
+    for w in ints:
+        ints[w] *= f
+    return den * f
+
+
 def _reduce(rows: dict, vector: dict) -> tuple:
     """(residual, coordinates) of a vector against fully reduced rows, each
     number an int when it is integral.
@@ -480,10 +505,7 @@ class RankCounter:
     def insert(self, vec, tags=None) -> bool:
         if isinstance(vec, TensorVector):
             vec = vec.coeffs
-        den = 1
-        for c in vec.values():
-            den = lcm(den, c.denominator)
-        row = {w: c.numerator * (den // c.denominator) for w, c in vec.items() if c}
+        row, den = scaled_ints(vec)
         if tags is not None:
             for t in tags:
                 tags[t] *= den

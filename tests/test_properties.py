@@ -6,13 +6,15 @@ last properties draw small supercommutative polynomials instead.
 """
 
 from fractions import Fraction
+from math import gcd
 from operator import methodcaller
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superkoszul.homogeneous import HomogAlgebra, custom_algebra, yang_mills
+from superkoszul.hecke import dj_operator
+from superkoszul.homogeneous import HomogAlgebra, custom_algebra, lambda_operator_algebra, yang_mills
 from superkoszul.koszul import _times, jump, koszul_check, koszul_duality_check, koszul_matrix, tor_dims
 from superkoszul.superpoly import TruncatedSeries, VariableTable
 from superkoszul.tensorspace import (
@@ -247,6 +249,24 @@ def test_elimination_output_is_an_int_when_integral(A):
 
 @PROPERTY_SETTINGS
 @given(presentations())
+def test_the_normal_form_store_is_reduced_and_exact(A):
+    # (ints, den) per word: den > 0, coprime to the content, and ints/den is
+    # the normal form, the echelon residual too when rewriting is confluent
+    confluent = A.confluence_report().passed
+    for n in degrees(A):
+        Rn = A._graded_relations(n)
+        for w in A.space.words(n):
+            ints, den = A._nf_ints(w)
+            assert den > 0 and gcd(den, *ints.values()) == 1, w
+            assert all(type(c) is int for c in ints.values()), w
+            exact = {u: Fraction(c, den) for u, c in ints.items()}
+            assert exact == A.normal_form_word(w), w
+            if confluent:
+                assert exact == Rn.reduce({w: 1}), w
+
+
+@PROPERTY_SETTINGS
+@given(presentations())
 def test_echelon_residual_is_the_rewriting_normal_form_when_confluent(A):
     # the residual modulo the R_n echelon is the reference for window rewriting
     if not A.confluence_report().passed:
@@ -404,6 +424,30 @@ def test_slices_from_the_coproduct_table_match_the_per_pair_route(A):
         i = 1
         while jump(A.N, i) <= n:
             assert koszul_matrix(A, i, n).columns == per_pair_columns(A, i, n), (i, n)
+            i += 1
+
+
+DENOMINATOR_HEAVY = [
+    # relations with denominators up to 2^12
+    lambda_operator_algebra(dj_operator(1, 1, Fraction(2)), 3),
+    lambda_operator_algebra(dj_operator(2, 1, Fraction(2)), 3),
+    # its dual is not confluent: the dual's normal forms are echelon residuals
+    yang_mills(SuperSpace.standard(2, 1)),
+]
+
+
+@pytest.mark.parametrize("A", DENOMINATOR_HEAVY, ids=lambda A: A.label)
+def test_integer_slices_match_the_exact_per_pair_route(A):
+    dual = A.dual_algebra()
+    for n in range(1, 8):
+        i = 2
+        while jump(A.N, i) < n:
+            m = jump(A.N, i)
+            if A.reduced_words(n - m) and dual.reduced_words(m):
+                sl = koszul_matrix(A, i, n)
+                assert all(type(c) is int for col in sl.int_columns.values() for c in col.values())
+                assert sl.columns == per_pair_columns(A, i, n), (i, n)
+                assert sl.rank() == matrix_rank(sl.columns.values()), (i, n)
             i += 1
 
 
