@@ -322,10 +322,10 @@ class HomogAlgebra:
         normal forms of A^! it reads, as (table, scale)."""
         dual = self.dual_algebra()
         words = dual.reduced_words(m - k)
-        parts = [(u, c, dual._nf_ints(c + u[::-1])) for u in self.space.words(k) for c in words]
-        scale = lcm(*(den for _, _, (_, den) in parts))
+        entries = [(u, c, dual._nf_ints(c + u[::-1])) for u in self.space.words(k) for c in words]
+        scale = lcm(*(den for _, _, (_, den) in entries))
         out: dict = {b: {} for b in dual.reduced_words(m)}
-        for u, c, (ints, den) in parts:
+        for u, c, (ints, den) in entries:
             for b, a in ints.items():
                 out[b].setdefault(u, {})[c] = a * (scale // den)
         return {b: list(parts.items()) for b, parts in out.items()}, scale
