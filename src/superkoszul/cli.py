@@ -70,20 +70,6 @@ class AlgebraSpec:
         if self.N is None:
             self.N = default_N(self.family)
 
-    def render(self) -> str:
-        lines = [f"family = {self.family}", f"N = {self.N}"]
-        lines.append("format = " + " ".join(str(x) for x in self.fmt))
-        for (i, j) in sorted(self.q_table):
-            lines.append(f"q[{i},{j}] = {self.q_table[(i, j)]}")
-        if self.g_diag:
-            lines.append("G = " + " ".join(str(x) for x in self.g_diag))
-        if self.family in ("lambda_RN", "s_RN"):
-            lines.append(f"hecke_q = {self.hecke_q}")
-        for rel in self.relations:
-            chunks = [f"{c} : " + " ".join(str(a) for a in w) for c, w in rel]
-            lines.append("relation = " + " ; ".join(chunks))
-        return "\n".join(lines) + "\n"
-
 
 def _parse_fraction(text: str, line=None) -> Fraction:
     try:

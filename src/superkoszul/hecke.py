@@ -300,13 +300,6 @@ class YangBaxterOperator:
         inv = (op - ident.scale(self.q - 1)).scale(1 / self.q)
         return YangBaxterOperator(self.space, 1 / self.q, inv.columns, label=f"({self.label})^-1")
 
-    def negated_inverse_partner(self) -> "YangBaxterOperator":
-        """-q R^-1 = (q-1) - R, again a Hecke operator for the same q."""
-        op = self.as_operator()
-        ident = LinearOperator.identity(self.space, 2)
-        out = ident.scale(self.q - 1) - op
-        return YangBaxterOperator(self.space, self.q, out.columns, label=f"-q({self.label})^-1")
-
     def is_even(self) -> bool:
         sp = self.space
         for (i, j), col in self.entries.items():

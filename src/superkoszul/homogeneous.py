@@ -317,9 +317,17 @@ class HomogAlgebra:
         return span_meet(sp, n, lifted, lambda v: self.reduce_at(v, 0))
 
     @_cached
-    def _dual_coproduct_ints(self, m: int, k: int) -> tuple:
-        """:meth:`dual_coproduct` times its scale, the lcm of the dens of the
-        normal forms of A^! it reads, as (table, scale)."""
+    def dual_coproduct(self, m: int, k: int) -> tuple:
+        """The (k, m-k) component of the coproduct of the dual coalgebra on
+        the dual basis of D_m = (A^!_m)^*, as (table, scale): basis word b of
+        A^!_m -> [(prefix u, coordinates of tail_u in D_{m-k} times scale)],
+        xi_b = sum of u (x) tail_u, scale the lcm of the nf^! dens it reads.
+
+        D_m is the annihilator of R^!_m under the reversal pairing, and holds
+        xi_b = sum over words w of coef_b(nf^!(reverse w)) w, as nf^! kills
+        R^!_m.  Its coefficient at reverse(c) is delta_bc for the basis words
+        c, so the xi_b are a basis of D_m, and the coordinate of xi_c in
+        tail_u is coef_b(nf^!(c + reverse(u))), read from A^!'s normal forms."""
         dual = self.dual_algebra()
         words = dual.reduced_words(m - k)
         entries = [(u, c, dual._nf_ints(c + u[::-1])) for u in self.space.words(k) for c in words]
@@ -329,20 +337,6 @@ class HomogAlgebra:
             for b, a in ints.items():
                 out[b].setdefault(u, {})[c] = a * (scale // den)
         return {b: list(parts.items()) for b, parts in out.items()}, scale
-
-    def dual_coproduct(self, m: int, k: int) -> dict:
-        """The (k, m-k) component of the coproduct of the dual coalgebra on
-        the dual basis of D_m = (A^!_m)^*: basis word b of A^!_m -> [(prefix
-        u, coordinates of tail_u in D_{m-k})], xi_b = sum of u (x) tail_u.
-
-        D_m is the annihilator of R^!_m under the reversal pairing, and holds
-        xi_b = sum over words w of coef_b(nf^!(reverse w)) w, as nf^! kills
-        R^!_m.  Its coefficient at reverse(c) is delta_bc for the basis words
-        c, so the xi_b are a basis of D_m, and the coordinate of xi_c in
-        tail_u is coef_b(nf^!(c + reverse(u))), read from A^!'s normal forms.
-        This is the exact view of the integer table the slices read."""
-        table, scale = self._dual_coproduct_ints(m, k)
-        return {b: [(u, scaled_view(x, scale)) for u, x in parts] for b, parts in table.items()}
 
     # ------------------------------------------------------------------
     # rewriting: reduced words, confluence, normal forms
@@ -450,8 +444,6 @@ class HomogAlgebra:
         (:meth:`_nf_ints`), int when integral and Fraction otherwise, and the
         stored dict itself when den is 1."""
         return scaled_view(*self._nf_ints(tuple(word)))
-
-    _nf = normal_form_word
 
     def _nf_ints(self, word: Word) -> tuple:
         """The store's entry (ints, den): nf(word) = ints/den, den > 0 coprime
@@ -593,22 +585,19 @@ def tensor_algebra(fmt, N: int = 2, label: str = "") -> HomogAlgebra:
     return HomogAlgebra(space, N, Subspace(space, N), label=label or f"T({space.p}|{space.q})")
 
 
-def free_line(N: int = 2) -> HomogAlgebra:
-    """The polynomial algebra on one even generator (unit for the white
-    product)."""
-    return tensor_algebra(SuperSpace((0,)), N, label="k[t]")
-
-
 def quantum_superspace(fmt, q_table=None, label: str = "") -> HomogAlgebra:
     """Quadratic superalgebra with relations x_i x_i (i odd) and
     x_j x x_i - q_ij (-1)^(i^ j^) x_i x x_j for i < j.
 
-    ``q_table`` maps pairs (i, j), i < j, to nonzero rationals; omitted pairs
-    default to 1.
+    ``q_table`` maps pairs (i, j), 1 <= i < j <= d, to nonzero rationals;
+    omitted pairs default to 1, and any other key raises ValueError.
     """
     space = fmt if isinstance(fmt, SuperSpace) else SuperSpace(fmt)
     d = space.dim
     q_table = dict(q_table or {})
+    for i, j in q_table:
+        if not 1 <= i < j <= d:
+            raise ValueError(f"q-table key ({i},{j}) out of range for d={d}")
     rows = []
     for i in range(1, d + 1):
         if space.parity(i) == 1:
@@ -724,12 +713,3 @@ def custom_algebra(fmt, N: int, relations, label: str = "") -> HomogAlgebra:
         if vec:
             rows.append(vec)
     return HomogAlgebra(space, N, Subspace(space, N, rows), label=label or "custom")
-
-
-def segre_dims_match(A: HomogAlgebra, B: HomogAlgebra, deg_max: int) -> bool:
-    """dim (A o B)_n == dim A_n * dim B_n for n <= deg_max."""
-    P = homog_product("white", A, B)
-    return all(
-        P.dim_component(n) == A.dim_component(n) * B.dim_component(n)
-        for n in range(deg_max + 1)
-    )

@@ -30,6 +30,8 @@ of (w, b), the sum of nf(w u) (x) tail_u(b), is an int dict over the lcm of
 the dens it meets times the table's scale.  :class:`KoszulSlice` keeps the
 int columns with their scales; ``columns`` is the exact view, built on
 demand, and ``rank`` eliminates the int columns, as scaling does not change it.
+Tor runs on the same integer products: its kernel tags are taken over the
+integer images and multiplied by the image scales (:func:`tor_dims`).
 
 Exactness in positive homological degrees, checked per total degree by exact
 rank arithmetic, is the Koszul property; the checker only ever claims it up
@@ -119,14 +121,9 @@ def _times_ints(A: HomogAlgebra, w, pairs) -> tuple:
     return out, scale
 
 
-def _times(A: HomogAlgebra, w, pairs) -> dict:
-    """The exact view of :func:`_times_ints`."""
-    return scaled_view(*_times_ints(A, w, pairs))
-
-
 def _by_word(elem: dict) -> list:
-    """elem = {(reduced word u, slot h): c} as the pairs (u, {h: c}) that
-    :func:`_times` reads, one per word."""
+    """elem = {(reduced word u, slot h): int c} as the pairs (u, {h: c})
+    that :func:`_times_ints` reads, one per word."""
     split: dict = {}
     for (u, h), c in elem.items():
         split.setdefault(u, {})[h] = c
@@ -159,7 +156,7 @@ def koszul_matrix(A: HomogAlgebra, i: int, n: int) -> KoszulSlice:
     m_prev, target = _slice_bases(A, i - 1, n)
     if not source:  # no column reads D_m, so it is not built
         return KoszulSlice(A, i, n, source, target, {}, {})
-    table, table_scale = A._dual_coproduct_ints(m, m - m_prev)
+    table, table_scale = A.dual_coproduct(m, m - m_prev)
     columns, scales = {}, {}
     for idx, (w, b) in enumerate(source):
         col, scale = _times_ints(A, w, table[b])
@@ -287,6 +284,10 @@ def tor_dims(A: HomogAlgebra, i_max: int, deg_max: int) -> TorTable:
     dimensions mean equal spaces and no generator of degree n.  Otherwise
     the K^i_n vectors that grow an echelon of the images are the new
     generators; that greedy choice depends only on the radical's span.
+
+    All in integers: image k is ints_k / scale_k (:func:`_times_ints`), so a
+    kernel tag c at k over the ints is c * scale_k on basis element k, and
+    the radical's echelon takes the ints, as scaling keeps a span.
     """
     if i_max < 0 or deg_max < 0:
         raise ValueError("i_max and deg_max must be nonnegative")
@@ -298,14 +299,14 @@ def tor_dims(A: HomogAlgebra, i_max: int, deg_max: int) -> TorTable:
         dims: dict = {}
         for n in range(1, deg_max + 1):
             basis = [(w, g) for g, (m, _) in enumerate(gens) for w in A.reduced_words(n - m)]
-            images = [_times(A, w, gens[g][1]) for w, g in basis]
-            kernel = kernel_of_vectors(images)
+            images = [_times_ints(A, w, gens[g][1]) for w, g in basis]
+            kernel = kernel_of_vectors(ints for ints, _ in images)
             # basis keys are distinct and kernel tags nonzero
-            next_kernels[n] = [{basis[k]: c for k, c in tags.items()} for tags in kernel]
+            next_kernels[n] = [{basis[k]: c * images[k][1] for k, c in t.items()} for t in kernel]
             if len(images) - len(kernel) < len(kernels[n]):
                 radical = RankCounter()
-                for v in images:
-                    radical.insert(v)
+                for ints, _ in images:
+                    radical.insert(ints)
                 new = [z for z in kernels[n] if radical.insert(z)]
                 dims[n] = len(new)
                 gens.extend((n, _by_word(z)) for z in new)

@@ -78,9 +78,6 @@ class GenericSupermatrix:
     def entry(self, i: int, j: int) -> SuperPolynomial:
         return self.entries[i - 1][j - 1]
 
-    def entry_parity(self, i: int, j: int) -> int:
-        return (self.space.parity(i) + self.space.parity(j)) % 2
-
     def identity_assignment(self) -> dict:
         """x[i,j] -> Kronecker delta (the counit of the coefficient algebra)."""
         return {vid: int(i == j) for (i, j), vid in self.ids.items()}

@@ -55,6 +55,8 @@ class SuperSpace:
 
     @classmethod
     def standard(cls, p: int, q: int) -> "SuperSpace":
+        if p < 0 or q < 0:
+            raise ValueError(f"dimensions p={p}, q={q} must be nonnegative")
         return cls((0,) * p + (1,) * q)
 
     def parity(self, letter: int) -> int:

@@ -11,6 +11,7 @@ import pytest
 
 from superkoszul.cli import (
     MACHINE_PREFIX,
+    AlgebraSpec,
     SpecError,
     build_algebra,
     main,
@@ -52,8 +53,7 @@ q[1,2] = 1/2
     assert spec.family == "quantum"
     assert spec.fmt == (0, 1)
     assert spec.q_table[(1, 2)] == 0.5
-    again = parse_spec(spec.render())
-    assert again == spec
+    assert spec == AlgebraSpec("quantum", 2, (0, 1), q_table={(1, 2): Fraction(1, 2)})
 
 
 def test_parse_round_trip_custom():
@@ -64,7 +64,8 @@ format = 0 0
 relation = 1 : 1 1 2 ; -2 : 1 2 1 ; 1 : 2 1 1
 """
     spec = parse_spec(text)
-    assert parse_spec(spec.render()) == spec
+    relation = [(Fraction(1), (1, 1, 2)), (Fraction(-2), (1, 2, 1)), (Fraction(1), (2, 1, 1))]
+    assert spec == AlgebraSpec("custom", 3, (0, 0), relations=[relation])
     A = build_algebra(spec)
     assert A.R.dim == 1
 
@@ -173,16 +174,37 @@ def test_spec_ignoring_every_unread_key_is_rejected(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", [
-    "family = quantum\nN = 2\nformat = 0 1 1\nq[1,2] = 1/2\nq[2,3] = -3\n",
-    "family = yang_mills\nN = 3\nformat = 0 0 1\nG = 1 -2 5\n",
-    "family = s_RN\nN = 3\nformat = 0 1\nhecke_q = 1/2\n",
-    "family = lambda_RN\nN = 2\nformat = 0 0\nhecke_q = 3\n",
-    "family = n_symmetric\nN = 3\np = 1\nq = 2\n",
-])
+FAMILY_KEY_SPECS = {
+    "family = quantum\nN = 2\nformat = 0 1 1\nq[1,2] = 1/2\nq[2,3] = -3\n":
+        AlgebraSpec("quantum", 2, (0, 1, 1), q_table={(1, 2): Fraction(1, 2), (2, 3): Fraction(-3)}),
+    "family = yang_mills\nN = 3\nformat = 0 0 1\nG = 1 -2 5\n":
+        AlgebraSpec("yang_mills", 3, (0, 0, 1), g_diag=[Fraction(1), Fraction(-2), Fraction(5)]),
+    "family = s_RN\nN = 3\nformat = 0 1\nhecke_q = 1/2\n":
+        AlgebraSpec("s_RN", 3, (0, 1), hecke_q=Fraction(1, 2)),
+    "family = lambda_RN\nN = 2\nformat = 0 0\nhecke_q = 3\n":
+        AlgebraSpec("lambda_RN", 2, (0, 0), hecke_q=Fraction(3)),
+    "family = n_symmetric\nN = 3\np = 1\nq = 2\n":
+        AlgebraSpec("n_symmetric", 3, (0, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("text", list(FAMILY_KEY_SPECS))
 def test_every_family_key_round_trips(text):
-    spec = parse_spec(text)
-    assert parse_spec(spec.render()) == spec
+    # every key a family reads reaches the spec
+    assert parse_spec(text) == FAMILY_KEY_SPECS[text]
+
+
+@pytest.mark.parametrize("key, message", [
+    ("q[2,1]", "line 3: q-table keys need i < j"),
+    ("q[1,5]", "q-table key (1,5) out of range for d=2"),
+])
+def test_q_table_key_out_of_range_is_an_input_error(key, message, tmp_path, capsys):
+    # the spec check names the key before the library would reject it
+    path = tmp_path / "algebra.spec"
+    path.write_text(f"family = quantum\nformat = 0 1\n{key} = 2\n")
+    assert main(["dims", "--spec", str(path), "--order", "2"]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and not captured.out
 
 
 # -- commands ------------------------------------------------------------------

@@ -7,7 +7,9 @@ import pytest
 
 from superkoszul.hecke import (
     HeckeElement,
+    LinearOperator,
     SingularParameterError,
+    YangBaxterOperator,
     dj_operator,
     hecke_rep,
     hecke_rep_generator,
@@ -91,6 +93,12 @@ def test_singular_parameter_is_rejected():
 # -- operators -----------------------------------------------------------------
 
 
+@pytest.mark.parametrize("p, q_dim", [(-3, 1), (1, -1)])
+def test_dj_rejects_a_negative_count(p, q_dim):
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        dj_operator(p, q_dim, 2)
+
+
 def test_dj_scalar_cases():
     even_line = dj_operator(1, 0, Fraction(3))
     assert even_line.entries[(1, 1)] == {(1, 1): Fraction(9)}
@@ -163,9 +171,11 @@ def test_symmetrizer_image_is_intersection_of_generator_images(op):
 
 
 def test_twisted_partner_representation():
-    # the partner -q R^-1 represents through the order-2 automorphism
+    # the partner -q R^-1 = (q-1) - R, again a Hecke operator for the same q,
+    # represents through the order-2 automorphism
     R = dj_operator(1, 1, Fraction(2))
-    partner = R.negated_inverse_partner()
+    minus_q_inverse = LinearOperator.identity(R.space, 2).scale(R.q - 1) - R.as_operator()
+    partner = YangBaxterOperator(R.space, R.q, minus_q_inverse.columns)
     X3, Y3 = q_idempotents(3, R.q)
     for el in (X3, Y3, HeckeElement.generator(3, R.q, 2)):
         assert hecke_rep(partner, 3, el) == hecke_rep(R, 3, el.alpha())

@@ -11,13 +11,11 @@ from superkoszul.homogeneous import (
     InternalInconsistencyError,
     custom_algebra,
     end_algebra,
-    free_line,
     homog_product,
     lambda_operator_algebra,
     n_symmetric,
     quantum_superspace,
     s_operator_algebra,
-    segre_dims_match,
     tensor_algebra,
     yang_mills,
 )
@@ -123,7 +121,8 @@ def test_yang_mills_dual_components():
 
 def test_white_product_with_the_line_preserves_dimensions():
     A = n_symmetric(SuperSpace.standard(1, 1), 2)
-    W = homog_product("white", free_line(2), A)
+    line = tensor_algebra(SuperSpace((0,)), 2)  # k[t], the unit of the white product
+    W = homog_product("white", line, A)
     assert [W.dim_component(n) for n in range(6)] == [A.dim_component(n) for n in range(6)]
 
 
@@ -156,12 +155,16 @@ def test_product_duality_exchange_swaps_the_factors():
 def test_segre_dimension_law():
     A = n_symmetric(SuperSpace.standard(1, 1), 2)
     B = quantum_superspace(SuperSpace.standard(2, 0), {(1, 2): Fraction(5)})
-    assert segre_dims_match(A, B, 5)
+    # dim (A o B)_n = dim A_n * dim B_n
+    P = homog_product("white", A, B)
+    for n in range(6):
+        assert P.dim_component(n) == A.dim_component(n) * B.dim_component(n), n
 
 
 def test_mismatched_degrees_rejected():
+    line = tensor_algebra(SuperSpace((0,)), 2)
     with pytest.raises(ValueError):
-        homog_product("white", free_line(2), yang_mills(SuperSpace.standard(2, 0)))
+        homog_product("white", line, yang_mills(SuperSpace.standard(2, 0)))
 
 
 def test_end_of_free_algebra_is_free():
@@ -409,6 +412,13 @@ def test_white_product_rows_are_pinned():
         (4, 2): {(4, 2): 1},
         (3, 2): {(4, 1): half, (3, 2): 1},
     }
+
+
+@pytest.mark.parametrize("key", [(2, 1), (1, 5), (0, 1), (1, 1)])
+def test_quantum_superspace_rejects_a_key_outside_the_table(key):
+    # a key outside 1 <= i < j <= d names no relation; it is never dropped
+    with pytest.raises(ValueError, match="out of range"):
+        quantum_superspace((0, 1), {key: 2})
 
 
 def test_yang_mills_rejects_bad_metric():

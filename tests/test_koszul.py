@@ -25,7 +25,7 @@ from superkoszul.koszul import (
     tor_dims,
 )
 from superkoszul.superpoly import TruncatedSeries
-from superkoszul.tensorspace import Subspace, SuperSpace, axpy
+from superkoszul.tensorspace import Subspace, SuperSpace, axpy, scaled_view
 
 
 def test_jump_function():
@@ -114,11 +114,12 @@ def reassembled(A, m, k):
     """{b: the sum of u (x) tail_u over the table entry of b}, with each
     tail rebuilt from its coordinates on the xi_c of D_{m-k}."""
     tails = dual_basis_vectors(A, m - k)
+    table, scale = A.dual_coproduct(m, k)
     out = {}
-    for b, parts in A.dual_coproduct(m, k).items():
+    for b, parts in table.items():
         vec = out[b] = {}
         for u, coords in parts:
-            for c, a in coords.items():
+            for c, a in scaled_view(coords, scale).items():
                 axpy(vec, {u + x: t for x, t in tails[c].items()}, a)
     return out
 
@@ -147,10 +148,11 @@ def test_coproduct_table_checks_that_every_tail_is_in_the_dual():
         for m in range(A.N + 4):
             for k in {1, A.N - 1} & set(range(m + 1)):
                 meet, xi = A.dual_star_component(m - k), dual_basis_vectors(A, m - k)
-                for parts in A.dual_coproduct(m, k).values():
+                table, scale = A.dual_coproduct(m, k)
+                for parts in table.values():
                     for u, coords in parts:
                         tail: dict = {}
-                        for c, a in coords.items():
+                        for c, a in scaled_view(coords, scale).items():
                             axpy(tail, xi[c], a)
                         assert tail and not meet.reduce(tail), (A.label, m, k, u)
 
@@ -342,6 +344,18 @@ def test_tor_of_the_cubic_symmetric_2_1_algebra_through_order_7():
         0: {0: 1}, 1: {1: 3}, 2: {3: 4}, 3: {4: 4}, 4: {6: 4}, 5: {7: 4}
     }
     assert [A.dual_star_component(jump(3, i)).dim for i in range(1, 6)] == [3, 4, 4, 4, 4]
+
+
+@pytest.mark.parametrize("N, dims", [
+    (2, {0: {0: 1}, 1: {1: 3}, 2: {2: 5}, 3: {3: 7}, 4: {4: 9}}),
+    (3, {0: {0: 1}, 1: {1: 3}, 2: {3: 7}, 3: {4: 9}, 4: {6: 13}}),
+])
+def test_tor_of_lambda_dj_2_1_where_the_images_have_scales(N, dims):
+    # the normal forms of Lambda_N(dj(2|1, q=2)) have denominators, so the
+    # resolution's integer images carry scales > 1 that the kernel tags must
+    # take on; the tables come from the exact-value products
+    A = lambda_operator_algebra(dj_operator(2, 1, Fraction(2)), N)
+    assert tor_dims(A, 4, 6).dims == dims
 
 
 @pytest.mark.parametrize("call, bounds", [

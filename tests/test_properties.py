@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from superkoszul.hecke import dj_operator
 from superkoszul.homogeneous import HomogAlgebra, custom_algebra, lambda_operator_algebra, yang_mills
-from superkoszul.koszul import _times, jump, koszul_check, koszul_duality_check, koszul_matrix, tor_dims
+from superkoszul.koszul import jump, koszul_check, koszul_duality_check, koszul_matrix, tor_dims
 from superkoszul.superpoly import TruncatedSeries, VariableTable
 from superkoszul.tensorspace import (
     RankCounter,
@@ -204,7 +204,7 @@ def test_normal_forms_never_contain_a_smaller_word(A):
         return
     for n in (n for n in degrees(A) if n <= A.N + 2):
         for w in A.space.words(n):
-            assert all(u >= w for u in A._nf(w)), w
+            assert all(u >= w for u in A.normal_form_word(w)), w
 
 
 @PROPERTY_SETTINGS
@@ -233,17 +233,20 @@ def int_when_integral(numbers):
 @given(presentations())
 def test_elimination_output_is_an_int_when_integral(A):
     # tensorspace applies the rule to what elimination and the normal forms'
-    # sums make; nothing that reads rows, the rewrite map, the coproduct
-    # coordinates or either normal-form route converts again
+    # sums make; nothing that reads rows, the rewrite map or either
+    # normal-form route converts again, and the coproduct table holds ints
+    # over one scale
     assert int_when_integral(c for row in A.R.rows.values() for c in row.values())
     assert int_when_integral(c for tail in A.rewrite_map().values() for c in tail.values())
     for n in (n for n in degrees(A) if n <= A.N + 2):
         for k in {1, A.N - 1} & set(range(n + 1)):
-            for pairs in A.dual_coproduct(n, k).values():
-                assert int_when_integral(c for _, coords in pairs for c in coords.values())
+            table, scale = A.dual_coproduct(n, k)
+            assert type(scale) is int and scale > 0
+            for pairs in table.values():
+                assert all(type(c) is int for _, coords in pairs for c in coords.values())
         Rn = A._graded_relations(n)
         for w in A.space.words(n):
-            for nf in (A._nf(w), Rn.reduce({w: 1}), A.normal_form_word(w)):
+            for nf in (Rn.reduce({w: 1}), A.normal_form_word(w)):
                 assert int_when_integral(nf.values()), w
 
 
@@ -274,7 +277,7 @@ def test_echelon_residual_is_the_rewriting_normal_form_when_confluent(A):
     for n in degrees(A):
         Rn = A._graded_relations(n)
         for w in A.space.words(n):
-            assert Rn.reduce({w: 1}) == A._nf(w), w
+            assert Rn.reduce({w: 1}) == A.normal_form_word(w), w
 
 
 @PROPERTY_SETTINGS
@@ -289,11 +292,28 @@ def test_tor_counts_the_generators_and_the_minimal_relations(A):
 
 
 def pairs_by_word(z):
-    """{(word u, generator g): c} as the pairs (u, {g: c}) that _times reads."""
+    """{(word u, generator g): c} as the pairs (u, {g: c}) that times reads."""
     pairs = {}
     for (u, g), c in z.items():
         pairs.setdefault(u, {})[g] = c
     return pairs.items()
+
+
+def times(A, w, pairs):
+    """w * elem in a free A-module, elem = sum of u (x) coords over the pairs
+    (word u, {generator g: c}), from the exact normal forms alone: the
+    reference for the engine's integer products."""
+    out = {}
+    for u, coords in pairs:
+        for v, a in A.normal_form_word(w + u).items():
+            for h, c in coords.items():
+                key = (v, h)
+                s = out.get(key, 0) + a * c
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+    return out
 
 
 def two_elimination_tor(A, i_max, deg_max):
@@ -310,7 +330,7 @@ def two_elimination_tor(A, i_max, deg_max):
             for n in range(1, deg_max + 1):
                 basis = [(w, g) for g, (m, _) in enumerate(gens) if m <= n
                          for w in A.reduced_words(n - m)]
-                images = [_times(A, w, pairs_by_word(gens[g][1])) for w, g in basis]
+                images = [times(A, w, pairs_by_word(gens[g][1])) for w, g in basis]
                 kernels[n] = [{basis[k]: c for k, c in tags.items()}
                               for tags in kernel_of_vectors(images)]
         gens, dims[i + 1] = [], {}
@@ -318,7 +338,7 @@ def two_elimination_tor(A, i_max, deg_max):
             radical = RankCounter()
             for letter in range(1, A.dim_V + 1):
                 for z in kernels.get(n - 1, []):
-                    radical.insert(_times(A, (letter,), pairs_by_word(z)))
+                    radical.insert(times(A, (letter,), pairs_by_word(z)))
             complements = [z for z in kernels[n] if radical.insert(z)]
             if complements:
                 dims[i + 1][n] = len(complements)

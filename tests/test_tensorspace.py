@@ -32,6 +32,12 @@ def int_when_integral(numbers):
     return all(type(c) is int or (type(c) is Fraction and c.denominator > 1) for c in numbers)
 
 
+@pytest.mark.parametrize("p, q", [(-1, 2), (2, -1)])
+def test_standard_space_rejects_a_negative_count(p, q):
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        SuperSpace.standard(p, q)
+
+
 def test_swap_of_two_odd_vectors_picks_up_a_sign():
     sp = SuperSpace((1, 1))
     v = TensorVector.basis(sp, (1, 2))
