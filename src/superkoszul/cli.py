@@ -17,7 +17,6 @@ table plus stable machine-readable lines prefixed "#machine/v1:".  Exit codes:
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -354,10 +353,7 @@ def _cmd_tor(report, spec, options, order):
 
 def _cmd_mt(report, spec, options, order):
     p, q, N = options["p"], options["q"], options["N"]
-    ceiling = options["ceiling"]
-    if ceiling is None:
-        ceiling = int(os.environ.get("SUPERKOSZUL_MT_CEILING", DEFAULT_TRUNCATION_CEILING))
-    result = master_verify(p, q, N, order, ceiling=ceiling)
+    result = master_verify(p, q, N, order, ceiling=options["ceiling"])
     status = "PASS" if result.passed else "FAIL"
     report.say(f"MT identity: {status} (order {order})")
     report.say(f"left factor:  {result.left}")
@@ -441,8 +437,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "hecke-verify":
             cmd.add_argument("--operator", choices=("dj", "supersymmetry"), default="dj")
         if name == "mt":
-            cmd.add_argument("--ceiling", type=int, default=None,
-                             help="override the truncation cost ceiling")
+            cmd.add_argument("--ceiling", type=int, default=DEFAULT_TRUNCATION_CEILING,
+                             help="truncation cost ceiling (default %(default)s)")
     return parser
 
 

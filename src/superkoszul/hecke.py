@@ -223,16 +223,13 @@ class LinearOperator:
     def zero(cls, space: SuperSpace, degree: int) -> "LinearOperator":
         return cls(space, degree, {})
 
-    def apply_word(self, word) -> dict:
-        return self.columns.get(tuple(word), {})
-
     def compose(self, other: "LinearOperator") -> "LinearOperator":
         """self after other (matrix product self . other)."""
         cols = {}
         for w, col in other.columns.items():
             out: dict = {}
             for u, c in col.items():
-                axpy(out, self.apply_word(u), c)
+                axpy(out, self.columns.get(u, {}), c)
             if out:
                 cols[w] = out
         return LinearOperator(self.space, self.degree, cols)

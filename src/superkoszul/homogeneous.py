@@ -484,14 +484,6 @@ class HomogAlgebra:
         store[word] = entry
         return entry
 
-    def normal_form(self, v: TensorVector) -> TensorVector:
-        if v.space != self.space:
-            raise ValueError("vector does not live in this algebra's generating space")
-        out: dict = {}
-        for w, c in v.coeffs.items():
-            axpy(out, self.normal_form_word(w), c)
-        return TensorVector(self.space, v.degree, out)
-
     def __repr__(self):
         return f"HomogAlgebra({self.label}: d={self.dim_V}, N={self.N}, dim R={self.R.dim})"
 

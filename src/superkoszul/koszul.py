@@ -69,12 +69,10 @@ def jump(N: int, i: int) -> int:
 
 @dataclass
 class KoszulSlice:
-    """The matrix of one differential delta_i in one total degree n: column k
-    is int_columns[k] / scales.get(k, 1)."""
+    """The matrix of one differential delta_i in one total degree n, as
+    :func:`koszul_matrix` builds it: column k is int_columns[k] /
+    scales.get(k, 1) over the two bases."""
 
-    algebra: HomogAlgebra
-    i: int
-    n: int
     source_basis: list  # (basis word of A, basis word b of A^! naming xi_b)
     target_basis: list
     int_columns: dict  # source index -> {target basis element (word of A, word of A^!): int}
@@ -155,7 +153,7 @@ def koszul_matrix(A: HomogAlgebra, i: int, n: int) -> KoszulSlice:
     m, source = _slice_bases(A, i, n)
     m_prev, target = _slice_bases(A, i - 1, n)
     if not source:  # no column reads D_m, so it is not built
-        return KoszulSlice(A, i, n, source, target, {}, {})
+        return KoszulSlice(source, target, {}, {})
     table, table_scale = A.dual_coproduct(m, m - m_prev)
     columns, scales = {}, {}
     for idx, (w, b) in enumerate(source):
@@ -164,7 +162,7 @@ def koszul_matrix(A: HomogAlgebra, i: int, n: int) -> KoszulSlice:
             columns[idx] = col
             if scale * table_scale > 1:
                 scales[idx] = scale * table_scale
-    return KoszulSlice(A, i, n, source, target, columns, scales)
+    return KoszulSlice(source, target, columns, scales)
 
 
 @dataclass

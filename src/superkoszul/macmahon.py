@@ -321,10 +321,6 @@ def lambda_set(p: int, q: int, N: int, length: int) -> list[tuple]:
     return out
 
 
-def _word_parity(word, p):
-    return sum(1 for a in word if a > p) % 2
-
-
 def diagonal_coefficients(X: GenericSupermatrix, A: HomogAlgebra, length: int):
     """All diagonal coefficients X(i) over the reduced index words i of
     length 1..``length``: expand y_{i_1}...y_{i_l} in A (x) B down one prefix
@@ -454,7 +450,7 @@ def bosonic_factor(p: int, q: int, N: int, K: int, X: GenericSupermatrix | None 
     table = X.table
     coeffs = [table.one()] + [table.zero() for _ in range(K)]
     for word, poly in diagonal_coefficients(X, A, K).items():
-        coeffs[len(word)] = coeffs[len(word)] + (-poly if _word_parity(word, p) else poly)
+        coeffs[len(word)] = coeffs[len(word)] + (-poly if A.space.word_parity(word) else poly)
     return TruncatedSeries(K, coeffs)
 
 
@@ -536,7 +532,7 @@ def closed_form_hilbert(p: int, q: int, N: int, K: int, kind: str = "dim") -> Tr
         if kind == "dim":
             expected = len(words)
         else:
-            expected = sum(1 if _word_parity(w, p) == 0 else -1 for w in words)
+            expected = sum(-1 if A.space.word_parity(w) else 1 for w in words)
         if series.coeffs[length] != expected:
             raise InternalInconsistencyError(
                 f"closed-form {kind} coefficient at t^{length} is "

@@ -146,12 +146,9 @@ class SuperPolynomial:
             return self.table.constant(other)
         return NotImplemented
 
-    def monomial_parity(self, mono: tuple) -> int:
-        return len(mono[1]) % 2
-
     def parity(self):
         """Common parity of all terms, or None for zero/mixed polynomials."""
-        parities = {self.monomial_parity(m) for m in self.terms}
+        parities = {len(odd) % 2 for _, odd in self.terms}
         if len(parities) == 1:
             return parities.pop()
         return None
@@ -246,18 +243,6 @@ class SuperPolynomial:
                 else:
                     del terms[mono]
         return terms
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not defined")
-        result = self.table.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

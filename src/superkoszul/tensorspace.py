@@ -336,19 +336,17 @@ def rescale(ints: dict, den: int, other: int) -> int:
     return den * f
 
 
-def _reduce(rows: dict, vector: dict) -> tuple:
-    """(residual, coordinates) of a vector against fully reduced rows, each
-    number an int when it is integral.
+def _reduce(rows: dict, vector: dict) -> dict:
+    """Residual of a vector against fully reduced rows, each number an int
+    when it is integral.
 
     One pass over the vector's pivot words suffices: row tails avoid
     every pivot, so subtracting a row never creates another pivot hit.
     """
     residual = {w: c for w, c in vector.items() if c}
-    coords = {}
     for p in [w for w in residual if w in rows]:
-        coords[p] = c = _integral(residual[p])
-        axpy(residual, rows[p], -c)
-    return integral_as_int(residual), coords
+        axpy(residual, rows[p], -_integral(residual[p]))
+    return integral_as_int(residual)
 
 
 class Subspace:
@@ -396,7 +394,7 @@ class Subspace:
             # with larger pivots, already reduced, clear all but its lead
             rows.clear()
             for lead in sorted(self._forward.rows, reverse=True):
-                row = _reduce(rows, self._forward.rows[lead])[0]
+                row = _reduce(rows, self._forward.rows[lead])
                 if row[lead] != 1:
                     inv = Fraction(1, row[lead])
                     row = {w: _integral(c * inv) for w, c in row.items()}
@@ -412,14 +410,16 @@ class Subspace:
 
     def reduce(self, vector) -> dict:
         """Residual of a vector after reduction by the basis rows."""
-        return _reduce(self.rows, vector)[0]
+        return _reduce(self.rows, vector)
 
     def coordinates(self, vector) -> dict:
-        """Coordinates w.r.t. the echelon rows; raises if not in the span."""
-        residual, coords = _reduce(self.rows, vector)
-        if residual:
+        """Coordinates w.r.t. the echelon rows; raises if not in the span.
+        A row is 1 at its own pivot and 0 at every other, so the coordinates
+        are the vector's coefficients at the pivots."""
+        rows = self.rows
+        if _reduce(rows, vector):
             raise ValueError("vector is not in the subspace")
-        return coords
+        return {p: _integral(c) for p, c in vector.items() if c and p in rows}
 
     def basis_vectors(self):
         return [
@@ -608,27 +608,27 @@ def wedge_dimension(p: int, q: int, n: int) -> int:
 def dual_complement(R: Subspace) -> Subspace:
     """The annihilator of R under the order-reversing duality pairing.
 
-    A dual word j pairs nonzero with a word i exactly when j is the reversal
-    of i, so the annihilator is the classical null space of R's basis with
-    all words reversed.  Dual basis vectors inherit the parity of the primal
-    ones, hence the same ambient space describes the result.
+    A row of R is 1 at its own pivot and 0 at every other, so for each word
+    w that is no pivot, w - sum_p R_p[w] p is orthogonal to every row under
+    the plain dot product; these d^n - dim R vectors, independent by their
+    words w, span the null space of R.  A dual word j pairs nonzero with a
+    word i exactly when j is the reversal of i, so reversing every word of
+    the null space gives the annihilator.  Dual basis vectors inherit the
+    parity of the primal ones, hence the same ambient space describes the
+    result.
     """
     if not R.is_parity_homogeneous():
         raise ValueError("dual complement requires a parity-homogeneous subspace")
-    space, n = R.space, R.degree
-    reversed_rows = Subspace(space, n)
-    for row in R.rows.values():
-        reversed_rows.insert({w[::-1]: c for w, c in row.items()})
+    space, n, rows = R.space, R.degree, R.rows
     out = Subspace(space, n)
-    rows = reversed_rows.rows
     for w in space.words(n):
         if w in rows:
             continue
-        vec = {w: 1}
+        vec = {w[::-1]: 1}
         for pvt, row in rows.items():
             c = row.get(w)
             if c:
-                vec[pvt] = -c
+                vec[pvt[::-1]] = -c
         out.insert(vec)
     return out
 

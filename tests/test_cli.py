@@ -452,6 +452,8 @@ def test_negative_bounds_are_input_errors(argv, capsys):
      "input error: --p applies only to"),
     (["dims", "--family", "n_symmetric", "--q", "1", "--format", "0,1"],
      "input error: --q applies only to"),
+    # the default ceiling, with no --ceiling given
+    (["mt", "--p", "1", "--q", "1", "--order", "11"], "exceeds the cost ceiling 10"),
 ])
 def test_out_of_range_inputs_are_rejected_not_substituted(argv, message, capsys):
     assert main(argv) == 2

@@ -22,6 +22,7 @@ from superkoszul.tensorspace import (
     Subspace,
     SuperSpace,
     axpy,
+    dual_complement,
     kernel_of_vectors,
     matrix_rank,
     subspace_intersection,
@@ -35,20 +36,24 @@ PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, 
 
 
 @st.composite
-def presentations(draw):
-    """custom_algebra on 1..3 generators of random parity, N in {2, 3}, and
-    1..3 relations, each a combination of 1..3 words of one parity."""
-    fmt = tuple(draw(st.lists(st.integers(0, 1), min_size=1, max_size=3)))
+def presentations(draw, generators=(1, 3), relations=(1, 3), words_per_relation=(1, 3)):
+    """custom_algebra on generators of random parity, N in {2, 3}, and
+    relations, each a combination of words of one parity; each pair is the
+    (least, most) number drawn."""
+    fmt = tuple(draw(st.lists(st.integers(0, 1), min_size=generators[0],
+                              max_size=generators[1])))
     N = draw(st.integers(2, 3))
     space = SuperSpace(fmt)
     words = list(space.words(N))
-    relations = []
-    for _ in range(draw(st.integers(1, 3))):
+    rows = []
+    for _ in range(draw(st.integers(*relations))):
         parity = space.word_parity(draw(st.sampled_from(words)))
         same = [w for w in words if space.word_parity(w) == parity]
-        terms = draw(st.lists(st.sampled_from(same), min_size=1, max_size=3, unique=True))
-        relations.append([(draw(st.sampled_from(COEFFS)), w) for w in terms])
-    return custom_algebra(fmt, N, relations)
+        fewest, most = words_per_relation
+        terms = draw(st.lists(st.sampled_from(same), min_size=min(fewest, len(same)),
+                              max_size=most, unique=True))
+        rows.append([(draw(st.sampled_from(COEFFS)), w) for w in terms])
+    return custom_algebra(fmt, N, rows)
 
 
 def degrees(A):
@@ -74,6 +79,34 @@ def test_dim_component_and_relations_fill_the_tensor_power(A):
 @given(presentations())
 def test_dual_of_the_dual_is_the_algebra(A):
     assert A.dual_algebra().dual_algebra().R.rows == A.R.rows
+
+
+def two_elimination_dual_complement(R):
+    """The annihilator of R by two eliminations, the reference: R's rows with
+    every word reversed, reduced into their own echelon, and the null space
+    of that echelon."""
+    space, n = R.space, R.degree
+    reversed_rows = Subspace(space, n, ({w[::-1]: c for w, c in row.items()}
+                                        for row in R.rows.values()))
+    rows = reversed_rows.rows
+    out = Subspace(space, n)
+    for w in space.words(n):
+        if w not in rows:
+            out.insert({w: 1, **{p: -row[w] for p, row in rows.items() if w in row}})
+    return out
+
+
+@PROPERTY_SETTINGS
+@given(presentations())
+def test_dual_complement_is_the_annihilator_under_the_reversal_pairing(A):
+    # <x^j, x_i> = 1 exactly when j is the reversal of i
+    R = A.R
+    perp = dual_complement(R)
+    for f in perp.rows.values():
+        for r in R.rows.values():
+            assert sum(f.get(w[::-1], 0) * c for w, c in r.items()) == 0
+    assert perp.dim + R.dim == A.dim_V ** A.N
+    assert perp == two_elimination_dual_complement(R)
 
 
 @PROPERTY_SETTINGS
@@ -353,6 +386,15 @@ def two_elimination_tor(A, i_max, deg_max):
 def test_tor_matches_the_two_elimination_route(A):
     # the radical's rank is counted from the next kernel, not eliminated
     assert tor_dims(A, 3, A.N + 2).dims == two_elimination_tor(A, 3, A.N + 2)
+
+
+@PROPERTY_SETTINGS
+@given(presentations(generators=(2, 2), relations=(2, 3), words_per_relation=(2, 3)))
+def test_tor_matches_the_two_elimination_route_on_two_generators_to_degree_n_plus_3(A):
+    # two generators and several relations of several words give images of
+    # unequal scales often enough that a kernel tag missing its image's scale
+    # changes a Tor dimension within these degrees
+    assert tor_dims(A, 3, A.N + 3).dims == two_elimination_tor(A, 3, A.N + 3)
 
 
 @PROPERTY_SETTINGS
