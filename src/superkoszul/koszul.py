@@ -35,18 +35,26 @@ integer images and multiplied by the image scales (:func:`tor_dims`).
 
 Exactness in positive homological degrees, checked per total degree by exact
 rank arithmetic, is the Koszul property; the checker only ever claims it up
-to the requested truncation.  Two ranks in each total degree n are theorems
-about the presentation, so the checker reads them instead of eliminating:
+to the requested truncation.  Three ranks in each total degree n are
+theorems about the presentation, so the checker reads them instead of
+eliminating:
 
 * delta_1 is onto, rank = dim A_n: the prefix v' of a basis word v = v'x of
   A_n is a basis word of A_{n-1} (a prefix of a reduced word is reduced, and
   a pivot v' of R_{n-1} would make v'x a pivot of R_n), and nf(v'x) = {v: 1}.
+* delta_2 : A_{n-N} x R -> A_{n-1} x V has image the kernel of the
+  multiplication mu : A_{n-1} x V -> A_n, so rank = d dim A_{n-1} - dim A_n,
+  for every N-homogeneous algebra, Koszul or not.  D_N = R and D_1 = V, and
+  delta_2 contracts the first N-1 letters of r in R into A, so its image is
+  the image of T_{n-N} x R in A_{n-1} x V.  As
+  (R)_n = (R)_{n-1} x V + T_{n-N} x R, that image is ker mu, and mu is onto.
 * the top differential, nu(i) = n, is one to one, rank = dim D_n: its target
   is A_k x D_{n-k} with k < N, where every word u is a basis word with
   nf(u) = {u: 1}, so it is the inclusion of D_n in V^(x k) x D_{n-k}.
 
-Only the interior slices with a nonzero source are assembled and eliminated;
-:func:`koszul_matrix` still builds every slice when it is called directly.
+Only the interior slices, i > 2, with a nonzero source are assembled and
+eliminated; :func:`koszul_matrix` still builds every slice when it is called
+directly.
 """
 
 from __future__ import annotations
@@ -183,7 +191,7 @@ def koszul_check(A: HomogAlgebra, deg_max: int) -> KoszulVerdict:
     degree n <= deg_max: rank(delta_i) + rank(delta_{i+1}) must exhaust the
     middle term.  The verdict claims nothing beyond the truncation.
 
-    Only the interior slices, 1 < i with 0 < n - nu(i) and a nonzero source,
+    Only the interior slices, 2 < i with 0 < n - nu(i) and a nonzero source,
     are assembled and eliminated with exact rank arithmetic.  The other ranks
     are read from the presentation:
 
@@ -191,6 +199,16 @@ def koszul_check(A: HomogAlgebra, deg_max: int) -> KoszulVerdict:
       word v' of A_{n-1} as prefix (a prefix of a reduced word is reduced; a
       pivot v' of R_{n-1} would make v'x a pivot of R_n), and nf(v'x) =
       {v: 1}, so the column of (v', x) is the unit vector of v in A_n x D_0.
+    * rank(delta_2 at n) = d dim A_{n-1} - dim A_n, Koszul or not.  D_N = R
+      and D_1 = V; delta_2 sends w (x) r, r = sum of u (x) x with u of length
+      N-1, to the sum of nf(w u) (x) x, the image of w r under the projection
+      T_{n-1} x V -> A_{n-1} x V, which kills (R)_{n-1} x V.  Any w of
+      T_{n-N} differs from nf(w) by an element of (R), so im delta_2 is the
+      image of T_{n-N} x R.  As (R)_n = (R)_{n-1} x V + T_{n-N} x R, that is
+      the kernel of the multiplication A_{n-1} x V -> A_n, which is onto.  At
+      n < N this reads 0, the empty source, and at n = N it reads dim R, the
+      top slice.  With delta_1 read too, the i = 1 defect is zero by
+      construction: exactness there is the statement A = T(V)/(R).
     * rank(delta_i at n = nu(i)) = dim D_n = dim A^!_n.  The target is
       A_k x D_{n-k} with k = 1 or N-1 < N, where nf(u) = {u: 1}, so the
       column of xi_b is xi_b split in V^(x k) x D_{n-k}: the map is the
@@ -212,6 +230,8 @@ def koszul_check(A: HomogAlgebra, deg_max: int) -> KoszulVerdict:
     def rank_of(i: int, n: int) -> int:
         if i == 1:
             return len(A.reduced_words(n))
+        if i == 2:
+            return A.dim_V * len(A.reduced_words(n - 1)) - len(A.reduced_words(n))
         if jump(A.N, i) == n:
             return len(dual.reduced_words(n))
         if not source_dim(i, n):

@@ -194,12 +194,14 @@ def test_koszul_check_runs_without_confluence():
 
 @pytest.mark.parametrize("A, deg_max, interior", [
     (n_symmetric(SuperSpace.standard(2, 1), 3), 8, True),
-    (yang_mills(SuperSpace.standard(1, 1)), 7, True),
+    # YM(1|1) has D_4 = 0, so every slice with a nonzero source is delta_1,
+    # delta_2 or a top slice, and nothing is built
+    (yang_mills(SuperSpace.standard(1, 1)), 7, False),
     (n_symmetric(SuperSpace.standard(1, 0), 2), 6, False),  # k[x]: D_2 = 0
 ])
 def test_koszul_check_eliminates_only_interior_slices(A, deg_max, interior, monkeypatch):
-    # delta_1, the top slices nu(i) = n and the slices with an empty source
-    # have ranks read from the presentation, so none of them is built
+    # delta_1, delta_2, the top slices nu(i) = n and the slices with an empty
+    # source have ranks read from the presentation, so none of them is built
     built = []
 
     def counting_koszul_matrix(A, i, n):
@@ -212,7 +214,7 @@ def test_koszul_check_eliminates_only_interior_slices(A, deg_max, interior, monk
     assert len(set(built)) == len(built)
     for i, n in built:
         m = jump(A.N, i)
-        assert 1 < i and m < n, (i, n)
+        assert 2 < i and m < n, (i, n)
         assert A.reduced_words(n - m) and A.dual_algebra().reduced_words(m), (i, n)
 
 
@@ -242,7 +244,9 @@ PINNED_SLICE_RANKS = [
 
 @pytest.mark.parametrize("A, deg_max, ranks", PINNED_SLICE_RANKS, ids=["YM(1|1)", "L3 dj(2|1)"])
 def test_interior_slice_ranks_are_pinned(A, deg_max, ranks, monkeypatch):
-    assert slice_ranks(A, deg_max, monkeypatch) == ranks
+    assert {key: koszul_matrix(A, *key).rank() for key in ranks} == ranks
+    # the delta_2 ranks are read from the Hilbert function, not assembled
+    assert slice_ranks(A, deg_max, monkeypatch) == {(i, n): r for (i, n), r in ranks.items() if i > 2}
 
 
 def test_dual_algebra_gets_the_overlap_meets_as_numbers(monkeypatch):
@@ -286,9 +290,18 @@ def test_mixed_yang_mills_1_1_is_not_exact_where_duality_breaks():
     assert not A.confluence_report().passed
     verdict = koszul_check(A, 7)
     assert verdict.failures == [(2, 5, 2), (2, 6, 4), (2, 7, 6)]
+    assert koszul_check(A, 8).failures == [(2, 5, 2), (2, 6, 4), (2, 7, 6), (2, 8, 8)]
     product = koszul_duality_check(A, 7).product
     first_break = next(n for n in range(1, 8) if product.coeffs[n] != 0)
     assert verdict.failures[0][1] == first_break == 5
+
+
+@pytest.mark.parametrize("A", [
+    n_symmetric(SuperSpace.standard(2, 2), 3),
+    lambda_operator_algebra(dj_operator(2, 2, 2), 3),
+], ids=lambda A: A.label)
+def test_cubic_algebras_on_four_letters_are_koszul_through_degree_9(A):
+    assert koszul_check(A, 9).failures == []
 
 
 def test_mixed_yang_mills_2_1_is_koszul_through_degree_6():

@@ -538,6 +538,31 @@ def test_first_and_top_slice_ranks_are_read_from_the_presentation(A):
         i += 1
 
 
+def hilbert_delta_2_rank(A, n):
+    """rank(delta_2 at n) as koszul_check reads it: the kernel of the onto
+    multiplication A_{n-1} x V -> A_n."""
+    return A.dim_V * len(A.reduced_words(n - 1)) - len(A.reduced_words(n))
+
+
+@PROPERTY_SETTINGS
+@given(presentations())
+def test_delta_2_has_the_rank_read_from_the_hilbert_function(A):
+    # im delta_2 is the kernel of multiplication, Koszul or not, confluent
+    # or not
+    for n in range(1, A.N + 3):
+        assert koszul_matrix(A, 2, n).rank() == hilbert_delta_2_rank(A, n), n
+
+
+@pytest.mark.parametrize("A, deg_max", [
+    (yang_mills(SuperSpace.standard(1, 1)), 8),
+    (yang_mills(SuperSpace.standard(2, 1)), 6),
+    (custom_algebra((0, 0), 2, [[(1, (1, 1)), (-1, (1, 2))]]), 6),
+], ids=["YM(1|1)", "YM(2|1)", "non-confluent"])
+def test_delta_2_has_the_rank_read_from_the_hilbert_function_beyond_n_plus_2(A, deg_max):
+    for n in range(1, deg_max + 1):
+        assert koszul_matrix(A, 2, n).rank() == hilbert_delta_2_rank(A, n), n
+
+
 def eliminating_koszul_failures(A, deg_max):
     """Reference for :func:`koszul_check`: every slice, delta_1 and the top
     slices included, assembled and eliminated."""
