@@ -31,7 +31,9 @@ the dens it meets times the table's scale.  :class:`KoszulSlice` keeps the
 int columns with their scales; ``columns`` is the exact view, built on
 demand, and ``rank`` eliminates the int columns, as scaling does not change it.
 Tor runs on the same integer products: its kernel tags are taken over the
-integer images and multiplied by the image scales (:func:`tor_dims`).
+integer images and multiplied by the image scales, and Tor_1 = V and
+Tor_2 = R are read from the presentation, so the resolution starts from
+F_2 = A x R with no kernel of A x V -> A eliminated (:func:`tor_dims`).
 
 Exactness in positive homological degrees, checked per total degree by exact
 rank arithmetic, is the Koszul property; the checker only ever claims it up
@@ -63,7 +65,7 @@ from dataclasses import dataclass, field
 
 from .homogeneous import HomogAlgebra
 from .superpoly import TruncatedSeries
-from .tensorspace import RankCounter, kernel_of_vectors, matrix_rank, rescale, scaled_view
+from .tensorspace import RankCounter, kernel_of_vectors, matrix_rank, rescale, scaled_ints, scaled_view
 
 
 def jump(N: int, i: int) -> int:
@@ -259,11 +261,12 @@ def koszul_check(A: HomogAlgebra, deg_max: int) -> KoszulVerdict:
 #
 # Tor_i(k, k) in degree n is the number of degree-n generators of F_i, the
 # generators of F_{i+1} being a complement of the radical A_+ ker(d_i)
-# inside ker(d_i).  Degrees are taken in increasing order, so the radical in
-# degree n is spanned by the products of the generators already found; one
-# kernel elimination per (i, n) over those products gives both ker(d_{i+1})
-# and the radical's rank, and an echelon is built to pick a complement only
-# where that rank falls short.
+# inside ker(d_i).  F_1 = A x V and F_2 = A x R are read from the
+# presentation.  From i = 1 on, degrees are taken in increasing order, so the
+# radical in degree n is spanned by the products of the generators already
+# found; one kernel elimination per (i, n) over those products gives both
+# ker(d_{i+1}) and the radical's rank, and an echelon is built to pick a
+# complement only where that rank falls short.
 
 
 @dataclass
@@ -288,40 +291,62 @@ class TorTable:
 def tor_dims(A: HomogAlgebra, i_max: int, deg_max: int) -> TorTable:
     """Betti numbers of the trivial module from a minimal resolution.
 
-    Free modules are encoded on bases (basis word of A, generator).  Level i
-    holds K^i = ker(d_i) per degree, K^0_n = A_n on its basis words, and finds
-    the generators of F_{i+1} in increasing degree n with one kernel
-    elimination per (i, n).  The images w * z_g, over the generators z_g
-    found so far (all of degree < n) and the basis words w of A_{n - deg g},
-    span the radical (A_+ K^i)_n: below degree n, K^i is generated by those
-    z_g, so A_j K^i_{n-j} lies in the sum of the A_{n - deg g} z_g, and each
-    of these lies in A_+ K^i since n - deg g >= 1.  So the kernel over the
-    images is K^{i+1}_n (a degree-n generator maps outside their span, so it
-    adds no kernel vector), and, as that kernel comes back as a basis, the
-    radical's rank is the number of images minus its length.  The radical lies in K^i_n, so equal
-    dimensions mean equal spaces and no generator of degree n.  Otherwise
-    the K^i_n vectors that grow an echelon of the images are the new
-    generators; that greedy choice depends only on the radical's span.
+    Free modules are encoded on bases (basis word of A, generator).  Tor_1
+    and Tor_2 are read from the presentation, for every N-homogeneous
+    algebra, Koszul or confluent or not.  F_1 = A x V, one generator per
+    letter, so Tor_1 = d in degree 1.  K^1_n = ker(mu : A_{n-1} x V -> A_n)
+    is the image of A_{n-N} x R, as (R)_n = (R)_{n-1} x V + T_{n-N} x R; so
+    K^1 is generated by R in degree N, minimally, since nothing lies below
+    degree N and K^1_N = R (A_{N-1} = V^(x N-1)).  So Tor_2 = dim R in
+    degree N, and F_2 has one generator per row r of R: r read in
+    A_{N-1} x V, the word u as (u[:-1], slot of its last letter).
+
+    From level i = 1 on, K^{i+1} is found per degree n with one kernel
+    elimination over the images w * z_g, over the generators z_g of F_{i+1}
+    of degree < n and the basis words w of A_{n - deg g}.  At i = 1 those
+    are all read.  At i >= 2 the generators of F_{i+1} are found in the
+    same pass, in increasing degree: below degree n, K^i is generated by
+    the z_g found so far, so A_j K^i_{n-j} lies in the sum of the
+    A_{n - deg g} z_g, and each of these lies in A_+ K^i since
+    n - deg g >= 1; the images span the radical (A_+ K^i)_n.  So the kernel
+    over the images is K^{i+1}_n (a degree-n generator maps outside their
+    span, so it adds no kernel vector), and, as that kernel comes back as a
+    basis, the radical's rank is the number of images minus its length.
+    The radical lies in K^i_n, so equal dimensions mean equal spaces and no
+    generator of degree n.  Otherwise the K^i_n vectors that grow an
+    echelon of the images are the new generators; that greedy choice
+    depends only on the radical's span.
 
     All in integers: image k is ints_k / scale_k (:func:`_times_ints`), so a
     kernel tag c at k over the ints is c * scale_k on basis element k, and
-    the radical's echelon takes the ints, as scaling keeps a span.
+    the radical's echelon takes the ints, as scaling keeps a span; a row of
+    R is taken as its ints (:func:`scaled_ints`) for the same reason.
     """
     if i_max < 0 or deg_max < 0:
         raise ValueError("i_max and deg_max must be nonnegative")
     table = TorTable(i_max, deg_max, {0: {0: 1}})
-    kernels = {n: [{(w, 0): 1} for w in A.reduced_words(n)] for n in range(1, deg_max + 1)}
-    for i in range(i_max):
-        gens: list = []  # generators of F_{i+1}: (degree, _by_word pairs in F_i)
+    if i_max:
+        table.dims[1] = {1: A.dim_V} if A.dim_V and deg_max else {}
+    if i_max < 2 or not table.dims[1]:
+        return table
+    slot = {w: h for h, w in enumerate(A.reduced_words(1))}
+    gens = [  # generators of F_{i+1}: (degree, _by_word pairs in F_i)
+        (A.N, _by_word({(u[:-1], slot[u[-1:]]): c for u, c in scaled_ints(row)[0].items()}))
+        for row in A.R.rows.values()
+    ] if deg_max >= A.N else []
+    dims = table.dims[2] = {A.N: len(gens)} if gens else {}
+    if i_max < 3 or not gens:
+        return table
+    kernels: dict = {}  # K^i per degree; none at i = 1, where F_2's generators are read
+    for i in range(1, i_max):
         next_kernels: dict = {}
-        dims: dict = {}
         for n in range(1, deg_max + 1):
-            basis = [(w, g) for g, (m, _) in enumerate(gens) for w in A.reduced_words(n - m)]
+            basis = [(w, g) for g, (m, _) in enumerate(gens) if m < n for w in A.reduced_words(n - m)]
             images = [_times_ints(A, w, gens[g][1]) for w, g in basis]
-            kernel = kernel_of_vectors(ints for ints, _ in images)
+            kernel = kernel_of_vectors([ints for ints, _ in images])
             # basis keys are distinct and kernel tags nonzero
             next_kernels[n] = [{basis[k]: c * images[k][1] for k, c in t.items()} for t in kernel]
-            if len(images) - len(kernel) < len(kernels[n]):
+            if kernels and len(images) - len(kernel) < len(kernels[n]):
                 radical = RankCounter()
                 for ints, _ in images:
                     radical.insert(ints)
@@ -331,7 +356,7 @@ def tor_dims(A: HomogAlgebra, i_max: int, deg_max: int) -> TorTable:
         table.dims[i + 1] = dims
         if not gens:
             break
-        kernels = next_kernels
+        kernels, gens, dims = next_kernels, [], {}
     return table
 
 

@@ -344,6 +344,13 @@ def test_tor_of_the_even_yang_mills_algebra():
     assert tor_dims(Y, 4, 7).dims == {0: {0: 1}, 1: {1: 3}, 2: {3: 3}, 3: {4: 1}, 4: {}}
 
 
+@pytest.mark.parametrize("p, q", [(3, 0), (0, 3)])
+def test_tor_of_the_yang_mills_algebras_on_three_generators_through_order_9(p, q):
+    # global dimension 3: nothing past Tor_3 in degree 4 through order 9
+    Y = yang_mills(SuperSpace.standard(p, q))
+    assert tor_dims(Y, 4, 9).dims == {0: {0: 1}, 1: {1: 3}, 2: {3: 3}, 3: {4: 1}, 4: {}}
+
+
 def test_tor_of_the_mixed_yang_mills_algebra_through_order_7():
     # Tor_3 sits in degree 5, not nu(3) = 4, and Tor_4 in degree 7, not nu(4) = 6
     Y = yang_mills(SuperSpace.standard(1, 1))

@@ -14,7 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superkoszul.hecke import dj_operator
-from superkoszul.homogeneous import HomogAlgebra, custom_algebra, lambda_operator_algebra, yang_mills
+from superkoszul.homogeneous import (
+    HomogAlgebra,
+    custom_algebra,
+    lambda_operator_algebra,
+    tensor_algebra,
+    yang_mills,
+)
 from superkoszul.koszul import jump, koszul_check, koszul_duality_check, koszul_matrix, tor_dims
 from superkoszul.superpoly import TruncatedSeries, VariableTable
 from superkoszul.tensorspace import (
@@ -316,12 +322,17 @@ def test_echelon_residual_is_the_rewriting_normal_form_when_confluent(A):
 @PROPERTY_SETTINGS
 @given(presentations())
 def test_tor_counts_the_generators_and_the_minimal_relations(A):
-    # Tor_1 is V in degree 1 and Tor_2 is R, all in degree N; a kernel element
-    # of the forward eliminator that is not a true relation breaks the count
+    # Tor_1 is V in degree 1 and Tor_2 is R, all in degree N.  tor_dims reads
+    # both from the presentation; the two-elimination route finds them by
+    # eliminating ker(A x V -> A), so a kernel element of that eliminator
+    # that is not a true relation breaks its count
     d, N = A.dim_V, A.N
     table = tor_dims(A, 2, N + 1)
     assert table.dims[1] == {1: d}
     assert table.dims[2] == {N: A.R.dim}
+    eliminated = two_elimination_tor(A, 2, N + 1)
+    assert eliminated[1] == {1: d}
+    assert eliminated[2] == {N: A.R.dim}
 
 
 def pairs_by_word(z):
@@ -395,6 +406,21 @@ def test_tor_matches_the_two_elimination_route_on_two_generators_to_degree_n_plu
     # unequal scales often enough that a kernel tag missing its image's scale
     # changes a Tor dimension within these degrees
     assert tor_dims(A, 3, A.N + 3).dims == two_elimination_tor(A, 3, A.N + 3)
+
+
+@pytest.mark.parametrize("A", [
+    tensor_algebra((0, 1), 3),  # R = 0
+    custom_algebra((0, 0), 2, [[(1, w)] for w in ((1, 1), (1, 2), (2, 1), (2, 2))]),  # R = V^(x 2)
+    custom_algebra((0, 0), 2, [[(1, (1, 1)), (-1, (1, 2))]]),  # not confluent
+    yang_mills(SuperSpace.standard(1, 1)),
+], ids=["free", "full_R", "non_confluent", "YM(1|1)"])
+def test_tor_matches_the_two_elimination_route_on_every_small_bound(A):
+    # the bounds below, at and just past N, where Tor_1 and Tor_2 are read
+    # and where a level with no generators stops the resolution
+    for i_max in range(4):
+        for deg_max in range(A.N + 3):
+            assert tor_dims(A, i_max, deg_max).dims == two_elimination_tor(A, i_max, deg_max), (
+                i_max, deg_max)
 
 
 @PROPERTY_SETTINGS
