@@ -246,6 +246,30 @@ def test_mt_command_output_is_pinned(p, q, N, order):
     assert "".join(lines) == expected.read_text()
 
 
+PINNED_ALGEBRAS = {
+    "yang_mills_2_1": ["--family", "yang_mills", "--p", "2", "--q", "1"],
+    "n_symmetric_2_1_N3": ["--family", "n_symmetric", "--p", "2", "--q", "1", "-N", "3"],
+    "lambda_RN_2_1_N3_q2": ["--family", "lambda_RN", "--p", "2", "--q", "1", "-N", "3",
+                            "--q-param", "2"],
+}
+
+
+@pytest.mark.parametrize("algebra", sorted(PINNED_ALGEBRAS))
+@pytest.mark.parametrize("command", ["dims", "dual", "hilbert", "confluence", "koszul", "tor"])
+def test_algebra_command_output_is_pinned(command, algebra, capsys):
+    # the whole stdout, titles and human lines included, as recorded in
+    # tests/expected/; only the elapsed_s timer line varies between runs.
+    # YM(2|1) is not confluent, so its confluence command exits 1.
+    argv = [command, *PINNED_ALGEBRAS[algebra]]
+    if command != "confluence":
+        argv += ["--order", "6"]
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == (1 if (command, algebra) == ("confluence", "yang_mills_2_1") else 0)
+    lines = [line for line in out.splitlines(keepends=True) if "elapsed_s=" not in line]
+    assert "".join(lines) == (EXPECTED / f"{command}_{algebra}.txt").read_text()
+
+
 def test_koszul_command_flags_mixed_yang_mills():
     code, out, _ = run_cli(["koszul", "--family", "yang_mills", "--p", "1", "--q", "1", "--order", "6"])
     assert code == 1

@@ -147,12 +147,15 @@ def test_symmetrizer_image_rank_on_a_1_1_space():
 
 
 def test_antisymmetrizer_image_is_the_wedge():
+    # the signed-permutation route against the Hecke route through Y_n, on
+    # every space of dimension 1 to 3 and in degrees 0 to 4
     from superkoszul.tensorspace import antisymmetrizer_image
 
-    sp = SuperSpace.standard(2, 1)
-    c = supersymmetry_operator(sp)
-    for n in (2, 3):
-        assert symmetrizer_image(c, n, "Y") == antisymmetrizer_image(sp, n)
+    for p, q_dim in [(p, q) for p in range(4) for q in range(4) if 1 <= p + q <= 3]:
+        sp = SuperSpace.standard(p, q_dim)
+        c = supersymmetry_operator(sp)
+        for n in range(5):
+            assert symmetrizer_image(c, n, "Y") == antisymmetrizer_image(sp, n)
 
 
 @pytest.mark.parametrize(

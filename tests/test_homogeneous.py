@@ -342,6 +342,24 @@ def test_yang_mills_presentation_of_the_heisenberg_flavor():
     assert Y.R == expected.R
 
 
+@pytest.mark.parametrize("p, q, relations", [
+    # one even, one odd generator: [x1,[x1,x2]] and [x2,[x2,x1]] with x2 odd
+    (1, 1, [
+        [(1, (1, 1, 2)), (-2, (1, 2, 1)), (1, (2, 1, 1))],
+        [(1, (1, 2, 2)), (-1, (2, 2, 1))],
+    ]),
+    # two odd generators
+    (0, 2, [
+        [(1, (1, 1, 2)), (-1, (2, 1, 1))],
+        [(1, (1, 2, 2)), (-1, (2, 2, 1))],
+    ]),
+])
+def test_yang_mills_presentation_with_odd_generators(p, q, relations):
+    sp = SuperSpace.standard(p, q)
+    Y = yang_mills(sp)
+    assert Y.R == custom_algebra(sp, 3, relations).R
+
+
 def test_yang_mills_accepts_a_non_diagonal_metric():
     G = [[0, 1], [1, 0]]
     Y = yang_mills(SuperSpace.standard(2, 0), G)
