@@ -37,7 +37,7 @@ dj = dj_operator(1, 1, q)
 print(f"  {dj.label}: {verify_hecke_operator(dj).passed} (associated q = {dj.q})")
 
 print("\ncolumns of the Drinfel'd-Jimbo operator:")
-for pair, col in sorted(dj.entries.items()):
+for pair, col in sorted(dj.columns.items()):
     print(f"  x{pair} -> {dict(sorted(col.items()))}")
 
 rho = hecke_rep(dj, 3, q_idempotents(3, dj.q)[0])

@@ -270,20 +270,14 @@ def run(command: str, spec: AlgebraSpec | None, options: dict) -> tuple[Report, 
 
 
 def _cmd_dims(report, spec, options, order):
+    """dims and dual: the graded dimensions of A or of its dual A^!."""
     A = build_algebra(spec)
-    report.say(f"graded dimensions of {A.label}")
+    title = A.label
+    if report.command == "dual":
+        A, title = A.dual_algebra(), f"the dual of {title}"
+    report.say(f"graded dimensions of {title}")
     for n in range(order + 1):
         dim = A.dim_component(n)
-        report.say(f"deg {n}: dim={dim}")
-        report.record(deg=n, dim=dim)
-
-
-def _cmd_dual(report, spec, options, order):
-    A = build_algebra(spec)
-    dual = A.dual_algebra()
-    report.say(f"graded dimensions of the dual of {A.label}")
-    for n in range(order + 1):
-        dim = dual.dim_component(n)
         report.say(f"deg {n}: dim={dim}")
         report.record(deg=n, dim=dim)
 
@@ -400,7 +394,7 @@ def _cmd_hecke_verify(report, spec, options, order):
 
 _HANDLERS = {
     "dims": _cmd_dims,
-    "dual": _cmd_dual,
+    "dual": _cmd_dims,
     "koszul": _cmd_koszul,
     "tor": _cmd_tor,
     "confluence": _cmd_confluence,

@@ -11,8 +11,9 @@ The parameter q is a fixed nonzero rational, not an indeterminate; idempotent
 construction checks the q-integer regularity it needs and fails loudly
 otherwise.
 
-A Hecke operator is an even endomorphism R of V x V, stored by columns:
-``R(x_i x x_j) = sum R[i,j][k,l] x_k x x_l``.  It induces a representation of
+A Hecke operator is an even endomorphism R of V x V: a degree-2
+:class:`LinearOperator`, stored by columns, ``R(x_i x x_j) = sum over (k, l)
+of R.columns[(i, j)][(k, l)] x_k x x_l``.  It induces a representation of
 H_{n,q} on the n-th tensor power by placing R in adjacent slots.
 """
 
@@ -263,9 +264,6 @@ class LinearOperator:
             return NotImplemented
         return (self - other).is_zero()
 
-    def __hash__(self):
-        raise TypeError("LinearOperator is unhashable")
-
     def image(self) -> Subspace:
         return Subspace(self.space, self.degree, self.columns.values())
 
@@ -273,33 +271,24 @@ class LinearOperator:
         return matrix_rank(self.columns.values())
 
 
-class YangBaxterOperator:
-    """Candidate Hecke operator on V x V with its associated parameter q."""
+class YangBaxterOperator(LinearOperator):
+    """Candidate Hecke operator on V x V with its associated parameter q: the
+    degree-2 operator whose column of x_i x x_j is ``entries[(i, j)]``."""
+
+    __slots__ = ("q", "label")
 
     def __init__(self, space: SuperSpace, q, entries, label: str = ""):
-        self.space = space
-        self.q = Fraction(q)
-        # entries[(i, j)] = {(k, l): coeff} : the column of x_i x x_j
-        self.entries = {
+        columns = {
             pair: {out: Fraction(c) for out, c in col.items() if c != 0}
             for pair, col in entries.items()
         }
+        LinearOperator.__init__(self, space, 2, columns)
+        self.q = Fraction(q)
         self.label = label
-
-    def as_operator(self) -> LinearOperator:
-        cols = {pair: dict(col) for pair, col in self.entries.items()}
-        return LinearOperator(self.space, 2, cols)
-
-    def inverse(self) -> "YangBaxterOperator":
-        """Inverse from the Hecke equation: R^-1 = (R - (q-1)) / q."""
-        op = self.as_operator()
-        ident = LinearOperator.identity(self.space, 2)
-        inv = (op - ident.scale(self.q - 1)).scale(1 / self.q)
-        return YangBaxterOperator(self.space, 1 / self.q, inv.columns, label=f"({self.label})^-1")
 
     def is_even(self) -> bool:
         sp = self.space
-        for (i, j), col in self.entries.items():
+        for (i, j), col in self.columns.items():
             pin = (sp.parity(i) + sp.parity(j)) % 2
             for (k, l), c in col.items():
                 if c and (sp.parity(k) + sp.parity(l)) % 2 != pin:
@@ -353,7 +342,7 @@ def hecke_rep_generator(R: YangBaxterOperator, n: int, i: int) -> LinearOperator
     for w in space.words(n):
         pair = (w[i - 1], w[i])
         col = {}
-        for (k, l), c in R.entries.get(pair, {}).items():
+        for (k, l), c in R.columns.get(pair, {}).items():
             col[w[: i - 1] + (k, l) + w[i + 1 :]] = c
         if col:
             cols[w] = col
@@ -402,10 +391,8 @@ class HeckeOperatorReport:
 
 def verify_hecke_operator(R: YangBaxterOperator) -> HeckeOperatorReport:
     """Exact check of evenness, (R+1)(R-q) = 0, and the braid relation."""
-    space, q = R.space, R.q
-    op = R.as_operator()
-    ident2 = LinearOperator.identity(space, 2)
-    hecke_ok = (op + ident2).compose(op - ident2.scale(q)).is_zero()
+    ident2 = LinearOperator.identity(R.space, 2)
+    hecke_ok = (R + ident2).compose(R - ident2.scale(R.q)).is_zero()
     r1 = hecke_rep_generator(R, 3, 1)
     r2 = hecke_rep_generator(R, 3, 2)
     ybe_ok = r1.compose(r2).compose(r1) == r2.compose(r1).compose(r2)

@@ -65,7 +65,6 @@ from .hecke import YangBaxterOperator, symmetrizer_image
 from .tensorspace import (
     Subspace,
     SuperSpace,
-    TensorVector,
     antisymmetrizer_image,
     axpy,
     dual_complement,
@@ -215,13 +214,7 @@ class HomogAlgebra:
             if tail is not None:
                 prefix, suffix = w[:i], w[i + N :]
                 del residual[w]
-                for t, a in tail.items():
-                    key = prefix + t + suffix
-                    s = residual.get(key, 0) + c * a
-                    if s:
-                        residual[key] = s
-                    else:
-                        residual.pop(key, None)
+                axpy(residual, {prefix + t + suffix: a for t, a in tail.items()}, c)
         return residual
 
     def graded_component(self, n: int):
@@ -606,14 +599,6 @@ def quantum_superspace(fmt, q_table=None, label: str = "") -> HomogAlgebra:
     )
 
 
-def _supercommutator(u: TensorVector, v: TensorVector) -> TensorVector:
-    pu, pv = u.parity(), v.parity()
-    if pu is None or pv is None:
-        raise ValueError("supercommutator needs parity-homogeneous arguments")
-    sign = -1 if pu * pv else 1
-    return u.tensor(v) - v.tensor(u).scale(sign)
-
-
 def yang_mills(fmt, G=None, label: str = "") -> HomogAlgebra:
     """Cubic superalgebra with one relation per generator x_j,
 
@@ -645,19 +630,23 @@ def yang_mills(fmt, G=None, label: str = "") -> HomogAlgebra:
         raise ValueError("metric must vanish between different parities")
     if matrix_rank(dict(enumerate(row)) for row in M) < d:
         raise ValueError("metric is singular")
-    x = [TensorVector.basis(space, (i,)) for i in range(1, d + 1)]
+    # [x_i, [x_k, x_j]] = x_i x_k x_j - s_kj x_i x_j x_k - s_i x_k x_j x_i
+    #                    + s_i s_kj x_j x_k x_i,
+    # s_kj = (-1)^(k^ j^) and s_i = (-1)^(i^ (k^ + j^))
+    par = space.parity
     rows = []
-    for j in range(d):
-        acc = TensorVector(space, 3, {})
-        for k in range(d):
-            inner = _supercommutator(x[k], x[j])
-            if inner.is_zero():
-                continue
-            for i in range(d):
-                if M[i][k]:
-                    acc = acc + _supercommutator(x[i], inner).scale(M[i][k])
-        if not acc.is_zero():
-            rows.append(acc.coeffs)
+    for j in range(1, d + 1):
+        row: dict = {}
+        for k in range(1, d + 1):
+            s_kj = -1 if par(k) * par(j) else 1
+            for i in range(1, d + 1):
+                g = M[i - 1][k - 1]
+                if g:
+                    s_i = -1 if par(i) * (par(k) + par(j)) % 2 else 1
+                    for word, sign in (((i, k, j), 1), ((i, j, k), -s_kj),
+                                       ((k, j, i), -s_i), ((j, k, i), s_i * s_kj)):
+                        axpy(row, {word: sign}, g)
+        rows.append(row)
     return HomogAlgebra(
         space, 3, Subspace(space, 3, rows), label=label or f"YM({space.p}|{space.q})"
     )

@@ -70,6 +70,19 @@ def _integral(c):
     return c.numerator if c.denominator == 1 else c
 
 
+def axpy(dst: dict, src: dict, factor) -> dict:
+    """dst += factor * src in place, dropping entries that cancel; returns dst."""
+    for k, c in src.items():
+        s = factor * c
+        if k in dst:
+            s += dst[k]
+        if s:
+            dst[k] = s
+        else:
+            dst.pop(k, None)
+    return dst
+
+
 def _mul_even(a: tuple, b: tuple) -> tuple:
     """Product of two even parts, sorted (vid, exponent) tuples, in one merge."""
     out, i, j = [], 0, 0
@@ -168,14 +181,7 @@ class SuperPolynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m, 0) + c
-            if s:
-                terms[m] = s
-            else:
-                terms.pop(m, None)
-        return SuperPolynomial(self.table, terms)
+        return SuperPolynomial(self.table, axpy(dict(self.terms), other.terms, 1))
 
     __radd__ = __add__
 
@@ -373,6 +379,8 @@ class TruncatedSeries:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs: Iterable):
+        if order < 0:
+            raise ValueError("the truncation order must be nonnegative")
         coeffs = list(coeffs)
         if len(coeffs) != order + 1:
             raise ValueError("need exactly order+1 coefficients")

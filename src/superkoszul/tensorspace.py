@@ -31,7 +31,7 @@ import itertools
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 
-from .superpoly import SuperPolynomial, _integral
+from .superpoly import SuperPolynomial, _integral, axpy
 
 Word = tuple  # tuple of letters in 1..d
 
@@ -82,7 +82,9 @@ class SuperSpace:
 
 
 class TensorVector:
-    """Sparse element of V^(x n) over the word basis."""
+    """Sparse element of V^(x n) over the word basis, for the user-facing
+    tensor calculus (:func:`perm_action`, :func:`group_algebra_action`,
+    :meth:`Subspace.basis_vectors`); the engine computes on plain dicts."""
 
     __slots__ = ("space", "degree", "coeffs")
 
@@ -98,38 +100,14 @@ class TensorVector:
     def basis(cls, space: SuperSpace, word: Word) -> "TensorVector":
         return cls(space, len(word), {tuple(word): Fraction(1)})
 
-    def is_zero(self):
-        return not self.coeffs
-
     def __add__(self, other):
         self._check(other)
         coeffs = axpy(dict(self.coeffs), other.coeffs, 1)
         return TensorVector(self.space, self.degree, coeffs)
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return self.scale(-1)
-
     def scale(self, c) -> "TensorVector":
         c = Fraction(c)
         return TensorVector(self.space, self.degree, {w: c * v for w, v in self.coeffs.items()})
-
-    def tensor(self, other: "TensorVector") -> "TensorVector":
-        if other.space != self.space:
-            raise ValueError("tensor factors live in different spaces")
-        coeffs = {}
-        for w1, c1 in self.coeffs.items():
-            for w2, c2 in other.coeffs.items():
-                coeffs[w1 + w2] = c1 * c2
-        return TensorVector(self.space, self.degree + other.degree, coeffs)
-
-    def parity(self):
-        parities = {self.space.word_parity(w) for w in self.coeffs}
-        if len(parities) == 1:
-            return parities.pop()
-        return None
 
     def _check(self, other):
         if self.space != other.space or self.degree != other.degree:
@@ -142,9 +120,6 @@ class TensorVector:
             and self.degree == other.degree
             and self.coeffs == other.coeffs
         )
-
-    def __hash__(self):
-        return hash((self.space, self.degree, frozenset(self.coeffs.items())))
 
     def __repr__(self):
         if not self.coeffs:
@@ -286,21 +261,8 @@ def group_algebra_action(element, v: TensorVector) -> TensorVector:
 
 
 # ---------------------------------------------------------------------------
-# Exact elimination: one sparse helper, one eliminator
+# Exact elimination: one eliminator, on superpoly's sparse axpy
 # ---------------------------------------------------------------------------
-
-
-def axpy(dst: dict, src: dict, factor) -> dict:
-    """dst += factor * src in place, dropping entries that cancel; returns dst."""
-    for k, c in src.items():
-        s = factor * c
-        if k in dst:
-            s += dst[k]
-        if s:
-            dst[k] = s
-        else:
-            dst.pop(k, None)
-    return dst
 
 
 def integral_as_int(vec: dict) -> dict:
@@ -357,11 +319,11 @@ class Subspace:
     pivot and no other pivot in it, so equal subspaces have equal rows.
     Inserts go to a :class:`RankCounter`; the first read of ``rows`` after
     one back-substitutes its integer rows once, into the same dict, and
-    ``dim`` is the forward rank.  ``reduce`` and ``coordinates`` take a dict
-    {word: coefficient}, ``insert`` also a :class:`TensorVector`.  Every
-    number of a row, residual or coordinate is an ``int`` when it is
-    integral and an exact ``Fraction`` otherwise: the one place elimination
-    output is converted, so the layers above convert nothing.
+    ``dim`` is the forward rank.  ``insert``, ``reduce`` and ``coordinates``
+    take a dict {word: coefficient}.  Every number of a row, residual or
+    coordinate is an ``int`` when it is integral and an exact ``Fraction``
+    otherwise: the one place elimination output is converted, so the layers
+    above convert nothing.
     """
 
     def __init__(self, space: SuperSpace, degree: int, rows=()):
@@ -505,8 +467,6 @@ class RankCounter:
         self.tags: dict = {}  # lead -> tags of that row
 
     def insert(self, vec, tags=None) -> bool:
-        if isinstance(vec, TensorVector):
-            vec = vec.coeffs
         row, den = scaled_ints(vec)
         if tags is not None:
             for t in tags:
@@ -575,13 +535,12 @@ def antisymmetrizer_element(n: int):
 def antisymmetrizer_image(space: SuperSpace, n: int) -> Subspace:
     """The antisymmetric n-tensors as a subspace of V^(x n).
 
-    The image of c_{Y_n} is spanned by its values on the weakly increasing
-    words (one per S_n-orbit); a value vanishes exactly when the word repeats
-    an even letter, so those words are skipped.
+    The image of c_{Y_n} is spanned by the values of n! Y_n = sum_sigma
+    sgn(sigma) c_sigma on the weakly increasing words (one per S_n-orbit); a
+    value vanishes exactly when the word repeats an even letter, so those
+    words are skipped.
     """
-    if n == 0:
-        return Subspace(space, 0, [{(): Fraction(1)}])
-    Y = antisymmetrizer_element(n)
+    signed = [(sigma, sigma.sign()) for sigma in all_permutations(n)]
     rows = []
     for word in itertools.combinations_with_replacement(range(1, space.dim + 1), n):
         if any(
@@ -589,9 +548,12 @@ def antisymmetrizer_image(space: SuperSpace, n: int) -> Subspace:
             for k in range(n - 1)
         ):
             continue
-        v = group_algebra_action(Y, TensorVector.basis(space, word))
-        if not v.is_zero():
-            rows.append(v.coeffs)
+        parities = [space.parity(i) for i in word]
+        row: dict = {}
+        for sigma, sgn in signed:
+            new_word, sign = permute_word(sigma, word, parities)
+            axpy(row, {new_word: sign}, sgn)
+        rows.append(row)
     return Subspace(space, n, rows)
 
 

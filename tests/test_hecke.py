@@ -101,15 +101,15 @@ def test_dj_rejects_a_negative_count(p, q_dim):
 
 def test_dj_scalar_cases():
     even_line = dj_operator(1, 0, Fraction(3))
-    assert even_line.entries[(1, 1)] == {(1, 1): Fraction(9)}
+    assert even_line.columns[(1, 1)] == {(1, 1): Fraction(9)}
     odd_line = dj_operator(0, 1, Fraction(3))
-    assert odd_line.entries[(1, 1)] == {(1, 1): Fraction(-1)}
+    assert odd_line.columns[(1, 1)] == {(1, 1): Fraction(-1)}
 
 
 def test_dj_at_one_is_the_supersymmetry():
     R = dj_operator(1, 1, 1)
     c = supersymmetry_operator(SuperSpace.standard(1, 1))
-    assert R.entries == c.entries
+    assert R.columns == c.columns
 
 
 @pytest.mark.parametrize("p,q_dim", [(p, q) for p in range(4) for q in range(4) if 1 <= p + q <= 3])
@@ -121,7 +121,7 @@ def test_built_in_operators_verify(p, q_dim):
 
 def test_scaled_supersymmetry_fails_the_quadratic_relation():
     c = supersymmetry_operator(SuperSpace.standard(1, 1))
-    doubled = c.as_operator().scale(2)
+    doubled = c.scale(2)
     from superkoszul.hecke import YangBaxterOperator
 
     bad = YangBaxterOperator(c.space, 1, doubled.columns)
@@ -177,7 +177,7 @@ def test_twisted_partner_representation():
     # the partner -q R^-1 = (q-1) - R, again a Hecke operator for the same q,
     # represents through the order-2 automorphism
     R = dj_operator(1, 1, Fraction(2))
-    minus_q_inverse = LinearOperator.identity(R.space, 2).scale(R.q - 1) - R.as_operator()
+    minus_q_inverse = LinearOperator.identity(R.space, 2).scale(R.q - 1) - R
     partner = YangBaxterOperator(R.space, R.q, minus_q_inverse.columns)
     X3, Y3 = q_idempotents(3, R.q)
     for el in (X3, Y3, HeckeElement.generator(3, R.q, 2)):

@@ -197,6 +197,16 @@ def test_singular_constant_term_rejected():
         s.inverse()
 
 
+def test_negative_truncation_order_is_rejected():
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        TruncatedSeries(-1, [])
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        TruncatedSeries.one(-1)
+    # the closed form used to reach inverse() and fail with an IndexError
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        closed_form_hilbert(1, 1, 2, -1)
+
+
 def test_binary_operations_truncate_to_smaller_order():
     a = TruncatedSeries(4, [Fraction(1)] * 5)
     b = TruncatedSeries(2, [Fraction(1)] * 3)
