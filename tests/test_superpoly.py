@@ -202,7 +202,7 @@ def test_negative_truncation_order_is_rejected():
         TruncatedSeries(-1, [])
     with pytest.raises(ValueError, match="order must be nonnegative"):
         TruncatedSeries.one(-1)
-    # the closed form used to reach inverse() and fail with an IndexError
+    # closed_form_hilbert builds its series before it inverts it
     with pytest.raises(ValueError, match="order must be nonnegative"):
         closed_form_hilbert(1, 1, 2, -1)
 
