@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 
 from superkoszul import tensorspace
+from superkoszul.hecke import HeckeElement, hecke_rep, supersymmetry_operator
 from superkoszul.superpoly import VariableTable
 from superkoszul.tensorspace import (
     Permutation,
@@ -71,6 +72,19 @@ def test_generators_satisfy_braid_and_involution():
         lhs = perm_action(s1, perm_action(s2, perm_action(s1, v)))
         rhs = perm_action(s2, perm_action(s1, perm_action(s2, v)))
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("fmt", [(0, 1), (1, 1, 0), (0, 1, 1)])
+@pytest.mark.parametrize("n", [2, 3])
+def test_perm_action_is_the_hecke_representation_of_the_supersymmetry(fmt, n):
+    """c_sigma by the rule of signs equals rho(T_sigma) for the ordinary
+    supersymmetry at q = 1; with sigma^-1 in place of sigma they differ."""
+    sp = SuperSpace(fmt)
+    R = supersymmetry_operator(sp)
+    for sigma in all_permutations(n):
+        columns = hecke_rep(R, n, HeckeElement.basis(n, 1, sigma)).columns
+        for w in sp.words(n):
+            assert perm_action(sigma, TensorVector.basis(sp, w)).coeffs == columns[w]
 
 
 def test_length_counts_inversions():
