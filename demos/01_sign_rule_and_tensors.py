@@ -9,12 +9,21 @@ convention, so this demo spells it out on small examples.
 from superkoszul import (
     Permutation,
     SuperSpace,
-    TensorVector,
     antisymmetrizer_image,
     dual_complement,
     perm_action,
     wedge_dimension,
 )
+
+
+def show(vec):
+    """A nonzero vector {word: coefficient} as a sum of monomials x[i][j]..."""
+    parts = []
+    for w in sorted(vec):
+        mono = "x" + "".join(f"[{i}]" for i in w)
+        parts.append(f"{vec[w]}*{mono}" if vec[w] != 1 else mono)
+    return " + ".join(parts)
+
 
 # one even, one odd basis vector
 V = SuperSpace.standard(1, 1)
@@ -22,8 +31,7 @@ print(f"V = Q^(1|1), format {V.format}, superdimension {V.superdim()}")
 
 swap = Permutation((2, 1))
 for word in [(1, 2), (2, 2)]:
-    v = TensorVector.basis(V, word)
-    print(f"  swap {v}  ->  {perm_action(swap, v)}")
+    print(f"  swap {show({word: 1})}  ->  {show(perm_action(swap, {word: 1}, V))}")
 
 print()
 print("antisymmetric tensors (images of the antisymmetrizer):")
@@ -35,7 +43,8 @@ print("the odd direction never dies: x_2 x x_2 x ... survives antisymmetrization
 print()
 W = SuperSpace.standard(0, 1)
 cube = antisymmetrizer_image(W, 3)
-print(f"pure odd line, cube: dim {cube.dim}, basis {cube.basis_vectors()}")
+basis = ", ".join(show(cube.rows[p]) for p in sorted(cube.rows))
+print(f"pure odd line, cube: dim {cube.dim}, basis [{basis}]")
 
 print()
 print("duality pairs a word against the *reversal* of the other word;")

@@ -17,7 +17,6 @@ from .tensorspace import (
     Permutation,
     Subspace,
     SuperSpace,
-    TensorVector,
     antisymmetrizer_image,
     dual_complement,
     perm_action,

@@ -102,9 +102,6 @@ class HeckeElement:
         c = Fraction(c)
         return HeckeElement(self.n, self.q, {s: c * v for s, v in self.terms.items()})
 
-    def __neg__(self):
-        return self.scale(-1)
-
     # -- multiplication ----------------------------------------------------
 
     def _times_generator(self, i: int) -> "HeckeElement":
@@ -133,17 +130,6 @@ class HeckeElement:
             out = out + piece
         return out
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def star(self) -> "HeckeElement":
-        """The involution T_sigma -> T_{sigma^-1} (an anti-automorphism)."""
-        return HeckeElement(
-            self.n, self.q, {s.inverse(): c for s, c in self.terms.items()}
-        )
-
     def alpha(self) -> "HeckeElement":
         """The order-2 automorphism determined by T_i -> -q T_i^(-1) = q-1-T_i."""
         n, q = self.n, self.q
@@ -163,9 +149,6 @@ class HeckeElement:
             return NotImplemented
         return self.n == other.n and self.q == other.q and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.n, self.q, frozenset(self.terms.items())))
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -182,6 +165,8 @@ def q_idempotents(n: int, q) -> tuple[HeckeElement, HeckeElement]:
 
     Requires the q-integers [i]_q and [i]_{1/q} to be nonzero for i <= n.
     """
+    if n < 0:
+        raise ValueError(f"the rank n={n} must be nonnegative")
     q = Fraction(q)
     if q == 0:
         raise ValueError("q must be nonzero")
@@ -336,7 +321,9 @@ def dj_operator(p: int, q_dim: int, q) -> YangBaxterOperator:
 
 
 def hecke_rep_generator(R: YangBaxterOperator, n: int, i: int) -> LinearOperator:
-    """rho(T_i) = 1^(i-1) x R x 1^(n-i-1) on V^(x n)."""
+    """rho(T_i) = 1^(i-1) x R x 1^(n-i-1) on V^(x n), for 1 <= i <= n-1."""
+    if not 1 <= i <= n - 1:
+        raise ValueError(f"generator index i={i} must lie in 1..{n - 1}")
     space = R.space
     cols = {}
     for w in space.words(n):

@@ -257,9 +257,6 @@ class SuperPolynomial:
             return NotImplemented
         return self.table is other.table and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((id(self.table), frozenset(self.terms.items())))
-
     # -- evaluation ----------------------------------------------------
 
     def evaluate(self, assignment: Mapping[int, Fraction]) -> int | Fraction:
@@ -348,6 +345,8 @@ def newton_elementary(power_sums: list, K: int):
     division by n (valid in characteristic zero).  Entries may be rationals or
     even SuperPolynomials; the two kinds must not be mixed.
     """
+    if K < 0:
+        raise ValueError("the truncation order K must be nonnegative")
     if len(power_sums) < K:
         raise ValueError(f"need power sums p_1..p_{K}, got {len(power_sums)}")
     for p in power_sums[:K]:
@@ -435,9 +434,6 @@ class TruncatedSeries:
         return self.order == other.order and all(
             x == y for x, y in zip(self.coeffs, other.coeffs)
         )
-
-    def __hash__(self):
-        return hash((self.order, tuple(map(str, self.coeffs))))
 
     def inverse(self) -> "TruncatedSeries":
         """Two-sided inverse up to the truncation order.

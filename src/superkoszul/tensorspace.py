@@ -4,8 +4,9 @@ exact subspace linear algebra.
 Basis words
 -----------
 A basis vector of the n-th tensor power of a d-dimensional superspace is a
-word ``(i_1, ..., i_n)`` with letters in ``1..d``.  Words of equal length are
-ordered lexicographically with the convention x_1 > x_2 > ... > x_d, i.e. the
+word ``(i_1, ..., i_n)`` with letters in ``1..d``, and a vector is a plain
+dict {word: coefficient}.  Words of equal length are ordered
+lexicographically with the convention x_1 > x_2 > ... > x_d, i.e. the
 *smallest tuple* is the *largest* monomial.  Row reduction always pivots on
 the largest monomial, so a pivot rewrites to strictly smaller words; this is
 the order that makes reduction operators and confluence work.
@@ -15,7 +16,8 @@ The action of a permutation follows the rule of signs:
     c_sigma(v_1 x ... x v_n) = sign * v_{sigma^-1(1)} x ... x v_{sigma^-1(n)}
 
 where the sign is -1 raised to the sum of parity(v_i)*parity(v_j) over the
-inversions (i, j) of sigma.
+inversions (i, j) of sigma.  c_sigma is the Hecke representation of T_sigma
+for the supersymmetry operator at q = 1 (:func:`hecke.hecke_rep`).
 
 Duality
 -------
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from math import comb, gcd, lcm
 
 from .superpoly import SuperPolynomial, _integral, axpy
 
@@ -79,57 +81,6 @@ class SuperSpace:
 
     def __repr__(self):
         return f"SuperSpace({self.p}|{self.q}, format={self.format})"
-
-
-class TensorVector:
-    """Sparse element of V^(x n) over the word basis, for the user-facing
-    tensor calculus (:func:`perm_action`, :func:`group_algebra_action`,
-    :meth:`Subspace.basis_vectors`); the engine computes on plain dicts."""
-
-    __slots__ = ("space", "degree", "coeffs")
-
-    def __init__(self, space: SuperSpace, degree: int, coeffs):
-        self.space = space
-        self.degree = degree
-        self.coeffs = {w: Fraction(c) for w, c in dict(coeffs).items() if c != 0}
-        for w in self.coeffs:
-            if len(w) != degree:
-                raise ValueError(f"word {w} has wrong length (expected {degree})")
-
-    @classmethod
-    def basis(cls, space: SuperSpace, word: Word) -> "TensorVector":
-        return cls(space, len(word), {tuple(word): Fraction(1)})
-
-    def __add__(self, other):
-        self._check(other)
-        coeffs = axpy(dict(self.coeffs), other.coeffs, 1)
-        return TensorVector(self.space, self.degree, coeffs)
-
-    def scale(self, c) -> "TensorVector":
-        c = Fraction(c)
-        return TensorVector(self.space, self.degree, {w: c * v for w, v in self.coeffs.items()})
-
-    def _check(self, other):
-        if self.space != other.space or self.degree != other.degree:
-            raise ValueError("tensor vectors have mismatched space or degree")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorVector)
-            and self.space == other.space
-            and self.degree == other.degree
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for w in sorted(self.coeffs):
-            c = self.coeffs[w]
-            mono = "x" + "".join(f"[{i}]" for i in w)
-            parts.append(f"{c}*{mono}" if c != 1 else mono)
-        return " + ".join(parts)
 
 
 class Permutation:
@@ -240,23 +191,13 @@ def permute_word(sigma: Permutation, word: Word, parities) -> tuple:
     return new_word, (-1 if exponent % 2 else 1)
 
 
-def perm_action(sigma: Permutation, v: TensorVector) -> TensorVector:
-    """The signed action c_sigma on a tensor vector."""
-    if sigma.n != v.degree:
-        raise ValueError(f"permutation degree {sigma.n} != tensor degree {v.degree}")
-    fmt = v.space.format
-    coeffs: dict = {}
-    for word, c in v.coeffs.items():
+def perm_action(sigma: Permutation, vec: dict, space: SuperSpace) -> dict:
+    """The signed action c_sigma on a vector {word: coefficient} of V^(x n)."""
+    fmt = space.format
+    out: dict = {}
+    for word, c in vec.items():
         new_word, sign = permute_word(sigma, word, [fmt[i - 1] for i in word])
-        axpy(coeffs, {new_word: c}, sign)
-    return TensorVector(v.space, v.degree, coeffs)
-
-
-def group_algebra_action(element, v: TensorVector) -> TensorVector:
-    """Action of a Q[S_n] element given as {Permutation: coefficient}."""
-    out = TensorVector(v.space, v.degree, {})
-    for sigma, c in element.items():
-        out = out + perm_action(sigma, v).scale(c)
+        axpy(out, {new_word: c}, sign)
     return out
 
 
@@ -383,12 +324,6 @@ class Subspace:
             raise ValueError("vector is not in the subspace")
         return {p: _integral(c) for p, c in vector.items() if c and p in rows}
 
-    def basis_vectors(self):
-        return [
-            TensorVector(self.space, self.degree, row)
-            for _, row in sorted(self.rows.items())
-        ]
-
     def is_parity_homogeneous(self) -> bool:
         sp = self.space
         for row in self.rows.values():
@@ -403,9 +338,6 @@ class Subspace:
             and self.degree == other.degree
             and self.rows == other.rows
         )
-
-    def __hash__(self):
-        return hash((self.space, self.degree, tuple(sorted(self.rows))))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, degree={self.degree}, space={self.space.p}|{self.space.q})"
@@ -524,12 +456,6 @@ def matrix_rank(columns) -> int:
 # ---------------------------------------------------------------------------
 # Antisymmetrizer image and duality
 # ---------------------------------------------------------------------------
-
-
-def antisymmetrizer_element(n: int):
-    """Y_n = (1/n!) sum_sigma sgn(sigma) sigma in Q[S_n]."""
-    c = Fraction(1, factorial(n))
-    return {sigma: c * sigma.sign() for sigma in all_permutations(n)}
 
 
 def antisymmetrizer_image(space: SuperSpace, n: int) -> Subspace:

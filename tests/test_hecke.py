@@ -51,13 +51,16 @@ def test_specialization_at_one_is_the_group_algebra():
 
 
 def test_star_is_an_anti_automorphism():
+    def star(a):  # the involution T_sigma -> T_{sigma^-1}
+        return HeckeElement(a.n, a.q, {s.inverse(): c for s, c in a.terms.items()})
+
     rng = random.Random(23)
     q = Fraction(1, 2)
     perms = all_permutations(3)
     for _ in range(20):
         a = HeckeElement.basis(3, q, rng.choice(perms)).scale(rng.randint(1, 3))
         b = HeckeElement.basis(3, q, rng.choice(perms)).scale(rng.randint(-3, -1))
-        assert (a * b).star() == b.star() * a.star()
+        assert star(a * b) == star(b) * star(a)
 
 
 def test_symmetrizer_in_rank_two():
@@ -88,6 +91,17 @@ def test_idempotent_laws(n, q):
 def test_singular_parameter_is_rejected():
     with pytest.raises(SingularParameterError):
         q_idempotents(2, Fraction(-1))  # [2]_q = 1 + q = 0
+
+
+def test_idempotents_reject_a_negative_rank():
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        q_idempotents(-1, 2)
+
+
+def test_hecke_elements_compare_with_scalars_and_are_unhashable():
+    assert HeckeElement.one(2, 1) == 1
+    with pytest.raises(TypeError):
+        hash(HeckeElement.one(2, 1))
 
 
 # -- operators -----------------------------------------------------------------
@@ -128,6 +142,12 @@ def test_scaled_supersymmetry_fails_the_quadratic_relation():
     report = verify_hecke_operator(bad)
     assert not report.hecke_equation
     assert report.yang_baxter  # scaling preserves the braid relation
+
+
+@pytest.mark.parametrize("n, i", [(2, 0), (2, 2), (3, 0), (3, 3)])
+def test_generator_index_outside_1_to_n_minus_1_is_rejected(n, i):
+    with pytest.raises(ValueError, match="must lie in"):
+        hecke_rep_generator(dj_operator(1, 1, 2), n, i)
 
 
 def test_representation_satisfies_the_braid_relation():

@@ -22,12 +22,10 @@ from superkoszul.macmahon import (
     master_verify,
     supercharacter,
 )
+from superkoszul.hecke import hecke_rep, q_idempotents, supersymmetry_operator
 from superkoszul.superpoly import TruncatedSeries
 from superkoszul.tensorspace import (
     SuperSpace,
-    TensorVector,
-    antisymmetrizer_element,
-    group_algebra_action,
     supertrace,
 )
 
@@ -273,11 +271,8 @@ def test_fermionic_coefficients_are_antisymmetrizer_characters():
             bb, ffmt = coaction_power(X, m)
             words = list(sp.words(m))
             index = {w: k for k, w in enumerate(words)}
-            Y = antisymmetrizer_element(m)
-            cols = {}
-            for w in words:
-                img = group_algebra_action(Y, TensorVector.basis(sp, w))
-                cols[w] = img.coeffs
+            Y = q_idempotents(m, 1)[1]
+            cols = hecke_rep(supersymmetry_operator(sp), m, Y).columns
             F = [[Fraction(0)] * len(words) for _ in range(len(words))]
             for w, col in cols.items():
                 for u, c in col.items():

@@ -207,6 +207,20 @@ def test_negative_truncation_order_is_rejected():
         closed_form_hilbert(1, 1, 2, -1)
 
 
+def test_newton_rejects_a_negative_bound():
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        newton_elementary([1, 2], -1)
+
+
+def test_polynomials_and_series_compare_with_scalars_and_are_unhashable():
+    table = make_table(["s"], ["a"])
+    assert table.constant(2) == 2
+    assert TruncatedSeries.one(3) == 1
+    for value in (table.constant(2), table.variable(1), TruncatedSeries.one(3)):
+        with pytest.raises(TypeError):
+            hash(value)
+
+
 def test_binary_operations_truncate_to_smaller_order():
     a = TruncatedSeries(4, [Fraction(1)] * 5)
     b = TruncatedSeries(2, [Fraction(1)] * 3)
