@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from superkoszul.hecke import hecke_rep, q_idempotents, supersymmetry_operator
 from superkoszul.homogeneous import custom_algebra, n_symmetric
 from superkoszul.macmahon import (
     GenericSupermatrix,
@@ -22,7 +23,6 @@ from superkoszul.macmahon import (
     master_verify,
     supercharacter,
 )
-from superkoszul.hecke import hecke_rep, q_idempotents, supersymmetry_operator
 from superkoszul.superpoly import TruncatedSeries
 from superkoszul.tensorspace import (
     SuperSpace,
