@@ -34,12 +34,13 @@ from .homogeneous import (
     yang_mills,
 )
 from .koszul import hilbert_series, koszul_check, koszul_duality_check, tor_dims
-from .macmahon import DEFAULT_TRUNCATION_CEILING, closed_form_hilbert, master_verify
+from .macmahon import closed_form_hilbert, master_verify
 from .tensorspace import SuperSpace
 
 MACHINE_PREFIX = "#machine/v1:"
 FAMILIES = ("tensor", "quantum", "yang_mills", "n_symmetric", "lambda_RN", "s_RN", "custom")
 COMMANDS = ("dims", "dual", "koszul", "tor", "confluence", "mt", "hilbert", "hecke-verify")
+DEFAULT_TRUNCATION_CEILING = 10  # the highest mt order admitted without --ceiling
 
 
 class SpecError(ValueError):
@@ -346,8 +347,11 @@ def _cmd_tor(report, spec, options, order):
 
 
 def _cmd_mt(report, spec, options, order):
-    p, q, N = options["p"], options["q"], options["N"]
-    result = master_verify(p, q, N, order, ceiling=options["ceiling"])
+    p, q, N, ceiling = options["p"], options["q"], options["N"], options["ceiling"]
+    if order > ceiling:
+        raise ValueError(f"truncation order {order} exceeds the cost ceiling {ceiling}; coefficient"
+                         " counts grow quickly with the order, raise the ceiling knowingly")
+    result = master_verify(p, q, N, order)
     status = "PASS" if result.passed else "FAIL"
     report.say(f"MT identity: {status} (order {order})")
     report.say(f"left factor:  {result.left}")

@@ -420,14 +420,15 @@ class HomogAlgebra:
 
     @_cached
     def extra_condition_report(self) -> ExtraConditionReport:
-        """Containment R x V^n cap V^n x R <= V^(n-1) x R x V, 2 <= n < N."""
+        """Containment M = R x V^n cap V^n x R <= P = V^(n-1) x R x V, 2 <= n < N,
+        with the defect dim M - dim(M cap P): the rank of M's residuals mod P."""
         report = ExtraConditionReport()
         sp, N = self.space, self.N
         for n in range(2, N):
             meet = span_meet(
                 sp, n + N, self.placement_rows(0, n), lambda v: self.reduce_at(v, n)
             )
-            defect = sum(1 for row in meet.rows.values() if self.reduce_at(row, n - 1))
+            defect = matrix_rank(self.reduce_at(row, n - 1) for row in meet.rows.values())
             report.entries.append((n, defect == 0, defect))
         return report
 

@@ -34,6 +34,10 @@ letters still to come: the relation rows of S_N keep the letter content, so
 rewriting keeps it too.  :meth:`GenericSupermatrix.power_sums` walks the
 same kind of monomial state, flat, with the current matrix index in place of
 the word.
+
+The counit of B reads the diagonal monomials, one signed Kronecker product
+builds the tensor-product matrices, and no function here bounds the
+truncation order: the ``mt`` command of :mod:`cli` does.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ from .superpoly import (
     SuperPolynomial,
     TruncatedSeries,
     VariableTable,
+    _integral,
     newton_elementary,
 )
 from .tensorspace import SuperSpace, check_entry_parities, wedge_dimension
@@ -78,12 +83,12 @@ class GenericSupermatrix:
     def entry(self, i: int, j: int) -> SuperPolynomial:
         return self.entries[i - 1][j - 1]
 
-    def identity_assignment(self) -> dict:
-        """x[i,j] -> Kronecker delta (the counit of the coefficient algebra)."""
-        return {vid: int(i == j) for (i, j), vid in self.ids.items()}
-
     def counit(self, poly: SuperPolynomial) -> int | Fraction:
-        return poly.evaluate(self.identity_assignment())
+        """x[i,j] -> Kronecker delta: the coefficient sum of the monomials of
+        diagonal even variables only, an int when it is integral."""
+        diagonal = {self.ids[(i, i)] for i in range(1, self.d + 1)}
+        return _integral(sum(c for (even, odd), c in poly.terms.items()
+                             if not odd and all(vid in diagonal for vid, _ in even)))
 
     def power_sums(self, K: int) -> list[SuperPolynomial]:
         """p_n = str(X^n) for n = 1..K, as sums over closed walks.
@@ -230,44 +235,30 @@ def supercharacter(b, F, fmt) -> SuperPolynomial:
     return total
 
 
+def _signed_kronecker(A, B, negate):
+    """The Kronecker product of two square matrices, A[i][j] B[k][l] at
+    ((i,k), (j,l)), negated where ``negate(i, j, k)`` holds."""
+    m, n = range(len(A)), range(len(B))
+    return [
+        [-(A[i][j] * B[k][l]) if negate(i, j, k) else A[i][j] * B[k][l] for j in m for l in n]
+        for i in m for k in n
+    ]
+
+
 def coaction_tensor(b1, fmt1, b2, fmt2, table):
     """Coaction matrix of a tensor product of comodules.
 
     Entry ((i,k), (j,l)) = (-1)^((i^+j^) k^) b1[i][j] b2[k][l]: the first
     factor's coefficient moves past the second comodule's basis vector.
     """
-    d1, d2 = len(fmt1), len(fmt2)
-    fmt = [(fmt1[a] + fmt2[bb]) % 2 for a in range(d1) for bb in range(d2)]
-    out = []
-    for i in range(d1):
-        for k in range(d2):
-            row = []
-            for j in range(d1):
-                for l in range(d2):
-                    term = b1[i][j] * b2[k][l]
-                    if (fmt1[i] + fmt1[j]) % 2 and fmt2[k]:
-                        term = -term
-                    row.append(term)
-            out.append(row)
-    return out, fmt
+    fmt = [(a + b) % 2 for a in fmt1 for b in fmt2]
+    return _signed_kronecker(b1, b2, lambda i, j, k: (fmt1[i] + fmt1[j]) % 2 and fmt2[k]), fmt
 
 
 def endo_tensor(F, fmt1, G, fmt2, parity_G: int):
     """Matrix of f (x) g on the tensor product: entries pick up the sign
     (-1)^(g^ j^) from moving g past the first factor's basis vector."""
-    d1, d2 = len(fmt1), len(fmt2)
-    out = []
-    for i in range(d1):
-        for k in range(d2):
-            row = []
-            for j in range(d1):
-                for l in range(d2):
-                    term = F[i][j] * G[k][l]
-                    if parity_G and fmt1[j]:
-                        term = -term
-                    row.append(term)
-            out.append(row)
-    return out
+    return _signed_kronecker(F, G, lambda i, j, k: parity_G and fmt1[j])
 
 
 def generic_coaction(X: GenericSupermatrix):
@@ -289,9 +280,6 @@ def coaction_power(X: GenericSupermatrix, n: int):
 # ---------------------------------------------------------------------------
 # the master identity
 # ---------------------------------------------------------------------------
-
-DEFAULT_TRUNCATION_CEILING = 10
-
 
 def lambda_set(p: int, q: int, N: int, length: int) -> list[tuple]:
     """Index words of the reduced-monomial basis of the N-symmetric algebra:
@@ -430,16 +418,11 @@ def diagonal_coefficients(X: GenericSupermatrix, A: HomogAlgebra, length: int):
     return results
 
 
-def bosonic_factor(p: int, q: int, N: int, K: int, X: GenericSupermatrix | None = None,
-                   ceiling: int = DEFAULT_TRUNCATION_CEILING) -> TruncatedSeries:
+def bosonic_factor(p: int, q: int, N: int, K: int,
+                   X: GenericSupermatrix | None = None) -> TruncatedSeries:
     """The generating series sum_l sum_i (-1)^(i^) X(i) t^l over the reduced
     words of the N-symmetric algebra, with coefficients in the generic
     supermatrix algebra."""
-    if K > ceiling:
-        raise ValueError(
-            f"truncation order {K} exceeds the cost ceiling {ceiling}; "
-            "coefficient counts grow quickly with the order, raise the ceiling knowingly"
-        )
     if X is None:
         X = GenericSupermatrix(p, q)
     A = n_symmetric(SuperSpace.standard(p, q), N)
@@ -481,12 +464,11 @@ class SeriesIdentityReport:
         return f"master identity through t^{self.K}: {status}"
 
 
-def master_verify(p: int, q: int, N: int, K: int,
-                  ceiling: int = DEFAULT_TRUNCATION_CEILING) -> SeriesIdentityReport:
+def master_verify(p: int, q: int, N: int, K: int) -> SeriesIdentityReport:
     """Multiply the bosonic generating series by the alternating subseries of
     the supersymmetric functions and compare with 1, all exactly."""
     X = GenericSupermatrix(p, q)
-    left = bosonic_factor(p, q, N, K, X=X, ceiling=ceiling)
+    left = bosonic_factor(p, q, N, K, X=X)
     right = fermionic_factor(X, N, K)
     product = left * right
     one = TruncatedSeries.one(K, one=X.table.one(), zero=X.table.zero())

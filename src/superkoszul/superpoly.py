@@ -257,30 +257,6 @@ class SuperPolynomial:
             return NotImplemented
         return self.table is other.table and self.terms == other.terms
 
-    # -- evaluation ----------------------------------------------------
-
-    def evaluate(self, assignment: Mapping[int, Fraction]) -> int | Fraction:
-        """Evaluate at a scalar point, as an int when integral.  Odd variables must be sent to 0.
-
-        Raises KeyError for an unassigned variable and ValueError if an odd
-        variable receives a nonzero value (there is no such rational point).
-        """
-        for vid, value in assignment.items():
-            if self.table.parity(vid) == ODD and value != 0:
-                raise ValueError(f"odd variable {self.table.names[vid]} must be assigned 0")
-        total = 0
-        for (even, odd), c in self.terms.items():
-            if odd:
-                for vid in odd:
-                    if vid not in assignment:
-                        raise KeyError(f"unassigned variable {self.table.names[vid]}")
-                continue  # odd factor evaluates to 0
-            val = c
-            for vid, e in even:
-                val *= Fraction(assignment[vid]) ** e
-            total += val
-        return _integral(Fraction(total))
-
     # -- printing ------------------------------------------------------
 
     def _mono_str(self, mono: tuple) -> str:

@@ -62,9 +62,13 @@ class SuperSpace:
         return cls((0,) * p + (1,) * q)
 
     def parity(self, letter: int) -> int:
+        if not 1 <= letter <= self.dim:
+            raise ValueError(f"letter {letter} lies outside 1..{self.dim}")
         return self.format[letter - 1]
 
     def word_parity(self, word: Word) -> int:
+        if word and not 1 <= min(word) <= max(word) <= self.dim:
+            raise ValueError(f"a letter of {word} lies outside 1..{self.dim}")
         return sum(self.format[i - 1] for i in word) % 2
 
     def words(self, n: int):
@@ -193,10 +197,9 @@ def permute_word(sigma: Permutation, word: Word, parities) -> tuple:
 
 def perm_action(sigma: Permutation, vec: dict, space: SuperSpace) -> dict:
     """The signed action c_sigma on a vector {word: coefficient} of V^(x n)."""
-    fmt = space.format
     out: dict = {}
     for word, c in vec.items():
-        new_word, sign = permute_word(sigma, word, [fmt[i - 1] for i in word])
+        new_word, sign = permute_word(sigma, word, [space.parity(i) for i in word])
         axpy(out, {new_word: c}, sign)
     return out
 

@@ -231,6 +231,11 @@ def test_mt_command_passes():
     assert any("verdict=PASS" in line for line in machine_lines(out))
 
 
+def test_mt_command_runs_above_the_default_ceiling_when_raised(capsys):
+    assert main(["mt", "--p", "1", "--q", "0", "--order", "11", "--ceiling", "12"]) == 0
+    assert any("verdict=PASS" in line for line in machine_lines(capsys.readouterr().out))
+
+
 EXPECTED = Path(__file__).resolve().parent / "expected"
 
 
@@ -369,6 +374,26 @@ def test_koszul_command_machine_lines_are_pinned_on_a_dyadic_presentation(monkey
     out = [line for line in machine_lines(capsys.readouterr().out) if "elapsed_s=" not in line]
     assert out == [f"{MACHINE_PREFIX} koszul verdict=PASS deg_max=7",
                    f"{MACHINE_PREFIX} koszul check=duality verdict=PASS"]
+
+
+# a confluence failure whose meet M = R x V^2 cap V^2 x R has dimension 5, of
+# which 3 lie in the middle placement V x R x V: the extra-condition defect is 2
+DEFECT_TWO_SPEC = ("family = custom\nformat = 1 0\nN = 3\n"
+                   "relation = -1 : 2 1 1 ; 1 : 1 2 1 ; 1 : 1 1 2\n"
+                   "relation = -1 : 1 1 1\nrelation = -1 : 1 1 2\n")
+
+
+@pytest.mark.parametrize("command, lines", [
+    ("confluence", ["confluence check=confluence overlap=1 lhs=13 rhs=13 verdict=PASS",
+                    "confluence check=confluence overlap=2 lhs=27 rhs=26 verdict=FAIL",
+                    "confluence check=extra_condition n=2 verdict=FAIL defect=2"]),
+    ("koszul", ["koszul verdict=FAIL witness=extra_condition n=2 defect=2"]),
+])
+def test_extra_condition_defect_lines_are_pinned(command, lines, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(DEFECT_TWO_SPEC))
+    assert main([command, "--spec", "-"]) == 1
+    out = [line for line in machine_lines(capsys.readouterr().out) if "elapsed_s=" not in line]
+    assert out == [f"{MACHINE_PREFIX} {line}" for line in lines]
 
 
 @pytest.mark.parametrize("p, q, lines", [

@@ -28,6 +28,29 @@ def test_every_import_is_relative_or_standard_library(path):
     assert not outside
 
 
+def unused_imports(path):
+    """The names bound by the top-level imports of one source file that no
+    other line of it reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    return bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in (ROOT / "src" / "superkoszul").glob("*.py") if p.name != "__init__.py"),
+    ids=lambda p: p.name,
+)
+def test_every_import_is_used(path):
+    # a deletion must take the imports that only it read along
+    assert not unused_imports(path)
+
+
 def test_pyproject_declares_no_runtime_dependencies():
     lines = (ROOT / "pyproject.toml").read_text().splitlines()
     declared = [line.strip() for line in lines if line.strip().startswith("dependencies")]

@@ -475,6 +475,18 @@ def test_extra_condition_on_yang_mills_duals_fails():
         assert not dual.extra_condition_report().passed
 
 
+def test_extra_condition_defect_is_a_dimension():
+    # dim M - dim(M cap V^(n-1) x R x V); counting the meet rows with a
+    # nonzero residual instead reads 3, 13 and 154 on these three
+    A = custom_algebra((1, 0), 3, [[(-1, (2, 1, 1)), (1, (1, 2, 1)), (1, (1, 1, 2))],
+                                   [(-1, (1, 1, 1))], [(-1, (1, 1, 2))]])
+    assert A.extra_condition_report().entries == [(2, False, 2)]
+    assert "FAIL (defect dimension 2)" in str(A.extra_condition_report())
+    for (p, q), defect in [((1, 1), 6), ((3, 0), 21)]:
+        dual = yang_mills(SuperSpace.standard(p, q)).dual_algebra()
+        assert dual.extra_condition_report().entries == [(2, False, defect)]
+
+
 # -- Hilbert series and duality ---------------------------------------------------
 
 

@@ -42,13 +42,14 @@ PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, 
 
 
 @st.composite
-def presentations(draw, generators=(1, 3), relations=(1, 3), words_per_relation=(1, 3)):
-    """custom_algebra on generators of random parity, N in {2, 3}, and
-    relations, each a combination of words of one parity; each pair is the
-    (least, most) number drawn."""
+def presentations(draw, generators=(1, 3), relations=(1, 3), words_per_relation=(1, 3),
+                  degree=(2, 3)):
+    """custom_algebra on generators of random parity, N in {2, 3} by default,
+    and relations, each a combination of words of one parity; each pair is
+    the (least, most) number drawn."""
     fmt = tuple(draw(st.lists(st.integers(0, 1), min_size=generators[0],
                               max_size=generators[1])))
-    N = draw(st.integers(2, 3))
+    N = draw(st.integers(*degree))
     space = SuperSpace(fmt)
     words = list(space.words(N))
     rows = []
@@ -187,6 +188,19 @@ def test_overlap_meet_from_the_dual_matches_the_explicit_meet(A):
         for i in (i for i in range(1, X.N) if X.N + i in degrees(X)):
             meet = subspace_intersection(placement(X, 0, X.N + i), placement(X, i, X.N + i))
             assert X._overlap_meet_dim(i) == meet.dim, (X.R.dim, i)
+
+
+@PROPERTY_SETTINGS
+@given(presentations(degree=(3, 3)))
+def test_extra_condition_defect_is_the_codimension_of_the_middle_meet(A):
+    # M = R x V^n cap V^n x R against V^(n-1) x R x V, all eliminated explicitly
+    N = A.N
+    expected = []
+    for n in range(2, N):
+        M = subspace_intersection(placement(A, 0, n + N), placement(A, n, n + N))
+        defect = M.dim - subspace_intersection(M, placement(A, n - 1, n + N)).dim
+        expected.append((n, defect == 0, defect))
+    assert A.extra_condition_report().entries == expected
 
 
 @PROPERTY_SETTINGS

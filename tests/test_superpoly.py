@@ -117,22 +117,6 @@ def test_series_product_over_polynomials_is_the_convolution():
         assert (s * r).coeffs == expected
 
 
-def test_evaluate_rejects_nonzero_odd_assignment():
-    table = make_table(["a"], ["u"])
-    p = table.variable(0) + table.variable(1)
-    with pytest.raises(ValueError):
-        p.evaluate({0: Fraction(1), 1: Fraction(1)})
-    assert p.evaluate({0: Fraction(5), 1: Fraction(0)}) == 5
-
-
-def test_evaluate_is_an_int_when_integral():
-    table = make_table(["a", "b"], [])
-    a, b = table.variable(0), table.variable(1)
-    assert type(table.zero().evaluate({})) is int
-    assert type((a * b).evaluate({0: Fraction(2), 1: Fraction(1, 2)})) is int
-    assert (a * b).evaluate({0: 1, 1: Fraction(1, 3)}) == Fraction(1, 3)
-
-
 def test_even_parts_multiply_by_merging_exponents():
     # _mul_even against the dict-and-sort reference on random sorted parts
     rng = random.Random(5)
@@ -143,13 +127,6 @@ def test_even_parts_multiply_by_merging_exponents():
         for v, e in b:
             exps[v] = exps.get(v, 0) + e
         assert _mul_even(a, b) == tuple(sorted(exps.items())), (a, b)
-
-
-def test_evaluate_requires_assignment():
-    table = make_table(["a", "b"], [])
-    p = table.variable(0) * table.variable(1)
-    with pytest.raises(KeyError):
-        p.evaluate({0: Fraction(1)})
 
 
 # -- truncated series -------------------------------------------------------

@@ -38,6 +38,21 @@ def test_standard_space_rejects_a_negative_count(p, q):
         SuperSpace.standard(p, q)
 
 
+def test_letters_outside_the_basis_are_rejected():
+    # unchecked, letter 0 would read format[-1], the last basis vector's parity
+    sp = SuperSpace((0, 1))
+    for letter in (0, 3):
+        with pytest.raises(ValueError):
+            sp.parity(letter)
+        with pytest.raises(ValueError):
+            sp.word_parity((1, letter))
+    assert sp.word_parity(()) == 0
+    with pytest.raises(ValueError):
+        perm_action(Permutation((2, 1)), {(0, 2): 1}, sp)
+    with pytest.raises(ValueError):
+        Subspace(sp, 2, [{(0, 5): 1}])
+
+
 def test_swap_of_two_odd_vectors_picks_up_a_sign():
     sp = SuperSpace((1, 1))
     assert perm_action(Permutation((2, 1)), {(1, 2): 1}, sp) == {(2, 1): -1}
