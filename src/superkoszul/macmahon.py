@@ -9,7 +9,7 @@ be computed two independent ways:
   * the Berezinian of 1 + tX, expanded as a truncated series by Gaussian
     elimination on the supermatrix, and
   * Newton's recurrence from the super power sums str(X^n), each summed over
-    the closed walks of length n on the flat monomial state below, without
+    the closed walks of length n on the packed monomials below, without
     forming the matrix X^n;
 
 :func:`char_function` runs both and refuses to return on any mismatch.  The
@@ -22,18 +22,20 @@ over the reduced words of the N-symmetric superalgebra, and the alternating
 subseries of the e_m with m = 0, 1 mod N.  The product must be exactly 1.
 
 :func:`diagonal_coefficients` expands those products on a state of A (x) B
-grouped by word, {reduced word: {(even exponents, odd ids): coefficient}},
-so the inner loop bumps an exponent or inserts an odd id and never
-multiplies polynomials, and each word's normal form and prunes are settled
-once for all its monomials.  Two prunes drop terms that can never come back
+grouped by word, {reduced word: {packed monomial: coefficient}}, keyed on
+the ints of :mod:`superpoly`, so the inner loop adds one variable's bit (an
+odd one after a bit test and a popcount sign) and never multiplies
+polynomials, and each word's normal form and prunes are settled once for
+all its monomials.  Two prunes drop terms that can never come back
 to the index word.  The triangular one drops every word tuple-greater than
 the current prefix: a pivot is the smallest word of its relation row, so
 rewriting only makes words tuple-greater.  The content one drops every word
 whose letter content is too far from the prefix's to be mended by the
 letters still to come: the relation rows of S_N keep the letter content, so
 rewriting keeps it too.  :meth:`GenericSupermatrix.power_sums` walks the
-same kind of monomial state, flat, with the current matrix index in place of
-the word.
+same packed monomials, one dict per current matrix index in place of the
+word.  A leaf of either walk is already the terms dict of a
+:class:`SuperPolynomial`.
 
 The counit of B reads the diagonal monomials, one signed Kronecker product
 builds the tensor-product matrices, and no function here bounds the
@@ -43,17 +45,18 @@ truncation order: the ``mt`` command of :mod:`cli` does.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from .homogeneous import HomogAlgebra, InternalInconsistencyError, n_symmetric
 from .superpoly import (
+    EXPONENT_LIMIT,
     SuperPolynomial,
     TruncatedSeries,
     VariableTable,
     _integral,
+    axpy,
     newton_elementary,
 )
 from .tensorspace import SuperSpace, check_entry_parities, wedge_dimension
@@ -87,82 +90,71 @@ class GenericSupermatrix:
         """x[i,j] -> Kronecker delta: the coefficient sum of the monomials of
         diagonal even variables only, an int when it is integral."""
         diagonal = {self.ids[(i, i)] for i in range(1, self.d + 1)}
-        return _integral(sum(c for (even, odd), c in poly.terms.items()
+        decoded = (self.table.decode(m) + (c,) for m, c in poly.terms.items())
+        return _integral(sum(c for even, odd, c in decoded
                              if not odd and all(vid in diagonal for vid, _ in even)))
 
     def power_sums(self, K: int) -> list[SuperPolynomial]:
         """p_n = str(X^n) for n = 1..K, as sums over closed walks.
 
         X^n[s,s] is the sum of x[s,l_1] x[l_1,l_2] ... x[l_(n-1),s] over all
-        walks of length n from s back to s.  Each start s keeps one flat state
-        {(current vertex, even exponents, odd ids): coefficient}; multiplying
-        on the right by x[l,j] bumps one exponent slot, or inserts one odd id
-        and flips the sign once per larger id it passes.  After n steps the
-        terms back at s, signed by (-1)^(s^), add up to p_n."""
-        step, slots, leaf = _flat_monomials(self)
+        walks of length n from s back to s.  Each start s keeps one state per
+        current vertex l, {packed monomial: coefficient}; multiplying on the
+        right by x[l,j] adds the variable's bit, after a bit test and a sign
+        flip per odd bit above it when x[l,j] is odd.  After n steps the terms
+        back at s, signed by (-1)^(s^), add up to p_n."""
+        step = _steps(self, K)
         fmt, d = self.space.format, self.d
         sums: list[dict] = [{} for _ in range(K)]
         for s in range(1, d + 1):
             sign = -1 if fmt[s - 1] else 1
-            state = {(s, (0,) * slots, ()): 1}
+            state = [{} for _ in range(d)]
+            state[s - 1][0] = 1
             for n in range(K):
                 # the last step only needs the walks that close at s
                 ends = (s,) if n == K - 1 else range(1, d + 1)
-                new: dict = {}
-                for (l, ev, od), c in state.items():
+                new = [{} for _ in range(d)]
+                for l, monos in enumerate(state, 1):
                     for j in ends:
-                        a = c
-                        odd, k = step[(l, j)]
-                        if odd:
-                            if k in od:
-                                continue
-                            pos = bisect_left(od, k)
-                            od_new, ev_new = od[:pos] + (k,) + od[pos:], ev
-                            if (len(od) - pos) % 2:
-                                a = -a
-                        else:
-                            od_new, ev_new = od, ev[:k] + (ev[k] + 1,) + ev[k + 1 :]
-                        key = (j, ev_new, od_new)
-                        t = new.get(key, 0) + a
-                        if t:
-                            new[key] = t
-                        else:
-                            del new[key]
+                        odd, bit, above = step[(l, j)]
+                        out = new[j - 1]
+                        for m, c in monos.items():
+                            if odd:
+                                if m & bit:
+                                    continue
+                                if (m & above).bit_count() & 1:
+                                    c = -c
+                            m += bit
+                            t = out.get(m, 0) + c
+                            if t:
+                                out[m] = t
+                            else:
+                                del out[m]
                 state = new
-                trace = sums[n]  # zeros are dropped by the leaf conversion
-                for (l, ev, od), c in state.items():
-                    if l == s:
-                        trace[(ev, od)] = trace.get((ev, od), 0) + sign * c
-        return [leaf(trace) for trace in sums]
+                axpy(sums[n], state[s - 1], sign)
+        return [SuperPolynomial(self.table, trace) for trace in sums]
 
     def __repr__(self):
         return f"GenericSupermatrix({self.p}|{self.q})"
 
 
-def _flat_monomials(X: GenericSupermatrix):
-    """The flat monomial state of B that both walks over X use.
+def _steps(X: GenericSupermatrix, length: int) -> dict:
+    """The step table that both walks over X use, for walks of at most
+    ``length`` steps: x[i,j] -> (is odd, its bit in a packed monomial, the
+    odd bits above it).  Each walk applies a step inline: it is the innermost
+    loop, where a function call per term measurably slows the bosonic walk.
 
-    Returns the step table x[i,j] -> (is odd, odd id or exponent slot), with
-    one exponent slot per even variable in id order; the number of slots; and
-    the conversion of a leaf {(even exponents, odd ids): coefficient} to a
-    :class:`SuperPolynomial`, which passes the walk's ``int`` coefficients
-    through unwrapped.  Each walk applies a step inline: it is the innermost
-    loop, where a function call per term measurably slows the bosonic walk."""
+    A walk from the constant monomial raises each exponent at most once per
+    step, so a walk shorter than :data:`EXPONENT_LIMIT` never reaches a
+    guard bit; a longer one is refused with :class:`OverflowError`."""
+    if length >= EXPONENT_LIMIT:
+        raise OverflowError(f"a walk of {length} steps can pass the exponent limit {EXPONENT_LIMIT}")
     table = X.table
-    even_vids = [vid for vid in range(len(table)) if not table.parity(vid)]
-    slot = {vid: k for k, vid in enumerate(even_vids)}
-    step = {
-        ij: (True, vid) if table.parity(vid) else (False, slot[vid])
+    return {
+        ij: (table.parity(vid), table.monomial(vid),
+             table.odd_mask & -(table.monomial(vid) << 1))
         for ij, vid in X.ids.items()
     }
-
-    def leaf(terms: dict) -> SuperPolynomial:
-        return SuperPolynomial(table, {
-            (tuple((even_vids[k], e) for k, e in enumerate(ev) if e), od): c
-            for (ev, od), c in terms.items()
-        })
-
-    return step, len(even_vids), leaf
 
 
 # ---------------------------------------------------------------------------
@@ -315,12 +307,12 @@ def diagonal_coefficients(X: GenericSupermatrix, A: HomogAlgebra, length: int):
     tree over the reduced words and read off, at every node, the coefficient
     of the basis word equal to the index word itself.
 
-    The state is grouped by word: {reduced word: {(even exponents, odd ids):
-    coefficient}}, with one exponent slot per even x[j,i] in id order and the
-    odd ids strictly increasing.  Multiplying by y_i = sum_j x_j (x) x[j,i]
-    forms w + (j,), its prunes and its normal form once per (word w, letter
-    j), then walks the monomials of w: each bumps one slot, or inserts one odd
-    id and flips the sign once per larger id it passes.  Each node builds one
+    The state is grouped by word: {reduced word: {packed monomial:
+    coefficient}}, in the layout of :mod:`superpoly`.  Multiplying by y_i =
+    sum_j x_j (x) x[j,i] forms w + (j,), its prunes and its normal form once
+    per (word w, letter j), then walks the monomials of w: each adds the bit
+    of x[j,i]; an odd x[j,i] first drops a monomial that holds it already and
+    flips the sign once per odd bit above its own.  Each node builds one
     :class:`SuperPolynomial`, from the group of its own word; nothing else
     does.
 
@@ -346,7 +338,8 @@ def diagonal_coefficients(X: GenericSupermatrix, A: HomogAlgebra, length: int):
     for row in A.R.rows.values():
         if len({tuple(sorted(w)) for w in row}) > 1:
             raise ValueError(f"{A.label}: a relation row mixes letter contents")
-    step, slots, leaf = _flat_monomials(X)
+    step = _steps(X, length)
+    table, odd_mask = X.table, X.table.odd_mask
     letters = range(1, d + 1)
     nf_memo: dict[tuple, list] = {}
     contents: dict[tuple, tuple] = {}
@@ -366,7 +359,7 @@ def diagonal_coefficients(X: GenericSupermatrix, A: HomogAlgebra, length: int):
 
     def extend(prefix, state: dict):
         if prefix:
-            results[prefix] = leaf(state.get(prefix, {}))
+            results[prefix] = SuperPolynomial(table, state.get(prefix, {}))
         budget = length - len(prefix) - 1  # letters still to come below nxt
         if budget < 0:
             return
@@ -392,29 +385,26 @@ def diagonal_coefficients(X: GenericSupermatrix, A: HomogAlgebra, length: int):
                     buckets = [(new.setdefault(u, {}), b) for u, b in nf(wj) if u <= nxt]
                     if not buckets:
                         continue
-                    odd, k = step[(j, i)]
+                    odd, bit, above = step[(j, i)]
                     passes = fmt[j - 1]
-                    for (ev, od), c in monos.items():
-                        # x_j passes the B-coefficient, whose parity is len(od) mod 2
-                        a = -c if passes and len(od) % 2 else c
+                    for m, c in monos.items():
+                        # x_j passes the B-coefficient, whose parity is that of m's odd bits
+                        a = -c if passes and (m & odd_mask).bit_count() & 1 else c
                         if odd:
-                            if k in od:
+                            if m & bit:
                                 continue
-                            pos = bisect_left(od, k)
-                            mono = (ev, od[:pos] + (k,) + od[pos:])
-                            if (len(od) - pos) % 2:
+                            if (m & above).bit_count() & 1:
                                 a = -a
-                        else:
-                            mono = (ev[:k] + (ev[k] + 1,) + ev[k + 1 :], od)
+                        m += bit
                         for bucket, b in buckets:
-                            s = bucket.get(mono, 0) + a * b
+                            s = bucket.get(m, 0) + a * b
                             if s:
-                                bucket[mono] = s
+                                bucket[m] = s
                             else:
-                                del bucket[mono]
+                                del bucket[m]
             extend(nxt, {u: monos for u, monos in new.items() if monos})
 
-    extend((), {(): {((0,) * slots, ()): 1}})
+    extend((), {(): {0: 1}})
     return results
 
 
@@ -430,11 +420,10 @@ def bosonic_factor(p: int, q: int, N: int, K: int,
     # forms only; N-symmetric algebras are confluent
     if not A.confluence_report().passed:
         raise InternalInconsistencyError(f"{A.label}: rewriting is not confluent")
-    table = X.table
-    coeffs = [table.one()] + [table.zero() for _ in range(K)]
+    sums: list[dict] = [{} for _ in range(K)]
     for word, poly in diagonal_coefficients(X, A, K).items():
-        coeffs[len(word)] = coeffs[len(word)] + (-poly if A.space.word_parity(word) else poly)
-    return TruncatedSeries(K, coeffs)
+        axpy(sums[len(word) - 1], poly.terms, -1 if A.space.word_parity(word) else 1)
+    return TruncatedSeries(K, [X.table.one()] + [SuperPolynomial(X.table, s) for s in sums])
 
 
 def fermionic_factor(X: GenericSupermatrix, N: int, K: int) -> TruncatedSeries:

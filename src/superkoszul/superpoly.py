@@ -10,20 +10,21 @@ polynomials of the master identity out of ``Fraction`` normalisation.
 Representation
 --------------
 Variables live in a :class:`VariableTable` and are referred to by integer id.
-A monomial is a pair
-
-    (even_part, odd_part)
-
-where ``even_part`` is a tuple of ``(vid, exponent)`` pairs sorted by vid
-(exponents >= 1) and ``odd_part`` is a strictly increasing tuple of odd vids.
-Odd variables square to zero, so they never repeat.  A polynomial is a dict
-mapping monomials to nonzero coefficients; the zero polynomial has an empty
-dict.
+A monomial is one ``int`` that packs the variables in id order, from the
+lowest bit up: each even variable has a field of :data:`EXPONENT_BITS` bits
+holding its exponent, and each odd variable has one bit, set when it occurs.
+Odd variables square to zero, so one bit is enough, and the constant
+monomial is ``0``.  The top bit of each even field is a guard: exponents stay
+below :data:`EXPONENT_LIMIT`, and a product that reaches it raises
+:class:`OverflowError` instead of carrying into the next field.  A
+polynomial is a dict mapping monomials to nonzero coefficients; the zero
+polynomial has an empty dict.
 
 Multiplication follows the rule of signs: interchanging two odd variables
-flips the sign.  Merging the two (sorted) odd id sequences of a product
-therefore multiplies the coefficient by (-1)**(number of inversions of the
-merge), and a repeated odd id kills the term.
+flips the sign.  A monomial stands for its odd variables in increasing id
+order, so when the odd bits of a and b are disjoint the product is the int
+``a + b`` (no field carries) with the sign (-1)**(number of pairs of an odd
+bit of a above an odd bit of b); a shared odd bit kills the term.
 """
 
 from __future__ import annotations
@@ -34,34 +35,20 @@ from typing import Iterable, Mapping
 EVEN = 0
 ODD = 1
 
-# Monomial = (even_part, odd_part); the constant monomial:
-ONE_MONOMIAL = ((), ())
+EXPONENT_BITS = 8  # the width of an even variable's field, guard bit included
+EXPONENT_LIMIT = 1 << (EXPONENT_BITS - 1)  # every exponent stays below this
+_FIELD = (1 << EXPONENT_BITS) - 1
 
 
-def _merge_odd(a: tuple, b: tuple):
-    """Merge two strictly increasing odd-id tuples.
-
-    Returns ``(merged, inversions)`` or ``None`` when an id repeats
-    (the product vanishes).  ``inversions`` counts the pairs that must be
-    transposed to interleave-sort the concatenation ``a + b``.
-    """
-    merged = []
-    inversions = 0
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            return None
-        if a[i] < b[j]:
-            merged.append(a[i])
-            i += 1
-        else:
-            # b[j] jumps over the remaining len(a) - i entries of a
-            merged.append(b[j])
-            inversions += len(a) - i
-            j += 1
-    merged.extend(a[i:])
-    merged.extend(b[j:])
-    return tuple(merged), inversions
+def _reorder_parity(odd_a: int, odd_b: int) -> int:
+    """The parity of the pairs (odd bit of a, odd bit of b) with a's bit
+    above b's: the transpositions that sort the odd variables of a * b."""
+    n = 0
+    while odd_b:
+        low = odd_b & -odd_b
+        n += (odd_a >> low.bit_length()).bit_count()
+        odd_b ^= low
+    return n & 1
 
 
 def _integral(c):
@@ -83,19 +70,9 @@ def axpy(dst: dict, src: dict, factor) -> dict:
     return dst
 
 
-def _mul_even(a: tuple, b: tuple) -> tuple:
-    """Product of two even parts, sorted (vid, exponent) tuples, in one merge."""
-    out, i, j = [], 0, 0
-    while i < len(a) and j < len(b):
-        va, vb = a[i][0], b[j][0]
-        out.append(a[i] if va < vb else b[j] if vb < va else (va, a[i][1] + b[j][1]))
-        i += va <= vb
-        j += vb <= va
-    return (*out, *a[i:], *b[j:])
-
-
 class VariableTable:
-    """Registry of the supercommuting variables of one polynomial ring.
+    """Registry of the supercommuting variables of one polynomial ring, and
+    the layout of their packed monomials.
 
     Two polynomials may be combined only when they share a table; mixing
     tables raises :class:`ContextError`.
@@ -104,12 +81,24 @@ class VariableTable:
     def __init__(self):
         self.names: list[str] = []
         self.parities: list[int] = []
+        self.shifts: list[int] = []  # the lowest bit of each variable's field
+        self.odd_mask = 0  # the bit of every odd variable
+        self.guard_mask = 0  # the top bit of every even field
+        self._bits = 0  # bits laid out so far
+        self._signs: dict[int, dict] = {}  # odd bits of a -> of b -> reorder parity
 
     def add(self, name: str, parity: int) -> int:
         if parity not in (EVEN, ODD):
             raise ValueError(f"parity must be 0 or 1, got {parity!r}")
         self.names.append(name)
         self.parities.append(parity)
+        self.shifts.append(self._bits)
+        if parity == ODD:
+            self.odd_mask |= 1 << self._bits
+            self._bits += 1
+        else:
+            self.guard_mask |= 1 << (self._bits + EXPONENT_BITS - 1)
+            self._bits += EXPONENT_BITS
         return len(self.names) - 1
 
     def __len__(self):
@@ -118,12 +107,24 @@ class VariableTable:
     def parity(self, vid: int) -> int:
         return self.parities[vid]
 
+    def monomial(self, vid: int) -> int:
+        """The packed monomial of variable ``vid``: its field's lowest bit."""
+        return 1 << self.shifts[vid]
+
+    def decode(self, mono: int) -> tuple[tuple, tuple]:
+        """``(even, odd)``: the sorted (vid, exponent) pairs of the even
+        variables of ``mono``, and its odd vids in increasing order."""
+        even, odd = [], []
+        for vid, shift in enumerate(self.shifts):
+            if self.parities[vid] == ODD:
+                if mono >> shift & 1:
+                    odd.append(vid)
+            elif mono >> shift & _FIELD:
+                even.append((vid, mono >> shift & _FIELD))
+        return tuple(even), tuple(odd)
+
     def variable(self, vid: int) -> "SuperPolynomial":
-        if self.parities[vid] == ODD:
-            mono = ((), (vid,))
-        else:
-            mono = (((vid, 1),), ())
-        return SuperPolynomial(self, {mono: 1})
+        return SuperPolynomial(self, {self.monomial(vid): 1})
 
     def zero(self) -> "SuperPolynomial":
         return SuperPolynomial(self, {})
@@ -132,7 +133,7 @@ class VariableTable:
         return self.constant(1)
 
     def constant(self, c) -> "SuperPolynomial":
-        return SuperPolynomial(self, {ONE_MONOMIAL: Fraction(c)})
+        return SuperPolynomial(self, {0: Fraction(c)})
 
 
 class ContextError(ValueError):
@@ -144,7 +145,7 @@ class SuperPolynomial:
 
     __slots__ = ("table", "terms")
 
-    def __init__(self, table: VariableTable, terms: Mapping[tuple, int | Fraction]):
+    def __init__(self, table: VariableTable, terms: Mapping[int, int | Fraction]):
         self.table = table
         self.terms = {m: _integral(c) for m, c in terms.items() if c != 0}
 
@@ -160,20 +161,23 @@ class SuperPolynomial:
         return NotImplemented
 
     def parity(self):
-        """Common parity of all terms, or None for zero/mixed polynomials."""
-        parities = {len(odd) % 2 for _, odd in self.terms}
-        if len(parities) == 1:
-            return parities.pop()
-        return None
+        """Common parity of all terms, or None for the zero polynomial.
+
+        Raises :class:`ValueError` when the terms mix parities."""
+        odd = self.table.odd_mask
+        parities = {(m & odd).bit_count() & 1 for m in self.terms}
+        if len(parities) > 1:
+            raise ValueError("the polynomial mixes even and odd terms")
+        return parities.pop() if parities else None
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return not self.terms or set(self.terms) == {ONE_MONOMIAL}
+        return not self.terms or set(self.terms) == {0}
 
     def constant_term(self) -> int | Fraction:
-        return self.terms.get(ONE_MONOMIAL, 0)
+        return self.terms.get(0, 0)
 
     # -- ring operations ----------------------------------------------
 
@@ -209,45 +213,34 @@ class SuperPolynomial:
         """Add sign * self * other into the monomial dict ``terms`` in place,
         dropping every coefficient that cancels to zero, and return it.
 
-        Each distinct pair of odd parts, and of even parts, is merged once per
-        call, in two call-local dicts keyed by the left part and then the
-        right one, so equal merged parts are shared between the monomials.  An
-        empty part needs no merge."""
-        odd_memo: dict = {}
-        even_memo: dict = {}
-        flip = sign < 0
-        for (ev_a, od_a), ca in self.terms.items():
-            odd_row = odd_memo.setdefault(od_a, {})
-            even_row = even_memo.setdefault(ev_a, {})
-            for (ev_b, od_b), cb in other.terms.items():
-                if not od_b:
-                    odd, inversions = od_a, 0
-                elif not od_a:
-                    odd, inversions = od_b, 0
-                else:
-                    merged = odd_row.get(od_b, False)
-                    if merged is False:
-                        merged = odd_row[od_b] = _merge_odd(od_a, od_b)
-                    if merged is None:
-                        continue
-                    odd, inversions = merged
-                if not ev_b:
-                    even = ev_a
-                elif not ev_a:
-                    even = ev_b
-                else:
-                    even = even_row.get(ev_b)
-                    if even is None:
-                        even = even_row[ev_b] = _mul_even(ev_a, ev_b)
+        Each product of monomials is one int add; when both carry odd
+        variables, its reorder sign is read from the table's memo."""
+        table = self.table
+        odd, guard, signs = table.odd_mask, table.guard_mask, table._signs
+        right = [(mb, mb & odd, cb) for mb, cb in other.terms.items()]
+        for ma, ca in self.terms.items():
+            if sign < 0:
+                ca = -ca
+            oa = ma & odd
+            row = signs.setdefault(oa, {}) if oa else None
+            for mb, ob, cb in right:
                 c = ca * cb
-                if (inversions + flip) % 2:
-                    c = -c
-                mono = (even, odd)
-                s = terms.get(mono, 0) + c
+                if row is not None and ob:
+                    if oa & ob:
+                        continue
+                    flip = row.get(ob)
+                    if flip is None:
+                        flip = row[ob] = _reorder_parity(oa, ob)
+                    if flip:
+                        c = -c
+                m = ma + mb
+                if m & guard:
+                    raise OverflowError(f"an exponent reached {EXPONENT_LIMIT}")
+                s = terms.get(m, 0) + c
                 if s:
-                    terms[mono] = s
+                    terms[m] = s
                 else:
-                    del terms[mono]
+                    del terms[m]
         return terms
 
     def __eq__(self, other):
@@ -259,8 +252,7 @@ class SuperPolynomial:
 
     # -- printing ------------------------------------------------------
 
-    def _mono_str(self, mono: tuple) -> str:
-        even, odd = mono
+    def _mono_str(self, even: tuple, odd: tuple) -> str:
         parts = []
         for vid, e in even:
             name = self.table.names[vid]
@@ -272,15 +264,15 @@ class SuperPolynomial:
         if not self.terms:
             return "0"
 
-        def sort_key(mono):
-            even, odd = mono
+        def sort_key(item):
+            (even, odd), _ = item
             degree = sum(e for _, e in even) + len(odd)
             return (-degree, even, odd)
 
+        decoded = [(self.table.decode(m), c) for m, c in self.terms.items()]
         chunks = []
-        for mono in sorted(self.terms, key=sort_key):
-            c = self.terms[mono]
-            s = self._mono_str(mono)
+        for (even, odd), c in sorted(decoded, key=sort_key):
+            s = self._mono_str(even, odd)
             if s == "1":
                 term = str(c)
             elif c == 1:
@@ -319,7 +311,8 @@ def newton_elementary(power_sums: list, K: int):
 
     Uses the recurrence n*e_n = sum_{i=1..n} (-1)^(i-1) p_i e_{n-i} with exact
     division by n (valid in characteristic zero).  Entries may be rationals or
-    even SuperPolynomials; the two kinds must not be mixed.
+    even SuperPolynomials, zero included; the two kinds must not be mixed,
+    and an odd or mixed polynomial is a :class:`ValueError`.
     """
     if K < 0:
         raise ValueError("the truncation order K must be nonnegative")

@@ -23,7 +23,7 @@ from superkoszul.macmahon import (
     master_verify,
     supercharacter,
 )
-from superkoszul.superpoly import TruncatedSeries
+from superkoszul.superpoly import EXPONENT_BITS, TruncatedSeries
 from superkoszul.tensorspace import (
     SuperSpace,
     supertrace,
@@ -356,7 +356,10 @@ def test_bosonic_factor_on_the_diagonal_is_the_signed_word_content(p, q, N):
     K = 5
     X = GenericSupermatrix(p, q)
     series = bosonic_factor(p, q, N, K, X=X)
-    diagonal = {X.ids[(a, a)] for a in range(1, X.d + 1)}
+    # the bits of the x[a,a] exponent fields: a monomial of diagonal entries
+    # only sets no other bit
+    diagonal = sum((bit << EXPONENT_BITS) - bit
+                   for bit in (X.table.monomial(X.ids[(a, a)]) for a in range(1, X.d + 1)))
     for length in range(K + 1):
         expected = X.table.zero()
         for word in lambda_set(p, q, N, length):
@@ -364,11 +367,7 @@ def test_bosonic_factor_on_the_diagonal_is_the_signed_word_content(p, q, N):
             for a in word:
                 monomial = monomial * X.entry(a, a)
             expected = expected + (-monomial if sum(a > p for a in word) % 2 else monomial)
-        diagonal_part = {
-            (even, odd): c
-            for (even, odd), c in series.coeffs[length].terms.items()
-            if not odd and all(vid in diagonal for vid, _ in even)
-        }
+        diagonal_part = {m: c for m, c in series.coeffs[length].terms.items() if not m & ~diagonal}
         assert diagonal_part == expected.terms, length
 
 
@@ -434,6 +433,17 @@ def test_master_identity_to_order_five(p, q, N):
     # the reordering signs of odd entries first reach the bosonic factor of
     # (2|1, N=3) at order 5, and of (2|2, N=2), (1|2, N=2), (1|2, N=3) at 4
     assert master_verify(p, q, N, 5).passed
+
+
+@pytest.mark.parametrize("p,q,N,K,left_terms", [
+    (2, 2, 2, 7, [1, 4, 14, 38, 83, 150, 240, 352]),
+    (2, 1, 3, 6, [1, 3, 6, 16, 32, 55, 92]),
+])
+def test_master_identity_on_the_two_largest_benchmark_cases(p, q, N, K, left_terms):
+    # the term counts of the bosonic factor, coefficient by coefficient
+    report = master_verify(p, q, N, K)
+    assert report.passed
+    assert [len(c.terms) for c in report.left.coeffs] == left_terms
 
 
 def test_master_identity_fermionic_factor_signs():

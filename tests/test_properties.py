@@ -10,7 +10,7 @@ from math import gcd
 from operator import methodcaller
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from superkoszul.hecke import dj_operator
@@ -682,6 +682,66 @@ def test_int_coefficients_compute_what_fraction_coefficients_compute(f, g, sign)
     got = f.mul_into(dict(f.terms), g, sign)
     assert got == F.mul_into(dict(F.terms), G, sign)
     assert exact(got)
+
+
+def word_normal_form(word):
+    """(sign, (even (vid, exponent) pairs, odd vids)) of the product of the
+    RING variables of ``word``, sorted by insertion with one sign flip per
+    transposition of two odd variables; None when an odd variable repeats."""
+    word, sign = list(word), 1
+    for i in range(1, len(word)):
+        for k in range(i, 0, -1):
+            if word[k - 1] <= word[k]:
+                break
+            if RING.parity(word[k - 1]) and RING.parity(word[k]):
+                sign = -sign
+            word[k - 1], word[k] = word[k], word[k - 1]
+    odd = tuple(v for v in word if RING.parity(v))
+    if len(set(odd)) < len(odd):
+        return None
+    even = [v for v in word if not RING.parity(v)]
+    return sign, (tuple((v, even.count(v)) for v in sorted(set(even))), odd)
+
+
+def reference_into(terms, factor, f_words, g_words):
+    """terms += factor * f * g over the word lists f, g of (coefficient,
+    word) pairs, each product concatenated and normalised by
+    :func:`word_normal_form`; entries that cancel are dropped."""
+    for cf, wf in f_words:
+        for cg, wg in g_words:
+            normal = word_normal_form(wf + wg)
+            if normal is not None:
+                sign, mono = normal
+                terms[mono] = terms.get(mono, 0) + factor * sign * cf * cg
+    return {mono: c for mono, c in terms.items() if c}
+
+
+def from_words(words):
+    """The polynomial sum of c * (product of the RING variables of w)."""
+    poly = RING.zero()
+    for c, word in words:
+        term = RING.constant(c)
+        for vid in word:
+            term = term * RING.variable(vid)
+        poly = poly + term
+    return poly
+
+
+polynomial_words = st.lists(
+    st.tuples(st.sampled_from(RING_COEFFS), st.lists(st.integers(0, len(RING) - 1), max_size=4)),
+    max_size=4)
+
+
+@PROPERTY_SETTINGS
+@given(polynomial_words, polynomial_words, polynomial_words, st.sampled_from([1, -1]))
+def test_mul_into_matches_the_word_sorting_reference(f_words, g_words, h_words, sign):
+    f, g, h = from_words(f_words), from_words(g_words), from_words(h_words)
+    assume(h.terms)
+    h_reference = reference_into({}, 1, h_words, [(1, [])])
+    assert {RING.decode(m): c for m, c in h.terms.items()} == h_reference
+    got = f.mul_into(dict(h.terms), g, sign)
+    assert {RING.decode(m): c for m, c in got.items()} == reference_into(
+        h_reference, sign, f_words, g_words)
 
 
 @PROPERTY_SETTINGS
