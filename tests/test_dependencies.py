@@ -51,6 +51,41 @@ def test_every_import_is_used(path):
     assert not unused_imports(path)
 
 
+def unreferenced_private_functions(paths):
+    """The underscore-named, non-dunder functions and methods defined in
+    ``paths`` whose name no line of ``paths`` reads outside their own def."""
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in paths]
+    defs = [
+        node
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_")
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+
+    def reads(node, skip):
+        if node is skip:
+            return
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        for child in ast.iter_child_nodes(node):
+            yield from reads(child, skip)
+
+    return sorted(
+        node.name
+        for node in defs
+        if not any(node.name in set(reads(tree, node)) for tree in trees)
+    )
+
+
+def test_every_private_function_is_referenced():
+    # a deletion must take the private helpers that only it called along
+    assert not unreferenced_private_functions(sorted((ROOT / "src" / "superkoszul").glob("*.py")))
+
+
 def test_pyproject_declares_no_runtime_dependencies():
     lines = (ROOT / "pyproject.toml").read_text().splitlines()
     declared = [line.strip() for line in lines if line.strip().startswith("dependencies")]

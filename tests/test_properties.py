@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from superkoszul.hecke import dj_operator
+from superkoszul.hecke import HeckeElement, dj_operator, hecke_rep, supersymmetry_operator
 from superkoszul.homogeneous import (
     HomogAlgebra,
     custom_algebra,
@@ -27,6 +27,7 @@ from superkoszul.tensorspace import (
     RankCounter,
     Subspace,
     SuperSpace,
+    all_permutations,
     axpy,
     dual_complement,
     kernel_of_vectors,
@@ -630,6 +631,26 @@ def test_koszul_check_matches_the_route_that_eliminates_every_slice(A):
 def test_yang_mills_koszul_check_matches_the_route_that_eliminates_every_slice(fmt, deg_max):
     A = yang_mills(SuperSpace.standard(*fmt))
     assert koszul_check(A, deg_max).failures == eliminating_koszul_failures(A, deg_max)
+
+
+# -- the Hecke representation --------------------------------------------------
+
+HECKE_OPERATORS = [dj_operator(1, 1, 2), dj_operator(1, 1, Fraction(1, 3)),
+                   supersymmetry_operator(SuperSpace((0, 1, 1)))]
+
+
+@st.composite
+def hecke_elements(draw, q):
+    """An element of H_{3,q} with small integer coefficients on the T_sigma basis."""
+    return HeckeElement(3, q, {sigma: draw(st.integers(-2, 2)) for sigma in all_permutations(3)})
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(HECKE_OPERATORS), st.data())
+def test_hecke_representation_is_multiplicative(R, data):
+    # rho(a b) = rho(a) rho(b): T_sigma acts rightmost reduced-word factor first
+    a, b = data.draw(hecke_elements(R.q)), data.draw(hecke_elements(R.q))
+    assert hecke_rep(R, 3, a * b) == hecke_rep(R, 3, a).compose(hecke_rep(R, 3, b))
 
 
 # -- the supercommutative ring: int and Fraction coefficients -----------------

@@ -8,7 +8,7 @@ import pytest
 
 from superkoszul import tensorspace
 from superkoszul.hecke import HeckeElement, hecke_rep, supersymmetry_operator
-from superkoszul.superpoly import VariableTable
+from superkoszul.superpoly import VariableTable, axpy
 from superkoszul.tensorspace import (
     Permutation,
     RankCounter,
@@ -53,49 +53,72 @@ def test_letters_outside_the_basis_are_rejected():
         Subspace(sp, 2, [{(0, 5): 1}])
 
 
+def signed_action(sp, sigma):
+    """The columns of rho(T_sigma) for the supersymmetry of ``sp`` at q = 1:
+    the signed action c_sigma on every basis word."""
+    return hecke_rep(supersymmetry_operator(sp), sigma.n, HeckeElement.basis(sigma.n, 1, sigma)).columns
+
+
 def test_swap_of_two_odd_vectors_picks_up_a_sign():
     sp = SuperSpace((1, 1))
-    assert perm_action(Permutation((2, 1)), {(1, 2): 1}, sp) == {(2, 1): -1}
+    assert signed_action(sp, Permutation((2, 1)))[(1, 2)] == {(2, 1): -1}
 
 
 def test_swap_of_two_even_vectors_has_no_sign():
     sp = SuperSpace((0, 0))
-    assert perm_action(Permutation((2, 1)), {(1, 2): 1}, sp) == {(2, 1): 1}
+    assert signed_action(sp, Permutation((2, 1)))[(1, 2)] == {(2, 1): 1}
 
 
 def test_action_is_a_representation():
     rng = random.Random(2)
     sp = SuperSpace((0, 1, 1))
     perms = all_permutations(4)
+    c = {sigma: signed_action(sp, sigma) for sigma in perms}
     for _ in range(25):
         sigma, tau = rng.choice(perms), rng.choice(perms)
         word = tuple(rng.randint(1, 3) for _ in range(4))
-        v = {word: 1}
-        assert perm_action(sigma, perm_action(tau, v, sp), sp) == perm_action(sigma * tau, v, sp)
+        ((image, sign),) = c[tau][word].items()
+        assert {w: sign * x for w, x in c[sigma][image].items()} == c[sigma * tau][word]
 
 
 def test_generators_satisfy_braid_and_involution():
     sp = SuperSpace((0, 1))
-    s1, s2 = Permutation.transposition(3, 1), Permutation.transposition(3, 2)
+    s1 = signed_action(sp, Permutation.transposition(3, 1))
+    s2 = signed_action(sp, Permutation.transposition(3, 2))
+
+    def act(c, vec):
+        out = {}
+        for w, x in vec.items():
+            axpy(out, c[w], x)
+        return out
+
     for word in sp.words(3):
         v = {word: 1}
-        assert perm_action(s1, perm_action(s1, v, sp), sp) == v
-        lhs = perm_action(s1, perm_action(s2, perm_action(s1, v, sp), sp), sp)
-        rhs = perm_action(s2, perm_action(s1, perm_action(s2, v, sp), sp), sp)
-        assert lhs == rhs
+        assert act(s1, act(s1, v)) == v
+        assert act(s1, act(s2, act(s1, v))) == act(s2, act(s1, act(s2, v)))
 
 
-@pytest.mark.parametrize("fmt", [(0, 1), (1, 1, 0), (0, 1, 1)])
-@pytest.mark.parametrize("n", [2, 3])
-def test_perm_action_is_the_hecke_representation_of_the_supersymmetry(fmt, n):
-    """c_sigma by the rule of signs equals rho(T_sigma) for the ordinary
-    supersymmetry at q = 1; with sigma^-1 in place of sigma they differ."""
-    sp = SuperSpace(fmt)
-    R = supersymmetry_operator(sp)
-    for sigma in all_permutations(n):
-        columns = hecke_rep(R, n, HeckeElement.basis(n, 1, sigma)).columns
-        for w in sp.words(n):
-            assert perm_action(sigma, {w: 1}, sp) == columns[w]
+# c_sigma for sigma = (3, 1, 2) on the format (0, 1, 1): word -> sign, image.
+# Position j of the image carries the letter from position sigma^-1(j), and the
+# sign is -1 to the number of inversions (i, j) of sigma whose two letters are
+# odd.  sigma is no involution, so acting by sigma^-1 instead would differ.
+PINNED_312 = """
+    111 +111  112 +121  113 +131  121 +211  122 +221  123 +231  131 +311  132 +321  133 +331
+    211 +112  212 -122  213 -132  221 -212  222 +222  223 +232  231 -312  232 +322  233 +332
+    311 +113  312 -123  313 -133  321 -213  322 +223  323 +233  331 -313  332 +323  333 +333
+"""
+
+
+def test_signed_action_is_pinned_on_a_non_involution():
+    sp = SuperSpace((0, 1, 1))
+    columns = signed_action(sp, Permutation((3, 1, 2)))
+    fields = PINNED_312.split()
+    pinned = {
+        tuple(map(int, word)): {tuple(map(int, image[1:])): int(image[0] + "1")}
+        for word, image in zip(fields[::2], fields[1::2])
+    }
+    assert len(pinned) == 27
+    assert {w: columns[w] for w in sp.words(3)} == pinned
 
 
 def test_length_counts_inversions():
