@@ -7,11 +7,13 @@ convention, so this demo spells it out on small examples.
 """
 
 from superkoszul import (
+    HeckeElement,
     Permutation,
     SuperSpace,
     antisymmetrizer_image,
     dual_complement,
-    perm_action,
+    hecke_rep,
+    supersymmetry_operator,
     wedge_dimension,
 )
 
@@ -29,9 +31,11 @@ def show(vec):
 V = SuperSpace.standard(1, 1)
 print(f"V = Q^(1|1), format {V.format}, superdimension {V.superdim()}")
 
-swap = Permutation((2, 1))
+# the swap acts as T_sigma for the rule-of-signs flip at q = 1; column w of
+# its operator is the image of the word w
+swap = hecke_rep(supersymmetry_operator(V), 2, HeckeElement.basis(2, 1, Permutation((2, 1))))
 for word in [(1, 2), (2, 2)]:
-    print(f"  swap {show({word: 1})}  ->  {show(perm_action(swap, {word: 1}, V))}")
+    print(f"  swap {show({word: 1})}  ->  {show(swap.columns[word])}")
 
 print()
 print("antisymmetric tensors (images of the antisymmetrizer):")

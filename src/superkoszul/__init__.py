@@ -17,15 +17,14 @@ from .tensorspace import (
     Permutation,
     Subspace,
     SuperSpace,
-    antisymmetrizer_image,
     dual_complement,
-    perm_action,
     supertrace,
     wedge_dimension,
 )
 from .hecke import (
     HeckeElement,
     YangBaxterOperator,
+    antisymmetrizer_image,
     dj_operator,
     hecke_rep,
     q_idempotents,

@@ -13,21 +13,31 @@ otherwise.
 
 A Hecke operator is an even endomorphism R of V x V: a degree-2
 :class:`LinearOperator`, stored by columns, ``R(x_i x x_j) = sum over (k, l)
-of R.columns[(i, j)][(k, l)] x_k x x_l``.  It induces a representation of
-H_{n,q} on the n-th tensor power by placing R in adjacent slots.
+of R.columns[(i, j)][(k, l)] x_k x x_l``, each entry an ``int`` if given
+as one and a ``Fraction`` otherwise.  It induces a representation rho of
+H_{n,q} on the n-th tensor power by placing R in adjacent slots, and one
+routine, :func:`_act`, applies it to tensors.  The signed symmetric-group action of the rule of signs is
+the case R = :func:`supersymmetry_operator` at q = 1:
+
+    c_sigma(v_1 x ... x v_n) = sign * v_{sigma^-1(1)} x ... x v_{sigma^-1(n)},
+
+the sign being -1 raised to the number of inversions (i, j) of sigma with
+v_i and v_j both odd; :func:`antisymmetrizer_image` builds S_N's relations
+with it.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .superpoly import axpy
 from .tensorspace import (
     Permutation,
     Subspace,
     SuperSpace,
     all_permutations,
-    axpy,
     matrix_rank,
     subspace_intersection,
 )
@@ -263,8 +273,11 @@ class YangBaxterOperator(LinearOperator):
     __slots__ = ("q", "label")
 
     def __init__(self, space: SuperSpace, q, entries, label: str = ""):
+        letters = {i for pair, col in entries.items() for word in (pair, *col) for i in word}
+        if not letters <= set(range(1, space.dim + 1)):
+            raise ValueError(f"a letter of the entries lies outside 1..{space.dim}")
         columns = {
-            pair: {out: Fraction(c) for out, c in col.items() if c != 0}
+            pair: {out: c if type(c) is int else Fraction(c) for out, c in col.items() if c != 0}
             for pair, col in entries.items()
         }
         LinearOperator.__init__(self, space, 2, columns)
@@ -272,13 +285,8 @@ class YangBaxterOperator(LinearOperator):
         self.label = label
 
     def is_even(self) -> bool:
-        sp = self.space
-        for (i, j), col in self.columns.items():
-            pin = (sp.parity(i) + sp.parity(j)) % 2
-            for (k, l), c in col.items():
-                if c and (sp.parity(k) + sp.parity(l)) % 2 != pin:
-                    return False
-        return True
+        par = self.space.word_parity
+        return all(par(out) == par(pair) for pair, col in self.columns.items() for out in col)
 
     def __repr__(self):
         return f"YangBaxterOperator({self.label or 'custom'}, q={self.q}, d={self.space.dim})"
@@ -289,8 +297,7 @@ def supersymmetry_operator(space: SuperSpace) -> YangBaxterOperator:
     entries = {}
     for i in range(1, space.dim + 1):
         for j in range(1, space.dim + 1):
-            sign = -1 if space.parity(i) * space.parity(j) else 1
-            entries[(i, j)] = {(j, i): Fraction(sign)}
+            entries[(i, j)] = {(j, i): -1 if space.parity(i) * space.parity(j) else 1}
     return YangBaxterOperator(space, 1, entries, label="supersymmetry")
 
 
@@ -320,41 +327,68 @@ def dj_operator(p: int, q_dim: int, q) -> YangBaxterOperator:
     return YangBaxterOperator(space, q * q, entries, label=f"dj({p}|{q_dim}, q={q})")
 
 
+def _act(R: YangBaxterOperator, terms, vec: dict) -> dict:
+    """rho(sum of c T_sigma) applied to ``vec`` {word: coefficient}, for
+    ``terms`` the pairs (reduced word of sigma, c).
+
+    For each letter i of the reduced word, rightmost first, R acts at slots
+    (i, i+1), so rho(T_sigma) = rho(T_{i_1}) ... rho(T_{i_k}).
+    """
+    out: dict = {}
+    for word, c in terms:
+        piece = vec
+        for i in reversed(word):
+            step: dict = {}
+            for w, x in piece.items():
+                head, tail = w[: i - 1], w[i + 1 :]
+                for (k, l), r in R.columns.get(w[i - 1 : i + 1], {}).items():
+                    axpy(step, {head + (k, l) + tail: r}, x)
+            piece = step
+        axpy(out, piece, c)
+    return out
+
+
+def _operator(R: YangBaxterOperator, n: int, terms) -> LinearOperator:
+    """The operator on V^(x n) whose column of w is :func:`_act` on w."""
+    cols = {w: _act(R, terms, {w: 1}) for w in R.space.words(n)}
+    return LinearOperator(R.space, n, {w: col for w, col in cols.items() if col})
+
+
 def hecke_rep_generator(R: YangBaxterOperator, n: int, i: int) -> LinearOperator:
     """rho(T_i) = 1^(i-1) x R x 1^(n-i-1) on V^(x n), for 1 <= i <= n-1."""
     if not 1 <= i <= n - 1:
         raise ValueError(f"generator index i={i} must lie in 1..{n - 1}")
-    space = R.space
-    cols = {}
-    for w in space.words(n):
-        pair = (w[i - 1], w[i])
-        col = {}
-        for (k, l), c in R.columns.get(pair, {}).items():
-            col[w[: i - 1] + (k, l) + w[i + 1 :]] = c
-        if col:
-            cols[w] = col
-    return LinearOperator(space, n, cols)
+    return _operator(R, n, [([i], 1)])
 
 
 def hecke_rep(R: YangBaxterOperator, n: int, a: HeckeElement) -> LinearOperator:
-    """The representing operator of a in H_{n,q} on V^(x n).
-
-    T_sigma maps to the composition of the generator operators along a
-    reduced word of sigma.  The element's parameter must match R's.
-    """
+    """The representing operator of a in H_{n,q} on V^(x n).  The element's
+    parameter must match R's."""
     if a.n != n:
         raise ValueError(f"element lives in H_{a.n}, expected H_{n}")
     if a.q != R.q:
         raise ValueError(f"parameter mismatch: element has q={a.q}, operator q={R.q}")
-    space = R.space
-    gens = {i: hecke_rep_generator(R, n, i) for i in range(1, n)}
-    total = LinearOperator.zero(space, n)
-    for sigma, c in a.terms.items():
-        piece = LinearOperator.identity(space, n)
-        for i in sigma.reduced_word():
-            piece = piece.compose(gens[i])
-        total = total + piece.scale(c)
-    return total
+    return _operator(R, n, [(sigma.reduced_word(), c) for sigma, c in a.terms.items()])
+
+
+def antisymmetrizer_image(space: SuperSpace, n: int) -> Subspace:
+    """The antisymmetric n-tensors: the image of Y_n for the supersymmetry
+    of ``space`` at q = 1.
+
+    The flip sends each word to plus or minus its swap, so every c_sigma
+    sends a word to plus or minus a word of its S_n-orbit, and the image of
+    n! Y_n = sum_sigma sgn(sigma) T_sigma is spanned by its values on one
+    weakly increasing word per orbit.  A value vanishes exactly when the word
+    repeats an even letter, so those words are skipped.
+    """
+    R = supersymmetry_operator(space)
+    terms = [(sigma.reduced_word(), sigma.sign()) for sigma in all_permutations(n)]
+    rows = []
+    for word in itertools.combinations_with_replacement(range(1, space.dim + 1), n):
+        if any(word[k] == word[k + 1] and space.parity(word[k]) == 0 for k in range(n - 1)):
+            continue
+        rows.append(_act(R, terms, {word: 1}))
+    return Subspace(space, n, rows)
 
 
 @dataclass

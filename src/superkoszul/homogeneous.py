@@ -61,11 +61,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .hecke import YangBaxterOperator, symmetrizer_image
+from .hecke import YangBaxterOperator, antisymmetrizer_image, symmetrizer_image
 from .tensorspace import (
     Subspace,
     SuperSpace,
-    antisymmetrizer_image,
     axpy,
     dual_complement,
     matrix_rank,

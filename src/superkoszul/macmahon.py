@@ -408,14 +408,11 @@ def diagonal_coefficients(X: GenericSupermatrix, A: HomogAlgebra, length: int):
     return results
 
 
-def bosonic_factor(p: int, q: int, N: int, K: int,
-                   X: GenericSupermatrix | None = None) -> TruncatedSeries:
+def bosonic_factor(X: GenericSupermatrix, N: int, K: int) -> TruncatedSeries:
     """The generating series sum_l sum_i (-1)^(i^) X(i) t^l over the reduced
-    words of the N-symmetric algebra, with coefficients in the generic
-    supermatrix algebra."""
-    if X is None:
-        X = GenericSupermatrix(p, q)
-    A = n_symmetric(SuperSpace.standard(p, q), N)
+    words of the N-symmetric algebra on X's space, with coefficients in the
+    generic supermatrix algebra."""
+    A = n_symmetric(X.space, N)
     # the triangular prune and the is_reduced walk hold for rewriting normal
     # forms only; N-symmetric algebras are confluent
     if not A.confluence_report().passed:
@@ -457,7 +454,7 @@ def master_verify(p: int, q: int, N: int, K: int) -> SeriesIdentityReport:
     """Multiply the bosonic generating series by the alternating subseries of
     the supersymmetric functions and compare with 1, all exactly."""
     X = GenericSupermatrix(p, q)
-    left = bosonic_factor(p, q, N, K, X=X)
+    left = bosonic_factor(X, N, K)
     right = fermionic_factor(X, N, K)
     product = left * right
     one = TruncatedSeries.one(K, one=X.table.one(), zero=X.table.zero())

@@ -1,5 +1,5 @@
-"""Vector superspaces, tensor powers, the signed symmetric-group action, and
-exact subspace linear algebra.
+"""Vector superspaces, tensor powers, permutations, exact subspace linear
+algebra and duality.
 
 Basis words
 -----------
@@ -11,13 +11,9 @@ lexicographically with the convention x_1 > x_2 > ... > x_d, i.e. the
 the largest monomial, so a pivot rewrites to strictly smaller words; this is
 the order that makes reduction operators and confluence work.
 
-The action of a permutation follows the rule of signs:
-
-    c_sigma(v_1 x ... x v_n) = sign * v_{sigma^-1(1)} x ... x v_{sigma^-1(n)}
-
-where the sign is -1 raised to the sum of parity(v_i)*parity(v_j) over the
-inversions (i, j) of sigma.  c_sigma is the Hecke representation of T_sigma
-for the supersymmetry operator at q = 1 (:func:`hecke.hecke_rep`).
+How a permutation acts on words, with the rule of signs, is decided in
+:mod:`hecke`: c_sigma is the Hecke representation of T_sigma for the
+supersymmetry operator at q = 1.
 
 Duality
 -------
@@ -113,18 +109,9 @@ class Permutation:
     def n(self):
         return len(self.word)
 
-    def __call__(self, i: int) -> int:
-        return self.word[i - 1]
-
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Composition (self*other)(i) = self(other(i))."""
         return Permutation(tuple(self.word[other.word[i] - 1] for i in range(self.n)))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, v in enumerate(self.word):
-            inv[v - 1] = i + 1
-        return Permutation(inv)
 
     def inversions(self):
         """Pairs (i, j), i < j, with sigma(i) > sigma(j); positions 1-based."""
@@ -175,33 +162,6 @@ class Permutation:
 
 def all_permutations(n: int):
     return [Permutation(w) for w in itertools.permutations(range(1, n + 1))]
-
-
-def permute_word(sigma: Permutation, word: Word, parities) -> tuple:
-    """Apply c_sigma to one basis word with explicit per-position parities.
-
-    Returns ``(new_word, sign)``.  Position j of the result carries the letter
-    from position sigma^-1(j); the sign is the rule-of-signs exponent over the
-    inversions of sigma.
-    """
-    n = sigma.n
-    if len(word) != n:
-        raise ValueError("word length does not match the permutation")
-    inv = sigma.inverse()
-    new_word = tuple(word[inv(j) - 1] for j in range(1, n + 1))
-    exponent = 0
-    for (i, j) in sigma.inversions():
-        exponent += parities[i - 1] * parities[j - 1]
-    return new_word, (-1 if exponent % 2 else 1)
-
-
-def perm_action(sigma: Permutation, vec: dict, space: SuperSpace) -> dict:
-    """The signed action c_sigma on a vector {word: coefficient} of V^(x n)."""
-    out: dict = {}
-    for word, c in vec.items():
-        new_word, sign = permute_word(sigma, word, [space.parity(i) for i in word])
-        axpy(out, {new_word: c}, sign)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -459,31 +419,6 @@ def matrix_rank(columns) -> int:
 # ---------------------------------------------------------------------------
 # Antisymmetrizer image and duality
 # ---------------------------------------------------------------------------
-
-
-def antisymmetrizer_image(space: SuperSpace, n: int) -> Subspace:
-    """The antisymmetric n-tensors as a subspace of V^(x n).
-
-    The image of c_{Y_n} is spanned by the values of n! Y_n = sum_sigma
-    sgn(sigma) c_sigma on the weakly increasing words (one per S_n-orbit); a
-    value vanishes exactly when the word repeats an even letter, so those
-    words are skipped.
-    """
-    signed = [(sigma, sigma.sign()) for sigma in all_permutations(n)]
-    rows = []
-    for word in itertools.combinations_with_replacement(range(1, space.dim + 1), n):
-        if any(
-            word[k] == word[k + 1] and space.parity(word[k]) == 0
-            for k in range(n - 1)
-        ):
-            continue
-        parities = [space.parity(i) for i in word]
-        row: dict = {}
-        for sigma, sgn in signed:
-            new_word, sign = permute_word(sigma, word, parities)
-            axpy(row, {new_word: sign}, sgn)
-        rows.append(row)
-    return Subspace(space, n, rows)
 
 
 def wedge_dimension(p: int, q: int, n: int) -> int:

@@ -20,6 +20,7 @@ from math import comb
 
 from superkoszul.hecke import (
     HeckeElement,
+    antisymmetrizer_image,
     dj_operator,
     intersection_of_generator_images,
     q_idempotents,
@@ -53,7 +54,6 @@ from superkoszul.macmahon import (
 from superkoszul.superpoly import TruncatedSeries
 from superkoszul.tensorspace import (
     SuperSpace,
-    antisymmetrizer_image,
     supertrace,
     wedge_dimension,
 )

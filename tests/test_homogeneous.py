@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from superkoszul.hecke import dj_operator, supersymmetry_operator
+from superkoszul.hecke import antisymmetrizer_image, dj_operator, supersymmetry_operator
 from superkoszul.homogeneous import (
     ConfluenceReport,
     InternalInconsistencyError,
@@ -22,7 +22,6 @@ from superkoszul.homogeneous import (
 from superkoszul.tensorspace import (
     Subspace,
     SuperSpace,
-    antisymmetrizer_image,
     axpy,
     dual_complement,
     wedge_dimension,

@@ -318,14 +318,14 @@ def test_diagonal_coefficients_of_the_line():
 
 def test_bosonic_factor_low_orders():
     X = GenericSupermatrix(1, 1)
-    series = bosonic_factor(1, 1, 2, 2, X=X)
+    series = bosonic_factor(X, 2, 2)
     assert series.coeffs[0] == 1
     assert series.coeffs[1] == X.entry(1, 1) - X.entry(2, 2)  # the supertrace
 
 
 def test_bosonic_factor_counit_counts_words():
     X = GenericSupermatrix(1, 1)
-    series = bosonic_factor(1, 1, 3, 4, X=X)
+    series = bosonic_factor(X, 3, 4)
     for length in range(5):
         signed = sum(
             (-1) ** (sum(1 for a in w if a > 1) % 2)
@@ -344,7 +344,7 @@ def test_bosonic_factor_at_the_identity_is_the_superdimension_series(p, q, N):
     # coefficient l is the supertrace of X on A_l; at X = 1 that is sdim A_l
     K = 5
     X = GenericSupermatrix(p, q)
-    series = bosonic_factor(p, q, N, K, X=X)
+    series = bosonic_factor(X, N, K)
     sdim = closed_form_hilbert(p, q, N, K, kind="sdim")
     assert [X.counit(c) for c in series.coeffs] == sdim.coeffs
 
@@ -355,7 +355,7 @@ def test_bosonic_factor_on_the_diagonal_is_the_signed_word_content(p, q, N):
     # word i contributes (-1)^(parity of i) prod_k x[i_k,i_k]
     K = 5
     X = GenericSupermatrix(p, q)
-    series = bosonic_factor(p, q, N, K, X=X)
+    series = bosonic_factor(X, N, K)
     # the bits of the x[a,a] exponent fields: a monomial of diagonal entries
     # only sets no other bit
     diagonal = sum((bit << EXPONENT_BITS) - bit
@@ -471,7 +471,7 @@ def test_generic_supermatrix_series_have_int_coefficients(p, q, K):
     assert coefficient_types(X.power_sums(K)) == {int}
     assert coefficient_types(berezinian_series(X, K).coeffs) == {int}
     assert coefficient_types(char_function(X, K)) == {int}
-    assert coefficient_types(bosonic_factor(p, q, 2, K, X=X).coeffs) == {int}
+    assert coefficient_types(bosonic_factor(X, 2, K).coeffs) == {int}
 
 
 @pytest.mark.parametrize("p,q,N", [(2, 1, 3), (2, 2, 2)])

@@ -39,7 +39,6 @@ PUBLIC = [
     "master_verify",
     "n_symmetric",
     "newton_elementary",
-    "perm_action",
     "q_idempotents",
     "quantum_superspace",
     "s_operator_algebra",

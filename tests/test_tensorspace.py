@@ -7,7 +7,13 @@ from math import gcd
 import pytest
 
 from superkoszul import tensorspace
-from superkoszul.hecke import HeckeElement, hecke_rep, supersymmetry_operator
+from superkoszul.hecke import (
+    HeckeElement,
+    YangBaxterOperator,
+    antisymmetrizer_image,
+    hecke_rep,
+    supersymmetry_operator,
+)
 from superkoszul.superpoly import VariableTable, axpy
 from superkoszul.tensorspace import (
     Permutation,
@@ -15,11 +21,9 @@ from superkoszul.tensorspace import (
     Subspace,
     SuperSpace,
     all_permutations,
-    antisymmetrizer_image,
     dual_complement,
     kernel_of_vectors,
     matrix_rank,
-    perm_action,
     subspace_intersection,
     supertrace,
     wedge_dimension,
@@ -47,8 +51,9 @@ def test_letters_outside_the_basis_are_rejected():
         with pytest.raises(ValueError):
             sp.word_parity((1, letter))
     assert sp.word_parity(()) == 0
-    with pytest.raises(ValueError):
-        perm_action(Permutation((2, 1)), {(0, 2): 1}, sp)
+    for entries in ({(1, 2): {(0, 2): 1}}, {(0, 2): {(2, 1): 1}}, {(1, 2): {(2, 3): 1}}):
+        with pytest.raises(ValueError):
+            hecke_rep(YangBaxterOperator(sp, 1, entries), 2, HeckeElement.one(2, 1))
     with pytest.raises(ValueError):
         Subspace(sp, 2, [{(0, 5): 1}])
 
@@ -119,6 +124,30 @@ def test_signed_action_is_pinned_on_a_non_involution():
     }
     assert len(pinned) == 27
     assert {w: columns[w] for w in sp.words(3)} == pinned
+
+
+def rule_of_signs(sigma, word, sp):
+    """c_sigma on one word, written out: position sigma(i) of the image takes
+    the letter at position i, and the sign is -1 to the number of inversions
+    of sigma whose two letters are odd."""
+    image = [0] * sigma.n
+    for i, letter in enumerate(word):
+        image[sigma.word[i] - 1] = letter
+    odd = sum(sp.parity(word[i - 1]) * sp.parity(word[j - 1]) for i, j in sigma.inversions())
+    return {tuple(image): -1 if odd % 2 else 1}
+
+
+@pytest.mark.parametrize("fmt", [(0, 1), (1, 1, 0), (0, 1, 1)])
+@pytest.mark.parametrize("n", [2, 3])
+def test_perm_action_is_the_hecke_representation_of_the_supersymmetry(fmt, n):
+    """The permutation action by the rule of signs equals rho(T_sigma) for the
+    ordinary supersymmetry at q = 1; with sigma^-1 in place of sigma they
+    differ."""
+    sp = SuperSpace(fmt)
+    for sigma in all_permutations(n):
+        columns = signed_action(sp, sigma)
+        for w in sp.words(n):
+            assert columns[w] == rule_of_signs(sigma, w, sp)
 
 
 def test_length_counts_inversions():
