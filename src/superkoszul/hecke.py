@@ -16,8 +16,9 @@ A Hecke operator is an even endomorphism R of V x V: a degree-2
 of R.columns[(i, j)][(k, l)] x_k x x_l``, each entry an ``int`` if given
 as one and a ``Fraction`` otherwise.  It induces a representation rho of
 H_{n,q} on the n-th tensor power by placing R in adjacent slots, and one
-routine, :func:`_act`, applies it to tensors.  The signed symmetric-group action of the rule of signs is
-the case R = :func:`supersymmetry_operator` at q = 1:
+routine, :func:`_act`, applies it to tensors.  The signed symmetric-group
+action of the rule of signs is the case R = :func:`supersymmetry_operator`
+at q = 1:
 
     c_sigma(v_1 x ... x v_n) = sign * v_{sigma^-1(1)} x ... x v_{sigma^-1(n)},
 

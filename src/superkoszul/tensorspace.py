@@ -417,7 +417,7 @@ def matrix_rank(columns) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Antisymmetrizer image and duality
+# Wedge dimensions and duality
 # ---------------------------------------------------------------------------
 
 

@@ -51,11 +51,11 @@ def test_specialization_at_one_is_the_group_algebra():
 
 
 def test_star_is_an_anti_automorphism():
-    def star(a):  # the involution T_sigma -> T_{sigma^-1}
-        return HeckeElement(a.n, a.q, {inverse(s): c for s, c in a.terms.items()})
-
     def inverse(sigma):
         return Permutation(sorted(range(1, sigma.n + 1), key=lambda i: sigma.word[i - 1]))
+
+    def star(a):  # the involution T_sigma -> T_{sigma^-1}
+        return HeckeElement(a.n, a.q, {inverse(s): c for s, c in a.terms.items()})
 
     rng = random.Random(23)
     q = Fraction(1, 2)

@@ -61,7 +61,8 @@ def test_letters_outside_the_basis_are_rejected():
 def signed_action(sp, sigma):
     """The columns of rho(T_sigma) for the supersymmetry of ``sp`` at q = 1:
     the signed action c_sigma on every basis word."""
-    return hecke_rep(supersymmetry_operator(sp), sigma.n, HeckeElement.basis(sigma.n, 1, sigma)).columns
+    n = sigma.n
+    return hecke_rep(supersymmetry_operator(sp), n, HeckeElement.basis(n, 1, sigma)).columns
 
 
 def test_swap_of_two_odd_vectors_picks_up_a_sign():
