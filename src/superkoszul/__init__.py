@@ -14,7 +14,6 @@ from .superpoly import (
     newton_elementary,
 )
 from .tensorspace import (
-    Permutation,
     Subspace,
     SuperSpace,
     dual_complement,
@@ -23,6 +22,7 @@ from .tensorspace import (
 )
 from .hecke import (
     HeckeElement,
+    Permutation,
     YangBaxterOperator,
     antisymmetrizer_image,
     dj_operator,

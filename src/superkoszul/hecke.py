@@ -1,5 +1,6 @@
-"""The Hecke algebra H_{n,q} in the T_sigma basis, its idempotents, and Hecke
-operators (Yang-Baxter solutions) acting on tensor powers of a superspace.
+"""Permutations in one-line notation, the Hecke algebra H_{n,q} in the T_sigma
+basis, its idempotents, and Hecke operators (Yang-Baxter solutions) acting on
+tensor powers of a superspace.
 
 Conventions.  The generators satisfy (T_i + 1)(T_i - q) = 0 together with the
 braid relations; the basis element T_sigma multiplies by
@@ -34,14 +35,88 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .superpoly import axpy
-from .tensorspace import (
-    Permutation,
-    Subspace,
-    SuperSpace,
-    all_permutations,
-    matrix_rank,
-    subspace_intersection,
-)
+from .tensorspace import Subspace, SuperSpace, matrix_rank, subspace_intersection
+
+
+class Permutation:
+    """Permutation of {1..n} in one-line notation: sigma(i) = word[i-1]."""
+
+    __slots__ = ("word",)
+
+    def __init__(self, word):
+        word = tuple(word)
+        if sorted(word) != list(range(1, len(word) + 1)):
+            raise ValueError(f"{word} is not a permutation of 1..{len(word)}")
+        self.word = word
+
+    @classmethod
+    def identity(cls, n: int) -> "Permutation":
+        return cls(range(1, n + 1))
+
+    @classmethod
+    def transposition(cls, n: int, i: int) -> "Permutation":
+        """The adjacent transposition sigma_i = (i, i+1) in S_n."""
+        w = list(range(1, n + 1))
+        w[i - 1], w[i] = w[i], w[i - 1]
+        return cls(w)
+
+    @property
+    def n(self):
+        return len(self.word)
+
+    def __mul__(self, other: "Permutation") -> "Permutation":
+        """Composition (self*other)(i) = self(other(i))."""
+        return Permutation(tuple(self.word[other.word[i] - 1] for i in range(self.n)))
+
+    def inversions(self):
+        """Pairs (i, j), i < j, with sigma(i) > sigma(j); positions 1-based."""
+        w = self.word
+        return [
+            (i + 1, j + 1)
+            for i in range(self.n)
+            for j in range(i + 1, self.n)
+            if w[i] > w[j]
+        ]
+
+    def length(self) -> int:
+        return len(self.inversions())
+
+    def sign(self) -> int:
+        return -1 if self.length() % 2 else 1
+
+    def reduced_word(self):
+        """A reduced expression as a list of adjacent-transposition indices.
+
+        Bubble sort: repeatedly swap adjacent descents.  The result has
+        exactly length(sigma) letters and multiplies to sigma left-to-right:
+        sigma = sigma_{i_1} * sigma_{i_2} * ... (composition as above).
+        """
+        w = list(self.word)
+        rights = []
+        changed = True
+        while changed:
+            changed = False
+            for i in range(len(w) - 1):
+                if w[i] > w[i + 1]:
+                    w[i], w[i + 1] = w[i + 1], w[i]
+                    rights.append(i + 1)
+                    changed = True
+        # w * sigma_{i_1} * ... * sigma_{i_k} = id, applied on the right,
+        # so sigma = sigma_{i_k} ... sigma_{i_1} read in reverse order.
+        return rights[::-1]
+
+    def __eq__(self, other):
+        return isinstance(other, Permutation) and self.word == other.word
+
+    def __hash__(self):
+        return hash(self.word)
+
+    def __repr__(self):
+        return f"Permutation{self.word}"
+
+
+def all_permutations(n: int):
+    return [Permutation(w) for w in itertools.permutations(range(1, n + 1))]
 
 
 def q_integer(i: int, q: Fraction) -> Fraction:

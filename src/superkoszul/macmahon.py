@@ -32,10 +32,21 @@ the current prefix: a pivot is the smallest word of its relation row, so
 rewriting only makes words tuple-greater.  The content one drops every word
 whose letter content is too far from the prefix's to be mended by the
 letters still to come: the relation rows of S_N keep the letter content, so
-rewriting keeps it too.  :meth:`GenericSupermatrix.power_sums` walks the
-same packed monomials, one dict per current matrix index in place of the
-word.  A leaf of either walk is already the terms dict of a
-:class:`SuperPolynomial`.
+rewriting keeps it too.  Each word carries its content and its excess over
+the prefix, so this prune costs one comparison per word and letter.
+:meth:`GenericSupermatrix.power_sums` walks the same packed monomials, one
+dict per current matrix index in place of the word.  A leaf of either walk
+is already the terms dict of a :class:`SuperPolynomial`.
+
+:func:`bosonic_factor` walks only one letter content per orbit of S_p x S_q,
+the permutations of the letters that keep their parity: the contents that
+are non-increasing on the even letters and on the odd letters.  A third
+prune drops each prefix that the letters still to come cannot extend to
+such a content.  These permutations keep S_N's relations and commute with
+the coaction, and a block's supertrace does not depend on the basis, so the
+signed sum over another content of the orbit is the representative's under
+the substitution x[j,i] -> x[s j, s i] (:meth:`GenericSupermatrix.relabel`);
+the proof is in :func:`bosonic_factor`.
 
 The counit of B reads the diagonal monomials, one signed Kronecker product
 builds the tensor-product matrices, and no function here bounds the
@@ -52,6 +63,7 @@ from math import comb
 from .homogeneous import HomogAlgebra, InternalInconsistencyError, n_symmetric
 from .superpoly import (
     EXPONENT_LIMIT,
+    _FIELD,
     SuperPolynomial,
     TruncatedSeries,
     VariableTable,
@@ -93,6 +105,54 @@ class GenericSupermatrix:
         decoded = (self.table.decode(m) + (c,) for m, c in poly.terms.items())
         return _integral(sum(c for even, odd, c in decoded
                              if not odd and all(vid in diagonal for vid, _ in even)))
+
+    def relabel(self, poly: SuperPolynomial, sigma) -> SuperPolynomial:
+        """The substitution x[j,i] -> x[sigma(j), sigma(i)] applied to a
+        polynomial in X's entries, for a permutation ``sigma`` of the letters
+        1..d in one-line notation that keeps every letter's parity.
+
+        On a packed monomial each even field moves to its image's field, one
+        mask and shift for all the fields that move the same distance, and
+        each odd bit to its image's bit.  The monomial's odd variables stand
+        in increasing order, so the term is signed by the parity of the pairs
+        of odd images that the substitution puts out of order; the images and
+        sign of each odd part are worked out once per call."""
+        fmt, d = self.space.format, self.d
+        if sorted(sigma) != list(range(1, d + 1)) or any(
+                fmt[k] != fmt[s - 1] for k, s in enumerate(sigma)):
+            raise ValueError(f"{sigma} is no parity-preserving permutation of 1..{d}")
+        table, odd_mask = self.table, self.table.odd_mask
+        shifts: dict[int, int] = {}  # shift distance -> the even fields it moves
+        odd = []
+        for (j, i), vid in self.ids.items():
+            src, dst = table.shifts[vid], table.shifts[self.ids[(sigma[j - 1], sigma[i - 1])]]
+            if table.parity(vid):
+                odd.append((src, dst))
+            else:
+                shifts[dst - src] = shifts.get(dst - src, 0) | _FIELD << src
+        left = [(mask, k) for k, mask in shifts.items() if k >= 0]
+        right = [(mask, -k) for k, mask in shifts.items() if k < 0]
+        odd.sort()  # the odd variables of a monomial, lowest bit first
+        images: dict[int, tuple] = {}  # odd bits -> (their images, sign)
+        terms = {}
+        for m, c in poly.terms.items():
+            o = m & odd_mask
+            image = images.get(o)
+            if image is None:
+                bits = flips = 0
+                for src, dst in odd:
+                    if o >> src & 1:
+                        flips += (bits >> dst).bit_count()
+                        bits |= 1 << dst
+                image = images[o] = (bits, -1 if flips & 1 else 1)
+            out, sign = image
+            m ^= o
+            for mask, k in left:
+                out |= (m & mask) << k
+            for mask, k in right:
+                out |= (m & mask) >> k
+            terms[out] = sign * c
+        return SuperPolynomial(table, terms)
 
     def power_sums(self, K: int) -> list[SuperPolynomial]:
         """p_n = str(X^n) for n = 1..K, as sums over closed walks.
@@ -301,18 +361,24 @@ def lambda_set(p: int, q: int, N: int, length: int) -> list[tuple]:
     return out
 
 
-def diagonal_coefficients(X: GenericSupermatrix, A: HomogAlgebra, length: int):
+def diagonal_coefficients(X: GenericSupermatrix, A: HomogAlgebra, length: int, *, blocks=()):
     """All diagonal coefficients X(i) over the reduced index words i of
     length 1..``length``: expand y_{i_1}...y_{i_l} in A (x) B down one prefix
     tree over the reduced words and read off, at every node, the coefficient
     of the basis word equal to the index word itself.
 
-    The state is grouped by word: {reduced word: {packed monomial:
-    coefficient}}, in the layout of :mod:`superpoly`.  Multiplying by y_i =
-    sum_j x_j (x) x[j,i] forms w + (j,), its prunes and its normal form once
-    per (word w, letter j), then walks the monomials of w: each adds the bit
-    of x[j,i]; an odd x[j,i] first drops a monomial that holds it already and
-    flips the sign once per odd bit above its own.  Each node builds one
+    ``blocks`` restricts the index words to those whose letter content is
+    non-increasing along each block, a sequence of letters; by default every
+    reduced word is an index word.  :func:`bosonic_factor` walks the orbit
+    representatives of S_N(p|q) this way.
+
+    The state is grouped by word: {reduced word: (monomials, content,
+    excess)}, the monomials {packed monomial: coefficient} in the layout of
+    :mod:`superpoly`.  Multiplying by y_i = sum_j x_j (x) x[j,i] forms
+    w + (j,), its prunes and its normal form once per (word w, letter j),
+    then walks the monomials of w: each adds the bit of x[j,i]; an odd
+    x[j,i] first drops a monomial that holds it already and flips the sign
+    once per odd bit above its own.  Each node builds one
     :class:`SuperPolynomial`, from the group of its own word; nothing else
     does.
 
@@ -320,7 +386,9 @@ def diagonal_coefficients(X: GenericSupermatrix, A: HomogAlgebra, length: int):
     every rewrite replaces a window by tuple-greater windows and every word
     of nf(w) is tuple->= w.  A term whose word is tuple-greater than the
     prefix therefore stays greater than every word extending the prefix, and
-    it is dropped as soon as it appears.
+    it is dropped as soon as it appears; nf(w) is kept sorted, so its words
+    up to the new prefix are read in one pass that stops at the first word
+    beyond it.
 
     Content prune: every relation row of A holds words of one letter content
     (checked here; :class:`ValueError` otherwise), so every rewrite keeps the
@@ -328,12 +396,20 @@ def diagonal_coefficients(X: GenericSupermatrix, A: HomogAlgebra, length: int):
     length l, a term of word w can reach the index word prefix + s of a node
     below, |s| <= ``length`` - l, only as a word of nf(w + s') with |s'| =
     |s|.  Equal contents need content(s) - content(s') = content(w) -
-    content(prefix), so |s| is at least the positive part of that
-    difference, which is half its L1 norm because both contents count l
-    letters.  The pair (w, j) is dropped, before its normal form is read,
-    when w + (j,) breaks this bound at the new node; appending j raises the
-    positive part by one exactly when w holds j at least as often as the new
-    index word does."""
+    content(prefix), so |s| is at least the excess of w, the positive part
+    of that difference, which is half its L1 norm because both contents
+    count l letters.  Each word carries its content and its excess over the
+    prefix.  Appending i to the prefix lowers the excess by one exactly when
+    w holds i more often than the prefix does; appending j to w then raises
+    it by one exactly when w holds j at least as often as the new prefix
+    does.  The pair (w, j) is dropped, before its normal form is read, when
+    that excess is above the letters still to come.
+
+    Representative prune: a prefix of content c extends to an index word
+    whose content is non-increasing along a block only by at least the sum,
+    over the block's letters k, of max(c at k and later letters) - c_k
+    letters, so a prefix is dropped with its subtree when that shortfall is
+    above the letters still to come."""
     fmt, d = X.space.format, X.d
     for row in A.R.rows.values():
         if len({tuple(sorted(w)) for w in row}) > 1:
@@ -341,25 +417,31 @@ def diagonal_coefficients(X: GenericSupermatrix, A: HomogAlgebra, length: int):
     step = _steps(X, length)
     table, odd_mask = X.table, X.table.odd_mask
     letters = range(1, d + 1)
+    blocks = [tuple(reversed(block)) for block in blocks]
     nf_memo: dict[tuple, list] = {}
-    contents: dict[tuple, tuple] = {}
     results: dict[tuple, SuperPolynomial] = {}
 
     def nf(word):
         items = nf_memo.get(word)
         if items is None:
-            items = nf_memo[word] = list(A.normal_form_word(word).items())
+            items = nf_memo[word] = sorted(A.normal_form_word(word).items())
         return items
 
-    def content(word):
-        c = contents.get(word)
-        if c is None:
-            c = contents[word] = tuple(map(word.count, letters))
-        return c
+    def shortfall(content):
+        short = 0
+        for block in blocks:
+            top = 0
+            for k in block:
+                if content[k - 1] > top:
+                    top = content[k - 1]
+                else:
+                    short += top - content[k - 1]
+        return short
 
-    def extend(prefix, state: dict):
-        if prefix:
-            results[prefix] = SuperPolynomial(table, state.get(prefix, {}))
+    def extend(prefix, cp, state: dict):
+        if prefix and not shortfall(cp):
+            entry = state.get(prefix)
+            results[prefix] = SuperPolynomial(table, entry[0] if entry else {})
         budget = length - len(prefix) - 1  # letters still to come below nxt
         if budget < 0:
             return
@@ -367,22 +449,39 @@ def diagonal_coefficients(X: GenericSupermatrix, A: HomogAlgebra, length: int):
             nxt = prefix + (i,)
             if not A.is_reduced(nxt):
                 continue
-            target = content(nxt)
+            cn = cp[: i - 1] + (cp[i - 1] + 1,) + cp[i:]
+            if shortfall(cn) > budget:
+                continue
+            ti = cn[i - 1]
             # multiply the state by y_i = sum_j x_j (x) x[j,i]
             new: dict = {}
-            for w, monos in state.items():
-                # the content prune; every later j adds 0 or 1 to the excess
-                cw = content(w)
-                excess = sum(a - b for a, b in zip(cw, target) if a > b)
+            for w, (monos, cw, excess) in state.items():
+                if cw[i - 1] >= ti:
+                    excess -= 1
                 if excess > budget:
                     continue
                 for j in letters:
                     wj = w + (j,)
                     if wj > nxt:  # so is every word of nf(wj), and every later j
                         break
-                    if excess == budget and cw[j - 1] >= target[j - 1]:
-                        continue
-                    buckets = [(new.setdefault(u, {}), b) for u, b in nf(wj) if u <= nxt]
+                    cj = cw[j - 1]
+                    if cj >= cn[j - 1]:
+                        if excess == budget:
+                            continue
+                        ej = excess + 1
+                    else:
+                        ej = excess
+                    buckets = []
+                    cwj = None
+                    for u, b in nf(wj):
+                        if u > nxt:
+                            break
+                        entry = new.get(u)
+                        if entry is None:
+                            if cwj is None:
+                                cwj = cw[: j - 1] + (cj + 1,) + cw[j:]
+                            entry = new[u] = ({}, cwj, ej)
+                        buckets.append((entry[0], b))
                     if not buckets:
                         continue
                     odd, bit, above = step[(j, i)]
@@ -402,24 +501,59 @@ def diagonal_coefficients(X: GenericSupermatrix, A: HomogAlgebra, length: int):
                                 bucket[m] = s
                             else:
                                 del bucket[m]
-            extend(nxt, {u: monos for u, monos in new.items() if monos})
+            extend(nxt, cn, {u: entry for u, entry in new.items() if entry[0]})
 
-    extend((), {(): {0: 1}})
+    empty = (0,) * d
+    extend((), empty, {(): ({0: 1}, empty, 0)})
     return results
 
 
 def bosonic_factor(X: GenericSupermatrix, N: int, K: int) -> TruncatedSeries:
     """The generating series sum_l sum_i (-1)^(i^) X(i) t^l over the reduced
     words of the N-symmetric algebra on X's space, with coefficients in the
-    generic supermatrix algebra."""
+    generic supermatrix algebra.
+
+    The sum is taken over letter contents: ch_a = sum (-1)^(i^) X(i) over the
+    reduced words i of content a is the supertrace of the (a, a) block of the
+    coaction on A_l.  A permutation s of the letters that keeps every parity
+    (s in S_p x S_q) keeps S_N's relations, which are built from the signed
+    symmetric-group action and so see only parities; it is an automorphism
+    s_A of A, x_k -> x_(s k), and it maps A_a onto A_(sa), (sa)_(s k) = a_k.
+    With s_B the substitution x[j,i] -> x[s j, s i] of B (see
+    :meth:`GenericSupermatrix.relabel`), (s_A (x) s_B) delta = delta s_A on
+    every generator, since y_(s i) = sum_j x_(s j) (x) x[s j, s i]; both sides
+    are algebra maps, so this holds on A.  In the basis s_A(i) of A_(sa), the
+    (sa, sa) block of the coaction is therefore s_B applied to the (a, a)
+    block in the reduced-word basis.  Both bases consist of content-
+    homogeneous elements, so they differ by a block-diagonal scalar matrix,
+    and a block's supertrace does not depend on the basis: ch_(sa) =
+    s_B(ch_a).  So only the index words of one content per orbit are walked,
+    those non-increasing on the even letters 1..p and on the odd letters
+    p+1..p+q, and every other content of the orbit is added by substitution."""
     A = n_symmetric(X.space, N)
     # the triangular prune and the is_reduced walk hold for rewriting normal
     # forms only; N-symmetric algebras are confluent
     if not A.confluence_report().passed:
         raise InternalInconsistencyError(f"{A.label}: rewriting is not confluent")
+    p, d = X.p, X.d
+    letters = range(1, d + 1)
+    chars: dict[tuple, dict] = {}
+    blocks = (range(1, p + 1), range(p + 1, d + 1))
+    for word, poly in diagonal_coefficients(X, A, K, blocks=blocks).items():
+        content = tuple(map(word.count, letters))
+        axpy(chars.setdefault(content, {}), poly.terms, -1 if A.space.word_parity(word) else 1)
+    sigmas = [even + odd for even in itertools.permutations(blocks[0])
+              for odd in itertools.permutations(blocks[1])]
     sums: list[dict] = [{} for _ in range(K)]
-    for word, poly in diagonal_coefficients(X, A, K).items():
-        axpy(sums[len(word) - 1], poly.terms, -1 if A.space.word_parity(word) else 1)
+    for content, terms in chars.items():
+        orbit = {}  # (s a)_m = a_(s^-1 m): one s per content of the orbit
+        for sigma in sigmas:
+            orbit.setdefault(tuple(content[sigma.index(m)] for m in letters), sigma)
+        ch = SuperPolynomial(X.table, terms)
+        total = sums[sum(content) - 1]
+        axpy(total, terms, 1)  # the identity, the first of the sigmas
+        for sigma in itertools.islice(orbit.values(), 1, None):
+            axpy(total, X.relabel(ch, sigma).terms, 1)
     return TruncatedSeries(K, [X.table.one()] + [SuperPolynomial(X.table, s) for s in sums])
 
 

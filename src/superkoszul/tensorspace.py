@@ -1,5 +1,5 @@
-"""Vector superspaces, tensor powers, permutations, exact subspace linear
-algebra and duality.
+"""Vector superspaces, tensor powers, exact subspace linear algebra and
+duality.
 
 Basis words
 -----------
@@ -11,7 +11,7 @@ lexicographically with the convention x_1 > x_2 > ... > x_d, i.e. the
 the largest monomial, so a pivot rewrites to strictly smaller words; this is
 the order that makes reduction operators and confluence work.
 
-How a permutation acts on words, with the rule of signs, is decided in
+Permutations, and how they act on words with the rule of signs, live in
 :mod:`hecke`: c_sigma is the Hecke representation of T_sigma for the
 supersymmetry operator at q = 1.
 
@@ -81,87 +81,6 @@ class SuperSpace:
 
     def __repr__(self):
         return f"SuperSpace({self.p}|{self.q}, format={self.format})"
-
-
-class Permutation:
-    """Permutation of {1..n} in one-line notation: sigma(i) = word[i-1]."""
-
-    __slots__ = ("word",)
-
-    def __init__(self, word):
-        word = tuple(word)
-        if sorted(word) != list(range(1, len(word) + 1)):
-            raise ValueError(f"{word} is not a permutation of 1..{len(word)}")
-        self.word = word
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(range(1, n + 1))
-
-    @classmethod
-    def transposition(cls, n: int, i: int) -> "Permutation":
-        """The adjacent transposition sigma_i = (i, i+1) in S_n."""
-        w = list(range(1, n + 1))
-        w[i - 1], w[i] = w[i], w[i - 1]
-        return cls(w)
-
-    @property
-    def n(self):
-        return len(self.word)
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        """Composition (self*other)(i) = self(other(i))."""
-        return Permutation(tuple(self.word[other.word[i] - 1] for i in range(self.n)))
-
-    def inversions(self):
-        """Pairs (i, j), i < j, with sigma(i) > sigma(j); positions 1-based."""
-        w = self.word
-        return [
-            (i + 1, j + 1)
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-            if w[i] > w[j]
-        ]
-
-    def length(self) -> int:
-        return len(self.inversions())
-
-    def sign(self) -> int:
-        return -1 if self.length() % 2 else 1
-
-    def reduced_word(self):
-        """A reduced expression as a list of adjacent-transposition indices.
-
-        Bubble sort: repeatedly swap adjacent descents.  The result has
-        exactly length(sigma) letters and multiplies to sigma left-to-right:
-        sigma = sigma_{i_1} * sigma_{i_2} * ... (composition as above).
-        """
-        w = list(self.word)
-        rights = []
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(w) - 1):
-                if w[i] > w[i + 1]:
-                    w[i], w[i + 1] = w[i + 1], w[i]
-                    rights.append(i + 1)
-                    changed = True
-        # w * sigma_{i_1} * ... * sigma_{i_k} = id, applied on the right,
-        # so sigma = sigma_{i_k} ... sigma_{i_1} read in reverse order.
-        return rights[::-1]
-
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and self.word == other.word
-
-    def __hash__(self):
-        return hash(self.word)
-
-    def __repr__(self):
-        return f"Permutation{self.word}"
-
-
-def all_permutations(n: int):
-    return [Permutation(w) for w in itertools.permutations(range(1, n + 1))]
 
 
 # ---------------------------------------------------------------------------

@@ -217,7 +217,7 @@ def test_criterion_6_hecke_layer():
                     ok &= gens[i] * gens[j] == gens[j] * gens[i]
             X, Y = q_idempotents(n, q)
             ok &= X.alpha() == Y
-            from superkoszul.tensorspace import all_permutations
+            from superkoszul.hecke import all_permutations
 
             for sigma in all_permutations(n):
                 T = HeckeElement.basis(n, q, sigma)

@@ -8,8 +8,10 @@ import pytest
 from superkoszul.hecke import (
     HeckeElement,
     LinearOperator,
+    Permutation,
     SingularParameterError,
     YangBaxterOperator,
+    all_permutations,
     dj_operator,
     hecke_rep,
     hecke_rep_generator,
@@ -19,12 +21,7 @@ from superkoszul.hecke import (
     symmetrizer_image,
     verify_hecke_operator,
 )
-from superkoszul.tensorspace import (
-    Permutation,
-    SuperSpace,
-    all_permutations,
-    wedge_dimension,
-)
+from superkoszul.tensorspace import SuperSpace, wedge_dimension
 
 QS = (Fraction(1), Fraction(2), Fraction(1, 2))
 

@@ -404,6 +404,42 @@ def test_diagonal_coefficients_match_the_expansion_over_all_letter_words(p, q, N
         assert poly == reference.get(word, X.table.zero()), word
 
 
+def non_increasing_on_each_parity(word, p, d):
+    counts = [word.count(a) for a in range(1, d + 1)]
+    return counts[:p] == sorted(counts[:p], reverse=True) and \
+        counts[p:] == sorted(counts[p:], reverse=True)
+
+
+@pytest.mark.parametrize("p,q,N,K", [(p, q, N, 5) for p, q, N in MASTER_CASES] + [
+    (2, 1, 2, 5), (2, 2, 2, 4), (3, 0, 3, 5), (1, 2, 3, 5), (2, 1, 3, 6)])
+def test_bosonic_factor_over_content_orbits_is_the_full_walk(p, q, N, K):
+    # the orbit route against the parity-signed sum over every reduced word
+    X = GenericSupermatrix(p, q)
+    A = n_symmetric(X.space, N)
+    walk = diagonal_coefficients(X, A, K)
+    full = [X.table.zero() for _ in range(K + 1)]
+    for word, poly in walk.items():
+        full[len(word)] += -poly if A.space.word_parity(word) else poly
+    assert bosonic_factor(X, N, K).coeffs[1:] == full[1:]
+    # the walk restricted to the orbit representatives keeps their coefficients
+    blocks = (range(1, p + 1), range(p + 1, p + q + 1))
+    assert diagonal_coefficients(X, A, K, blocks=blocks) == {
+        w: poly for w, poly in walk.items() if non_increasing_on_each_parity(w, p, p + q)}
+
+
+def test_relabelling_signs_swapped_odd_entries_and_refuses_a_parity_change():
+    X = GenericSupermatrix(1, 1)
+    with pytest.raises(ValueError, match="parity-preserving"):
+        X.relabel(X.entry(1, 2), (2, 1))
+    with pytest.raises(ValueError, match="parity-preserving"):
+        X.relabel(X.entry(1, 2), (1, 1))
+    # swapping the even letters 1, 2 of 2|1 swaps the odd x[1,3], x[2,3]
+    Y = GenericSupermatrix(2, 1)
+    product = Y.entry(1, 3) * Y.entry(2, 3)
+    assert Y.relabel(product, (2, 1, 3)) == Y.entry(2, 3) * Y.entry(1, 3) == -product
+    assert Y.relabel(Y.entry(1, 1) * Y.entry(1, 2), (2, 1, 3)) == Y.entry(2, 2) * Y.entry(2, 1)
+
+
 @pytest.mark.parametrize("p,q,N", MASTER_CASES)
 def test_normal_forms_of_the_n_symmetric_algebra_keep_the_letter_content(p, q, N):
     # the precondition of the content prune, on every word through degree N + 2

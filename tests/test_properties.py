@@ -13,7 +13,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from superkoszul.hecke import HeckeElement, dj_operator, hecke_rep, supersymmetry_operator
+from superkoszul.hecke import (
+    HeckeElement,
+    all_permutations,
+    dj_operator,
+    hecke_rep,
+    supersymmetry_operator,
+)
 from superkoszul.homogeneous import (
     HomogAlgebra,
     custom_algebra,
@@ -22,12 +28,12 @@ from superkoszul.homogeneous import (
     yang_mills,
 )
 from superkoszul.koszul import jump, koszul_check, koszul_duality_check, koszul_matrix, tor_dims
+from superkoszul.macmahon import GenericSupermatrix
 from superkoszul.superpoly import TruncatedSeries, VariableTable
 from superkoszul.tensorspace import (
     RankCounter,
     Subspace,
     SuperSpace,
-    all_permutations,
     axpy,
     dual_complement,
     kernel_of_vectors,
@@ -773,3 +779,43 @@ def test_series_inverse_with_int_coefficients_matches_fraction_coefficients(c0, 
     assert inverse == TruncatedSeries(3, [as_fractions(c) for c in s.coeffs]).inverse()
     assert all(normalised(c) for c in inverse.coeffs)
     assert s * inverse == TruncatedSeries.one(3, one=RING.one(), zero=RING.zero())
+
+
+# -- relabelling the letters of a generic supermatrix -------------------------
+
+
+@st.composite
+def relabellings(draw):
+    """A generic p|q supermatrix, p + q <= 4, a permutation of its letters
+    that keeps every parity, and three polynomials: each a sum of 0..3 terms
+    c * (a product of 0..4 entries), odd entries repeated included."""
+    p = draw(st.integers(0, 3))
+    q = draw(st.integers(1 if p == 0 else 0, 4 - p))
+    X = GenericSupermatrix(p, q)
+    sigma = (tuple(draw(st.permutations(range(1, p + 1))))
+             + tuple(draw(st.permutations(range(p + 1, p + q + 1)))))
+    letters = st.integers(1, p + q)
+    polys = []
+    for _ in range(3):
+        poly = X.table.zero()
+        for _ in range(draw(st.integers(0, 3))):
+            term = X.table.constant(draw(st.sampled_from([-2, -1, 1, 3])))
+            for i, j in draw(st.lists(st.tuples(letters, letters), max_size=4)):
+                term = term * X.entry(i, j)
+            poly = poly + term
+        polys.append(poly)
+    return X, sigma, polys
+
+
+@PROPERTY_SETTINGS
+@given(relabellings())
+def test_relabelling_the_letters_is_a_ring_automorphism(drawn):
+    X, sigma, (f, g, h) = drawn
+    relabel = X.relabel
+    # multiplicative, on products whose odd entries pass each other
+    assert relabel(f * g * h, sigma) == relabel(f, sigma) * relabel(g, sigma) * relabel(h, sigma)
+    assert relabel(f + g, sigma) == relabel(f, sigma) + relabel(g, sigma)
+    identity = tuple(range(1, X.d + 1))
+    assert relabel(f, identity) == f
+    inverse = tuple(sorted(identity, key=lambda k: sigma[k - 1]))
+    assert relabel(relabel(f, sigma), inverse) == f

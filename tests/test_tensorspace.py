@@ -9,18 +9,18 @@ import pytest
 from superkoszul import tensorspace
 from superkoszul.hecke import (
     HeckeElement,
+    Permutation,
     YangBaxterOperator,
+    all_permutations,
     antisymmetrizer_image,
     hecke_rep,
     supersymmetry_operator,
 )
 from superkoszul.superpoly import VariableTable, axpy
 from superkoszul.tensorspace import (
-    Permutation,
     RankCounter,
     Subspace,
     SuperSpace,
-    all_permutations,
     dual_complement,
     kernel_of_vectors,
     matrix_rank,
