@@ -10,12 +10,18 @@ from superkoszul import (
     HeckeElement,
     Permutation,
     SuperSpace,
-    antisymmetrizer_image,
     dual_complement,
     hecke_rep,
     supersymmetry_operator,
     wedge_dimension,
 )
+from superkoszul.hecke import symmetrizer_image
+
+
+def wedge(space, n):
+    """The antisymmetric n-tensors: the image of the antisymmetrizer Y_n for
+    the rule-of-signs flip at q = 1."""
+    return symmetrizer_image(supersymmetry_operator(space), n, "Y")
 
 
 def show(vec):
@@ -40,19 +46,19 @@ for word in [(1, 2), (2, 2)]:
 print()
 print("antisymmetric tensors (images of the antisymmetrizer):")
 for n in range(5):
-    im = antisymmetrizer_image(V, n)
+    im = wedge(V, n)
     print(f"  degree {n}: dim {im.dim} (closed form {wedge_dimension(1, 1, n)})")
 print("the odd direction never dies: x_2 x x_2 x ... survives antisymmetrization")
 
 print()
 W = SuperSpace.standard(0, 1)
-cube = antisymmetrizer_image(W, 3)
+cube = wedge(W, 3)
 basis = ", ".join(show(cube.rows[p]) for p in sorted(cube.rows))
 print(f"pure odd line, cube: dim {cube.dim}, basis [{basis}]")
 
 print()
 print("duality pairs a word against the *reversal* of the other word;")
-R = antisymmetrizer_image(V, 2)
+R = wedge(V, 2)
 perp = dual_complement(R)
 print(f"for R = antisymmetric square (dim {R.dim}), the annihilator has dim {perp.dim}")
 print(f"double annihilator equals R again: {dual_complement(perp) == R}")

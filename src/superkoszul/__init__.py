@@ -24,7 +24,6 @@ from .hecke import (
     HeckeElement,
     Permutation,
     YangBaxterOperator,
-    antisymmetrizer_image,
     dj_operator,
     hecke_rep,
     q_idempotents,

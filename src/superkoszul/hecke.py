@@ -24,8 +24,8 @@ at q = 1:
     c_sigma(v_1 x ... x v_n) = sign * v_{sigma^-1(1)} x ... x v_{sigma^-1(n)},
 
 the sign being -1 raised to the number of inversions (i, j) of sigma with
-v_i and v_j both odd; :func:`antisymmetrizer_image` builds S_N's relations
-with it.
+v_i and v_j both odd.  :func:`symmetrizer_image` builds every relation space
+of a Hecke operator, S_N's (the image of Y_N for the supersymmetry) included.
 """
 
 from __future__ import annotations
@@ -56,6 +56,8 @@ class Permutation:
     @classmethod
     def transposition(cls, n: int, i: int) -> "Permutation":
         """The adjacent transposition sigma_i = (i, i+1) in S_n."""
+        if not 1 <= i <= n - 1:
+            raise ValueError(f"transposition index i={i} must lie in 1..{n - 1}")
         w = list(range(1, n + 1))
         w[i - 1], w[i] = w[i], w[i - 1]
         return cls(w)
@@ -80,9 +82,6 @@ class Permutation:
 
     def length(self) -> int:
         return len(self.inversions())
-
-    def sign(self) -> int:
-        return -1 if self.length() % 2 else 1
 
     def reduced_word(self):
         """A reduced expression as a list of adjacent-transposition indices.
@@ -117,17 +116,6 @@ class Permutation:
 
 def all_permutations(n: int):
     return [Permutation(w) for w in itertools.permutations(range(1, n + 1))]
-
-
-def q_integer(i: int, q: Fraction) -> Fraction:
-    return sum((q ** k for k in range(i)), Fraction(0))
-
-
-def q_factorial(n: int, q: Fraction) -> Fraction:
-    out = Fraction(1)
-    for i in range(1, n + 1):
-        out *= q_integer(i, q)
-    return out
 
 
 class SingularParameterError(ValueError):
@@ -246,28 +234,42 @@ class HeckeElement:
         return " + ".join(parts)
 
 
+def _idempotent_sum(n: int, q: Fraction, kind: str) -> list:
+    """X_n (kind 'X') or Y_n (kind 'Y') of H_{n,q} up to a nonzero scalar, as
+    triples (sigma, reduced word of sigma, int): the sum of all T_sigma, or
+    a^L sum (-q)^(-l) T_sigma = sum a^(L-l) (-b)^l T_sigma for q = a/b, l the
+    length of sigma and L = n(n-1)/2.  Both need [i]_q and [i]_{1/q} nonzero
+    for i <= n; for rational q, [i]_q = (q^i - 1)/(q - 1), or i at q = 1,
+    vanishes only at q = -1 with i even.
+    """
+    if kind not in ("X", "Y"):
+        raise ValueError(f"kind must be 'X' or 'Y', not {kind!r}")
+    if n < 0:
+        raise ValueError(f"the rank n={n} must be nonnegative")
+    a, b, L = q.numerator, q.denominator, n * (n - 1) // 2
+    if a == 0:
+        raise ValueError("q must be nonzero")
+    if a == -b and n >= 2:
+        raise SingularParameterError(f"[2]_q vanishes for q={q}; idempotents undefined")
+    u, v = (1, 1) if kind == "X" else (a, -b)
+    words = [(sigma, sigma.reduced_word()) for sigma in all_permutations(n)]
+    return [(sigma, w, u ** (L - len(w)) * v ** len(w)) for sigma, w in words]
+
+
 def q_idempotents(n: int, q) -> tuple[HeckeElement, HeckeElement]:
     """The q-symmetrizer X_n and q-antisymmetrizer Y_n of H_{n,q}.
 
-    Requires the q-integers [i]_q and [i]_{1/q} to be nonzero for i <= n.
+    Each sum s of :func:`_idempotent_sum` has s T_k = lambda s (lambda = q
+    for X, -1 for Y), so s s = e(s) s with e(T_sigma) = lambda^l(sigma), and
+    the idempotent is s / e(s): e(s) is [n]_q! for X and a^L [n]_{1/q}! for Y.
     """
-    if n < 0:
-        raise ValueError(f"the rank n={n} must be nonnegative")
     q = Fraction(q)
-    if q == 0:
-        raise ValueError("q must be nonzero")
-    qinv = 1 / q
-    for i in range(1, n + 1):
-        if q_integer(i, q) == 0 or q_integer(i, qinv) == 0:
-            raise SingularParameterError(f"[{i}]_q vanishes for q={q}; idempotents undefined")
-    x_terms = {}
-    y_terms = {}
-    for sigma in all_permutations(n):
-        x_terms[sigma] = Fraction(1)
-        y_terms[sigma] = (-q) ** (-sigma.length())
-    X = HeckeElement(n, q, x_terms).scale(1 / q_factorial(n, q))
-    Y = HeckeElement(n, q, y_terms).scale(1 / q_factorial(n, qinv))
-    return X, Y
+    out = []
+    for kind, lam in (("X", q), ("Y", -1)):
+        s = _idempotent_sum(n, q, kind)
+        e = sum((c * lam ** len(w) for _, w, c in s), Fraction(0))
+        out.append(HeckeElement(n, q, {sigma: c for sigma, _, c in s}).scale(1 / e))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +351,10 @@ class YangBaxterOperator(LinearOperator):
     __slots__ = ("q", "label")
 
     def __init__(self, space: SuperSpace, q, entries, label: str = ""):
-        letters = {i for pair, col in entries.items() for word in (pair, *col) for i in word}
-        if not letters <= set(range(1, space.dim + 1)):
+        words = [word for pair, col in entries.items() for word in (pair, *col)]
+        if set(map(len, words)) - {2}:
+            raise ValueError("every word of the entries must have two letters")
+        if not {i for word in words for i in word} <= set(range(1, space.dim + 1)):
             raise ValueError(f"a letter of the entries lies outside 1..{space.dim}")
         columns = {
             pair: {out: c if type(c) is int else Fraction(c) for out, c in col.items() if c != 0}
@@ -447,26 +451,6 @@ def hecke_rep(R: YangBaxterOperator, n: int, a: HeckeElement) -> LinearOperator:
     return _operator(R, n, [(sigma.reduced_word(), c) for sigma, c in a.terms.items()])
 
 
-def antisymmetrizer_image(space: SuperSpace, n: int) -> Subspace:
-    """The antisymmetric n-tensors: the image of Y_n for the supersymmetry
-    of ``space`` at q = 1.
-
-    The flip sends each word to plus or minus its swap, so every c_sigma
-    sends a word to plus or minus a word of its S_n-orbit, and the image of
-    n! Y_n = sum_sigma sgn(sigma) T_sigma is spanned by its values on one
-    weakly increasing word per orbit.  A value vanishes exactly when the word
-    repeats an even letter, so those words are skipped.
-    """
-    R = supersymmetry_operator(space)
-    terms = [(sigma.reduced_word(), sigma.sign()) for sigma in all_permutations(n)]
-    rows = []
-    for word in itertools.combinations_with_replacement(range(1, space.dim + 1), n):
-        if any(word[k] == word[k + 1] and space.parity(word[k]) == 0 for k in range(n - 1)):
-            continue
-        rows.append(_act(R, terms, {word: 1}))
-    return Subspace(space, n, rows)
-
-
 @dataclass
 class HeckeOperatorReport:
     even: bool
@@ -497,10 +481,33 @@ def verify_hecke_operator(R: YangBaxterOperator) -> HeckeOperatorReport:
 
 
 def symmetrizer_image(R: YangBaxterOperator, n: int, kind: str) -> Subspace:
-    """Image of rho(X_n) (kind='X') or rho(Y_n) (kind='Y') inside V^(x n)."""
-    X, Y = q_idempotents(n, R.q)
-    a = X if kind == "X" else Y
-    return hecke_rep(R, n, a).image()
+    """Image of rho(X_n) (kind='X') or rho(Y_n) (kind='Y') inside V^(x n) for
+    a Hecke operator R, applying a, X_n or Y_n up to a nonzero scalar with
+    integer coefficients.
+
+    R has *swap form* when R(x_i x_j) = alpha x_i x_j + beta x_j x_i with
+    beta != 0 for all letters i != j, and R(x_i x_i) = gamma_i x_i x_i.  As
+    a T_k = lambda a, with lambda = q for X and -1 for Y, rho(a) rho(T_k) =
+    lambda rho(a): if w_k != w_(k+1), beta rho(a)(s_k w) = (lambda - alpha)
+    rho(a) w, and if w_k = w_(k+1) = i, (gamma_i - lambda) rho(a) w = 0.  So
+    for such an R (the supersymmetry, every :func:`dj_operator`) rho(a) of
+    one weakly increasing word per letter content spans the image, less those
+    with equal adjacent letters i where gamma_i != lambda; any other R acts on
+    all d^n words.
+    """
+    terms = [(word, c) for _, word, c in _idempotent_sum(n, R.q, kind)]
+    letters, cols, words = range(1, R.space.dim + 1), R.columns, R.space.words(n)
+    if all(u in (p, p[::-1]) for p, col in cols.items() for u in col) and all(
+        cols.get((i, j), {}).get((j, i)) for i in letters for j in letters if i != j
+    ):
+        lam = R.q if kind == "X" else -1
+        skip = {i for i in letters if cols.get((i, i), {}).get((i, i), 0) != lam}
+        words = [
+            w
+            for w in itertools.combinations_with_replacement(letters, n)
+            if not any(w[k] == w[k + 1] and w[k] in skip for k in range(n - 1))
+        ]
+    return Subspace(R.space, n, [_act(R, terms, {w: 1}) for w in words])
 
 
 def intersection_of_generator_images(R: YangBaxterOperator, n: int) -> Subspace:

@@ -61,7 +61,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .hecke import YangBaxterOperator, antisymmetrizer_image, symmetrizer_image
+from .hecke import YangBaxterOperator, supersymmetry_operator, symmetrizer_image
 from .tensorspace import (
     Subspace,
     SuperSpace,
@@ -218,6 +218,8 @@ class HomogAlgebra:
 
     def graded_component(self, n: int):
         """(R_n, dim A_n) for the degree-n component."""
+        if n < 0:
+            raise ValueError(f"the degree n={n} must be nonnegative")
         Rn = self._graded_relations(n)
         return Rn, self.dim_V ** n - Rn.dim
 
@@ -342,6 +344,8 @@ class HomogAlgebra:
     def count_reduced_words(self, n: int) -> int:
         """The number of reduced words of length n, by a transfer count over
         their last N-1 letters: O(n d^N) integer additions, no word list."""
+        if n < 0:
+            raise ValueError(f"the degree n={n} must be nonnegative")
         d, N = self.dim_V, self.N
         if n < N:
             return d ** n
@@ -363,6 +367,8 @@ class HomogAlgebra:
         built letter by letter from those of A_(n-1), when the rewriting
         system is confluent, else the non-pivot words of R_n, none if
         dim A_n = 0 above degree N."""
+        if n < 0:
+            raise ValueError(f"the degree n={n} must be nonnegative")
         if not self.confluence_report().passed:
             if n > self.N and self.dim_component(n) == 0:
                 return []
@@ -654,14 +660,10 @@ def yang_mills(fmt, G=None, label: str = "") -> HomogAlgebra:
 
 def n_symmetric(fmt, N: int, label: str = "") -> HomogAlgebra:
     """The N-symmetric superalgebra: relations are the antisymmetric
-    N-tensors (the image of the antisymmetrizer)."""
+    N-tensors, the image of Y_N for the supersymmetry of V at q = 1."""
     space = fmt if isinstance(fmt, SuperSpace) else SuperSpace(fmt)
-    return HomogAlgebra(
-        space,
-        N,
-        antisymmetrizer_image(space, N),
-        label=label or f"S_{N}({space.p}|{space.q})",
-    )
+    rel = symmetrizer_image(supersymmetry_operator(space), N, "Y")
+    return HomogAlgebra(space, N, rel, label=label or f"S_{N}({space.p}|{space.q})")
 
 
 def lambda_operator_algebra(R: YangBaxterOperator, N: int, label: str = "") -> HomogAlgebra:

@@ -209,6 +209,8 @@ class Subspace:
     def is_parity_homogeneous(self) -> bool:
         sp = self.space
         for row in self.rows.values():
+            if set(map(len, row)) - {self.degree}:
+                raise ValueError(f"every word of a row must have length {self.degree}")
             if len({sp.word_parity(w) for w in row}) > 1:
                 return False
         return True

@@ -86,6 +86,42 @@ def test_every_private_function_is_referenced():
     assert not unreferenced_private_functions(sorted((ROOT / "src" / "superkoszul").glob("*.py")))
 
 
+MATH_NAMES = {"gcd", "lcm", "comb"}
+
+
+def float_uses(path):
+    """The float literals, ``float(...)`` calls and imports from ``math``
+    beyond the integer functions gcd, lcm and comb in one source file, as
+    (line, text) pairs."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            yield node.lineno, repr(node.value)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float":
+            yield node.lineno, "float(...)"
+        elif isinstance(node, ast.Import) and any(a.name == "math" for a in node.names):
+            yield node.lineno, "import math"
+        elif isinstance(node, ast.ImportFrom) and node.module == "math" and node.level == 0:
+            extra = {alias.name for alias in node.names} - MATH_NAMES
+            if extra:
+                yield node.lineno, f"from math import {', '.join(sorted(extra))}"
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "src" / "superkoszul").glob("*.py")), ids=lambda p: p.name
+)
+def test_no_floats(path):
+    # every number the engine computes is an int or a Fraction
+    assert not list(float_uses(path))
+
+
+def test_the_float_guard_catches_each_kind(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "import math\nfrom math import gcd, sqrt\nx = 0.5\ny = float(3)\nz: float = 1\n"
+    )
+    assert sorted(line for line, _ in float_uses(path)) == [1, 2, 3, 4]
+
+
 def test_pyproject_declares_no_runtime_dependencies():
     lines = (ROOT / "pyproject.toml").read_text().splitlines()
     declared = [line.strip() for line in lines if line.strip().startswith("dependencies")]

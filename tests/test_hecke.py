@@ -1,5 +1,6 @@
 """Hecke algebra arithmetic, idempotents, and Yang-Baxter operators."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from superkoszul.hecke import (
     symmetrizer_image,
     verify_hecke_operator,
 )
-from superkoszul.tensorspace import SuperSpace, wedge_dimension
+from superkoszul.tensorspace import Subspace, SuperSpace, wedge_dimension
 
 QS = (Fraction(1), Fraction(2), Fraction(1, 2))
 
@@ -150,6 +151,23 @@ def test_generator_index_outside_1_to_n_minus_1_is_rejected(n, i):
         hecke_rep_generator(dj_operator(1, 1, 2), n, i)
 
 
+@pytest.mark.parametrize("n, i", [(2, 0), (2, 2), (3, -1), (3, 0), (3, 3)])
+def test_transposition_index_outside_1_to_n_minus_1_is_rejected(n, i):
+    # unchecked, i = 0 swapped the last and first letters: T_(w0) for n = 3
+    with pytest.raises(ValueError, match="must lie in"):
+        Permutation.transposition(n, i)
+    with pytest.raises(ValueError, match="must lie in"):
+        HeckeElement.generator(n, 2, i)
+
+
+@pytest.mark.parametrize(
+    "entries", [{(1, 2): {(2, 1, 1): 1}}, {(1,): {(1, 1): 1}}, {(1, 2): {(2,): 1}}]
+)
+def test_operator_words_of_other_than_two_letters_are_rejected(entries):
+    with pytest.raises(ValueError, match="two letters"):
+        YangBaxterOperator(SuperSpace((0, 1)), 1, entries)
+
+
 def test_representation_satisfies_the_braid_relation():
     R = dj_operator(1, 1, Fraction(2))
     r1 = hecke_rep_generator(R, 3, 1)
@@ -167,15 +185,87 @@ def test_symmetrizer_image_rank_on_a_1_1_space():
 
 
 def test_antisymmetrizer_image_is_the_wedge():
-    # the signed-permutation route against the Hecke route through Y_n, on
+    # the image of Y_n for the supersymmetry against the closed form, on
     # every space of dimension 1 to 3 and in degrees 0 to 4
-    from superkoszul.hecke import antisymmetrizer_image
-
     for p, q_dim in [(p, q) for p in range(4) for q in range(4) if 1 <= p + q <= 3]:
-        sp = SuperSpace.standard(p, q_dim)
-        c = supersymmetry_operator(sp)
+        c = supersymmetry_operator(SuperSpace.standard(p, q_dim))
         for n in range(5):
-            assert symmetrizer_image(c, n, "Y") == antisymmetrizer_image(sp, n)
+            assert symmetrizer_image(c, n, "Y").dim == wedge_dimension(p, q_dim, n)
+
+
+def image_on_all_words(R, n, kind):
+    """The reference image: rho(X_n) or rho(Y_n) on all d^n words."""
+    X, Y = q_idempotents(n, R.q)
+    return hecke_rep(R, n, X if kind == "X" else Y).image()
+
+
+def forced_orbit_route(R, n, kind):
+    """The span of rho(X_n) or rho(Y_n) on the weakly increasing words, less
+    those with equal adjacent letters i where R(x_i x_i) != lambda x_i x_i:
+    the image exactly when R has swap form."""
+    X, Y = q_idempotents(n, R.q)
+    lam = R.q if kind == "X" else -1
+    columns = hecke_rep(R, n, X if kind == "X" else Y).columns
+    pairs = [(i, i) for i in range(1, R.space.dim + 1) if R.columns.get((i, i)) != {(i, i): lam}]
+    words = [
+        w
+        for w in itertools.combinations_with_replacement(range(1, R.space.dim + 1), n)
+        if not any(w[k : k + 2] in pairs for k in range(n - 1))
+    ]
+    return Subspace(R.space, n, [columns.get(w, {}) for w in words])
+
+
+@pytest.mark.parametrize(
+    "p, q_dim",
+    [(p, q) for p in range(4) for q in range(4) if 1 <= p + q <= 3] + [(2, 2), (3, 1), (1, 3)],
+)
+def test_symmetrizer_image_matches_the_image_on_all_words(p, q_dim):
+    # the supersymmetry and dj have swap form, so the image is built from one
+    # weakly increasing word per letter content
+    sp = SuperSpace.standard(p, q_dim)
+    dj = [dj_operator(p, q_dim, q) for q in (2, Fraction(1, 3), 3, -1)]
+    for R in [supersymmetry_operator(sp), *dj]:
+        for n in (n for n in range(5) if sp.dim ** n <= 300):
+            for kind in "XY":
+                assert symmetrizer_image(R, n, kind) == image_on_all_words(R, n, kind)
+
+
+def conjugated_dj():
+    """dj(2|0, q=2) conjugated by g x g, g = [[1, 2], [3, 5]]: a Hecke operator
+    whose columns mix every word, so it has no swap form."""
+    R = dj_operator(2, 0, 2)
+    g, g_inv = ((1, 2), (3, 5)), ((-5, 2), (3, -1))
+
+    def on_pairs(m):  # m x m on V x V
+        cols = {
+            (i, j): {(k, l): m[k - 1][i - 1] * m[l - 1][j - 1] for k in (1, 2) for l in (1, 2)}
+            for i in (1, 2)
+            for j in (1, 2)
+        }
+        return LinearOperator(R.space, 2, cols)
+
+    conj = on_pairs(g).compose(R).compose(on_pairs(g_inv))
+    return YangBaxterOperator(R.space, R.q, conj.columns, label="conjugated dj")
+
+
+def test_operators_without_swap_form_act_on_all_words():
+    # the orbit route, forced on these two operators, spans too little
+    conj = conjugated_dj()
+    assert verify_hecke_operator(conj).passed
+    no_swap = YangBaxterOperator(
+        SuperSpace((0, 0)), 1, {(1, 1): {(1, 1): 1}, (2, 1): {(1, 2): 1}, (2, 2): {(2, 2): 1}}
+    )
+    for R, short, full in ((conj, 1, 3), (no_swap, 3, 4)):
+        assert forced_orbit_route(R, 2, "X").dim == short
+        assert symmetrizer_image(R, 2, "X").dim == full
+        for n in range(5):
+            for kind in "XY":
+                assert symmetrizer_image(R, n, kind) == image_on_all_words(R, n, kind)
+
+
+def test_symmetrizer_image_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="kind"):
+        symmetrizer_image(supersymmetry_operator(SuperSpace.standard(1, 1)), 2, "Z")
 
 
 @pytest.mark.parametrize(

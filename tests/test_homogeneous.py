@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from superkoszul.hecke import antisymmetrizer_image, dj_operator, supersymmetry_operator
+from superkoszul.hecke import dj_operator, supersymmetry_operator, symmetrizer_image
 from superkoszul.homogeneous import (
     ConfluenceReport,
     InternalInconsistencyError,
@@ -96,10 +96,11 @@ def test_double_dual_restores_the_relations():
 def test_dual_star_components_of_the_symmetric_algebra():
     for (p, q), N in [((1, 1), 2), ((2, 1), 3), ((0, 2), 2)]:
         S = n_symmetric(SuperSpace.standard(p, q), N)
+        flip = supersymmetry_operator(S.space)
         for n in range(N):
             assert S.dual_star_component(n).dim == (p + q) ** n
         for n in range(N, 7):
-            assert S.dual_star_component(n) == antisymmetrizer_image(S.space, n)
+            assert S.dual_star_component(n) == symmetrizer_image(flip, n, "Y")
 
 
 def test_dual_star_dims_equal_dual_algebra_dims():
@@ -163,6 +164,16 @@ def test_mismatched_degrees_rejected():
     line = tensor_algebra(SuperSpace((0,)), 2)
     with pytest.raises(ValueError):
         homog_product("white", line, yang_mills(SuperSpace.standard(2, 0)))
+
+
+@pytest.mark.parametrize(
+    "method", ["dim_component", "count_reduced_words", "graded_component", "reduced_words"]
+)
+def test_a_negative_degree_is_rejected(method):
+    # unchecked, the first three gave the float d ** -1 and reduced_words recursed
+    A = n_symmetric(SuperSpace.standard(2, 1), 2)
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        getattr(A, method)(-1)
 
 
 def test_end_of_free_algebra_is_free():

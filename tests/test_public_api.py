@@ -18,7 +18,6 @@ PUBLIC = [
     "TruncatedSeries",
     "VariableTable",
     "YangBaxterOperator",
-    "antisymmetrizer_image",
     "berezinian_series",
     "bosonic_factor",
     "char_function",

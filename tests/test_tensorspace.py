@@ -12,9 +12,9 @@ from superkoszul.hecke import (
     Permutation,
     YangBaxterOperator,
     all_permutations,
-    antisymmetrizer_image,
     hecke_rep,
     supersymmetry_operator,
+    symmetrizer_image,
 )
 from superkoszul.superpoly import VariableTable, axpy
 from superkoszul.tensorspace import (
@@ -56,6 +56,12 @@ def test_letters_outside_the_basis_are_rejected():
             hecke_rep(YangBaxterOperator(sp, 1, entries), 2, HeckeElement.one(2, 1))
     with pytest.raises(ValueError):
         Subspace(sp, 2, [{(0, 5): 1}])
+
+
+def test_words_of_the_wrong_length_are_rejected():
+    # unchecked, an algebra on such rows reported dims 1, 2, 3, 4
+    with pytest.raises(ValueError, match="length 2"):
+        Subspace(SuperSpace((0, 1)), 2, [{(1, 2, 1): 1}])
 
 
 def signed_action(sp, sigma):
@@ -166,11 +172,16 @@ def test_length_counts_inversions():
 # -- antisymmetric tensors ----------------------------------------------------
 
 
+def wedge(sp, n):
+    """The antisymmetric n-tensors: the image of Y_n for the supersymmetry."""
+    return symmetrizer_image(supersymmetry_operator(sp), n, "Y")
+
+
 @pytest.mark.parametrize("p,q", [(p, q) for p in range(5) for q in range(5) if 1 <= p + q <= 4])
 def test_antisymmetrizer_dimensions_match_closed_form(p, q):
     sp = SuperSpace.standard(p, q)
     for n in range(6):
-        assert antisymmetrizer_image(sp, n).dim == wedge_dimension(p, q, n)
+        assert wedge(sp, n).dim == wedge_dimension(p, q, n)
 
 
 def test_wedge_generating_function():
@@ -190,7 +201,7 @@ def test_wedge_generating_function():
 
 def test_pure_odd_cube_is_spanned_by_the_repeated_word():
     sp = SuperSpace.standard(0, 1)
-    im = antisymmetrizer_image(sp, 3)
+    im = wedge(sp, 3)
     assert im.dim == 1
     assert im.rows == {(1, 1, 1): {(1, 1, 1): Fraction(1)}}
 
@@ -240,7 +251,7 @@ def test_two_sided_placements_intersect_to_wedge():
     # degree-4 antisymmetric space, trivial for 3 generators, a line for 4
     for d, expected in ((3, 0), (4, 1)):
         sp = SuperSpace.standard(d, 0)
-        R = antisymmetrizer_image(sp, 3)
+        R = wedge(sp, 3)
         left = Subspace(sp, 4)
         right = Subspace(sp, 4)
         for row in R.rows.values():
@@ -249,7 +260,7 @@ def test_two_sided_placements_intersect_to_wedge():
                 right.insert({(letter,) + w: c for w, c in row.items()})
         cap = subspace_intersection(left, right)
         assert cap.dim == expected
-        assert cap == antisymmetrizer_image(sp, 4)
+        assert cap == wedge(sp, 4)
 
 
 # -- the eliminator --------------------------------------------------------------
