@@ -12,14 +12,15 @@ The parameter q is a fixed nonzero rational, not an indeterminate; idempotent
 construction checks the q-integer regularity it needs and fails loudly
 otherwise.
 
-A Hecke operator is an even endomorphism R of V x V: a degree-2
-:class:`LinearOperator`, stored by columns, ``R(x_i x x_j) = sum over (k, l)
-of R.columns[(i, j)][(k, l)] x_k x x_l``, each entry an ``int`` if given
-as one and a ``Fraction`` otherwise.  It induces a representation rho of
-H_{n,q} on the n-th tensor power by placing R in adjacent slots, and one
-routine, :func:`_act`, applies it to tensors.  The signed symmetric-group
-action of the rule of signs is the case R = :func:`supersymmetry_operator`
-at q = 1:
+A Hecke operator is an even endomorphism R of V x V with (R + 1)(R - q) = 0
+and R_12 R_23 R_12 = R_23 R_12 R_23: a :class:`YangBaxterOperator`, stored by
+columns, ``R(x_i x x_j) = sum over (k, l) of R.columns[(i, j)][(k, l)] x_k x
+x_l``, each entry an ``int`` if given as one and a ``Fraction`` otherwise.
+It induces a representation rho of H_{n,q} on the n-th tensor power by
+placing R in adjacent slots, and one routine, :func:`_act`, applies rho of
+any word of generators to tensors (:class:`LinearOperator` only stores the
+columns that :func:`hecke_rep` returns).  The signed symmetric-group action
+of the rule of signs is the case R = :func:`supersymmetry_operator` at q = 1:
 
     c_sigma(v_1 x ... x v_n) = sign * v_{sigma^-1(1)} x ... x v_{sigma^-1(n)},
 
@@ -282,60 +283,10 @@ class LinearOperator:
 
     __slots__ = ("space", "degree", "columns")
 
-    def __init__(self, space: SuperSpace, degree: int, columns=None):
+    def __init__(self, space: SuperSpace, degree: int, columns: dict):
         self.space = space
         self.degree = degree
-        # columns[word] = {word: coeff}; missing column means zero column
-        self.columns: dict = columns if columns is not None else {}
-
-    @classmethod
-    def identity(cls, space: SuperSpace, degree: int) -> "LinearOperator":
-        cols = {w: {w: Fraction(1)} for w in space.words(degree)}
-        return cls(space, degree, cols)
-
-    @classmethod
-    def zero(cls, space: SuperSpace, degree: int) -> "LinearOperator":
-        return cls(space, degree, {})
-
-    def compose(self, other: "LinearOperator") -> "LinearOperator":
-        """self after other (matrix product self . other)."""
-        cols = {}
-        for w, col in other.columns.items():
-            out: dict = {}
-            for u, c in col.items():
-                axpy(out, self.columns.get(u, {}), c)
-            if out:
-                cols[w] = out
-        return LinearOperator(self.space, self.degree, cols)
-
-    def __add__(self, other: "LinearOperator") -> "LinearOperator":
-        cols = {w: dict(col) for w, col in self.columns.items()}
-        for w, col in other.columns.items():
-            mine = axpy(cols.setdefault(w, {}), col, 1)
-            if not mine:
-                del cols[w]
-        return LinearOperator(self.space, self.degree, cols)
-
-    def scale(self, c) -> "LinearOperator":
-        c = Fraction(c)
-        if c == 0:
-            return LinearOperator.zero(self.space, self.degree)
-        return LinearOperator(
-            self.space,
-            self.degree,
-            {w: {u: c * a for u, a in col.items()} for w, col in self.columns.items()},
-        )
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def is_zero(self) -> bool:
-        return all(not col for col in self.columns.values())
-
-    def __eq__(self, other):
-        if not isinstance(other, LinearOperator):
-            return NotImplemented
-        return (self - other).is_zero()
+        self.columns = columns  # {word: {word: coeff}}; a missing column is zero
 
     def image(self) -> Subspace:
         return Subspace(self.space, self.degree, self.columns.values())
@@ -408,11 +359,12 @@ def dj_operator(p: int, q_dim: int, q) -> YangBaxterOperator:
 
 
 def _act(R: YangBaxterOperator, terms, vec: dict) -> dict:
-    """rho(sum of c T_sigma) applied to ``vec`` {word: coefficient}, for
-    ``terms`` the pairs (reduced word of sigma, c).
+    """rho(sum of c T_{i_1} ... T_{i_k}) applied to ``vec`` {word:
+    coefficient}, for ``terms`` the pairs (word of generator indices, c).
 
-    For each letter i of the reduced word, rightmost first, R acts at slots
-    (i, i+1), so rho(T_sigma) = rho(T_{i_1}) ... rho(T_{i_k}).
+    A word is any sequence of indices in 1..n-1: a reduced word of sigma for
+    T_sigma, (1, 1) for T_1^2, () for 1.  For each index i, rightmost first,
+    R acts at slots (i, i+1), so the word gives rho(T_{i_1}) ... rho(T_{i_k}).
     """
     out: dict = {}
     for word, c in terms:
@@ -432,13 +384,6 @@ def _operator(R: YangBaxterOperator, n: int, terms) -> LinearOperator:
     """The operator on V^(x n) whose column of w is :func:`_act` on w."""
     cols = {w: _act(R, terms, {w: 1}) for w in R.space.words(n)}
     return LinearOperator(R.space, n, {w: col for w, col in cols.items() if col})
-
-
-def hecke_rep_generator(R: YangBaxterOperator, n: int, i: int) -> LinearOperator:
-    """rho(T_i) = 1^(i-1) x R x 1^(n-i-1) on V^(x n), for 1 <= i <= n-1."""
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"generator index i={i} must lie in 1..{n - 1}")
-    return _operator(R, n, [([i], 1)])
 
 
 def hecke_rep(R: YangBaxterOperator, n: int, a: HeckeElement) -> LinearOperator:
@@ -471,12 +416,12 @@ class HeckeOperatorReport:
 
 
 def verify_hecke_operator(R: YangBaxterOperator) -> HeckeOperatorReport:
-    """Exact check of evenness, (R+1)(R-q) = 0, and the braid relation."""
-    ident2 = LinearOperator.identity(R.space, 2)
-    hecke_ok = (R + ident2).compose(R - ident2.scale(R.q)).is_zero()
-    r1 = hecke_rep_generator(R, 3, 1)
-    r2 = hecke_rep_generator(R, 3, 2)
-    ybe_ok = r1.compose(r2).compose(r1) == r2.compose(r1).compose(r2)
+    """Exact check of evenness, of (R + 1)(R - q) = R^2 + (1 - q) R - q = 0 on
+    every word of V x V, and of the braid relation R_12 R_23 R_12 - R_23 R_12
+    R_23 = 0 on every word of V x V x V, both through :func:`_act`."""
+    q = R.q
+    hecke_ok = not _operator(R, 2, [((1, 1), 1), ((1,), 1 - q), ((), -q)]).columns
+    ybe_ok = not _operator(R, 3, [((1, 2, 1), 1), ((2, 1, 2), -1)]).columns
     return HeckeOperatorReport(R.is_even(), hecke_ok, ybe_ok)
 
 
@@ -512,12 +457,8 @@ def symmetrizer_image(R: YangBaxterOperator, n: int, kind: str) -> Subspace:
 
 def intersection_of_generator_images(R: YangBaxterOperator, n: int) -> Subspace:
     """The intersection of the images of rho(T_i) + 1 over i = 1..n-1."""
-    space = R.space
-    ident = LinearOperator.identity(space, n)
     out = None
     for i in range(1, n):
-        im = (hecke_rep_generator(R, n, i) + ident).image()
+        im = _operator(R, n, [((i,), 1), ((), 1)]).image()
         out = im if out is None else subspace_intersection(out, im)
-    if out is None:
-        return Subspace.full(space, n)
-    return out
+    return Subspace.full(R.space, n) if out is None else out

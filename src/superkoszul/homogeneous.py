@@ -441,8 +441,11 @@ class HomogAlgebra:
         """Normal form of a basis word as {basis word of A_n: coefficient},
         supported on :meth:`reduced_words`: the exact view of the store
         (:meth:`_nf_ints`), int when integral and Fraction otherwise, and the
-        stored dict itself when den is 1."""
-        return scaled_view(*self._nf_ints(tuple(word)))
+        stored dict itself when den is 1.  A letter outside 1..d is a ValueError."""
+        word = tuple(word)
+        if not all(1 <= i <= self.dim_V for i in word):
+            raise ValueError(f"a letter of {word} lies outside 1..{self.dim_V}")
+        return scaled_view(*self._nf_ints(word))
 
     def _nf_ints(self, word: Word) -> tuple:
         """The store's entry (ints, den): nf(word) = ints/den, den > 0 coprime

@@ -69,7 +69,9 @@ from .tensorspace import RankCounter, kernel_of_vectors, matrix_rank, rescale, s
 
 
 def jump(N: int, i: int) -> int:
-    """The homological jump nu_N(i)."""
+    """The homological jump nu_N(i), for N >= 2."""
+    if N < 2:
+        raise ValueError(f"the relation degree N={N} must be at least 2")
     if i < 0:
         raise ValueError("homological index must be nonnegative")
     if i % 2 == 0:

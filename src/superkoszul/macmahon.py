@@ -337,6 +337,8 @@ def lambda_set(p: int, q: int, N: int, length: int) -> list[tuple]:
     """Index words of the reduced-monomial basis of the N-symmetric algebra:
     words over 1..p+q with no length-N window that increases strictly through
     the even range 1..p and then weakly through the odd range p+1..p+q."""
+    if N < 2:
+        raise ValueError(f"the relation degree N={N} must be at least 2")
     d = p + q
 
     def window_forbidden(win):

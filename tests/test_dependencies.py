@@ -1,8 +1,14 @@
 """The package runs on the standard library alone: every import in
 ``src/superkoszul`` is relative or names a standard-library module, and
-``pyproject.toml`` declares no runtime dependency."""
+``pyproject.toml`` declares no runtime dependency.  Static guards on the
+source ride along: no unused import or private function, no float, and every
+name that the README or a docstring gives for code resolves."""
 
 import ast
+import builtins
+import importlib
+import inspect
+import re
 import sys
 from pathlib import Path
 
@@ -126,3 +132,96 @@ def test_pyproject_declares_no_runtime_dependencies():
     lines = (ROOT / "pyproject.toml").read_text().splitlines()
     declared = [line.strip() for line in lines if line.strip().startswith("dependencies")]
     assert declared == ["dependencies = []"]
+
+
+# -- names that the docs give for code -----------------------------------------
+
+SRC = ROOT / "src" / "superkoszul"
+PACKAGE = importlib.import_module("superkoszul")
+MODULES = {
+    path.stem: importlib.import_module(f"superkoszul.{path.stem}")
+    for path in sorted(SRC.glob("*.py"))
+    if path.stem not in ("__init__", "__main__")
+}
+
+
+def classes(*modules):
+    return [obj for module in modules for obj in vars(module).values() if inspect.isclass(obj)]
+
+
+def walk(obj, attrs):
+    """Whether the chain of attributes ``attrs`` resolves from ``obj``."""
+    for attr in attrs:
+        if not hasattr(obj, attr):
+            return False
+        obj = getattr(obj, attr)
+    return True
+
+
+def resolves(token, home=None):
+    """Whether a dotted name resolves in the package: a module, a name of a
+    module (``home`` first), an attribute chain from either, a builtin, or a
+    bare attribute of one of ``home``'s classes (of any package class without
+    ``home``); a name under a standard-library module resolves by import."""
+    if token == "superkoszul":
+        return True
+    first, *rest = token.removeprefix("superkoszul.").split(".")
+    if first in MODULES:
+        return walk(MODULES[first], rest)
+    for module in ([home] if home else []) + list(MODULES.values()):
+        if hasattr(module, first):
+            return walk(getattr(module, first), rest)
+    if not rest:
+        owners = classes(home) if home else classes(*MODULES.values())
+        return hasattr(builtins, first) or any(hasattr(cls, first) for cls in owners)
+    if first in sys.stdlib_module_names:
+        return walk(importlib.import_module(first), rest)
+    return False
+
+
+IDENTIFIER = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
+
+
+def readme_code_names(text):
+    """The backticked spans of ``text`` outside fenced blocks that look like
+    code names: an identifier or dotted chain with ``_`` or ``.`` in it or an
+    upper-case first letter; builtins, CLI family and command names, test
+    names and all-caps words are left out."""
+    cli = MODULES["cli"]
+    spans = re.findall(r"`([^`\n]+)`", re.sub(r"```.*?```", "", text, flags=re.S))
+    return sorted(
+        {
+            span
+            for span in spans
+            if IDENTIFIER.fullmatch(span)
+            and ("_" in span or "." in span or span[0].isupper())
+            and not (span.isupper() or span.startswith("test_") or hasattr(builtins, span))
+            and span not in cli.FAMILIES + cli.COMMANDS
+        }
+    )
+
+
+def test_every_code_name_in_the_readme_resolves():
+    # a rename or deletion must take the README's mentions along
+    names = readme_code_names((ROOT / "README.md").read_text())
+    assert names and not [name for name in names if not resolves(name)]
+
+
+ROLE = re.compile(r":(?:func|meth|class|data):`~?\.?([^`]+)`")
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_docstring_cross_reference_resolves(path):
+    home = MODULES.get(path.stem, PACKAGE)
+    targets = ROLE.findall(path.read_text())
+    assert not [target for target in targets if not resolves(target, home)]
+
+
+def test_the_name_guard_tells_names_apart():
+    text = "`hecke._act` `fractions.Fraction` `HomogAlgebra._nf_ints` `rank` `s_RN` `ValueError`"
+    assert readme_code_names(text + " `Nope` `hecke.nope` `no_such_name` `PASS`") == [
+        "HomogAlgebra._nf_ints", "Nope", "fractions.Fraction", "hecke._act", "hecke.nope",
+        "no_such_name",
+    ]
+    assert [name for name in readme_code_names(text) if not resolves(name)] == []
+    assert not any(map(resolves, ["Nope", "hecke.nope", "no_such_name", "fractions.nope"]))

@@ -246,6 +246,13 @@ def test_reduced_words_are_fixed_points():
         assert A.normal_form_word(w) == {w: Fraction(1)}
 
 
+@pytest.mark.parametrize("word", [(3, 3), (1, 3), (0, 1), (1, -1, 2)])
+def test_normal_form_rejects_a_letter_outside_1_to_d(word):
+    # unchecked, (3, 3) came back as its own normal form {(3, 3): 1}
+    with pytest.raises(ValueError, match="outside 1..2"):
+        n_symmetric(SuperSpace((0, 1)), 2).normal_form_word(word)
+
+
 def test_normal_form_is_idempotent_and_a_congruence():
     A = n_symmetric(SuperSpace.standard(2, 1), 2)
     Rn, _ = A.graded_component(3)

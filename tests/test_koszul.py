@@ -33,6 +33,13 @@ def test_jump_function():
     assert [jump(3, i) for i in range(6)] == [0, 1, 3, 4, 6, 7]
 
 
+@pytest.mark.parametrize("N", [1, 0, -2])
+def test_jump_rejects_a_relation_degree_below_2(N):
+    # unchecked, jump(1, 3) returned 2
+    with pytest.raises(ValueError, match="at least 2"):
+        jump(N, 3)
+
+
 def test_first_differential_is_multiplication():
     A = n_symmetric(SuperSpace.standard(2, 0), 2)
     sl = koszul_matrix(A, 1, 3)

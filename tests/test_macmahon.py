@@ -289,6 +289,13 @@ def test_lambda_words_for_the_super_line_pair():
     assert lambda_set(1, 0, 2, 4) == [(1, 1, 1, 1)]
 
 
+@pytest.mark.parametrize("N", [1, 0, -1])
+def test_lambda_words_reject_a_relation_degree_below_2(N):
+    # unchecked, lambda_set(1, 1, 1, 2) returned []
+    with pytest.raises(ValueError, match="at least 2"):
+        lambda_set(1, 1, N, 2)
+
+
 def test_lambda_words_are_the_reduced_words():
     # the brute-force filter and the letter-by-letter walk of closed_form_hilbert
     for (p, q, N) in [(1, 1, 2), (2, 1, 3), (0, 2, 2), (2, 2, 2)]:
