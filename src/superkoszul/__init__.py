@@ -17,7 +17,6 @@ from .tensorspace import (
     Subspace,
     SuperSpace,
     dual_complement,
-    supertrace,
     wedge_dimension,
 )
 from .hecke import (
@@ -61,6 +60,7 @@ from .macmahon import (
     lambda_set,
     master_verify,
     supercharacter,
+    supertrace,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -180,13 +180,14 @@ class HeckeElement:
     # -- multiplication ----------------------------------------------------
 
     def _times_generator(self, i: int) -> "HeckeElement":
-        """Right multiplication by T_i via the basis rule."""
+        """Right multiplication by T_i via the basis rule; the length of
+        sigma sigma_i grows exactly when sigma(i) < sigma(i+1)."""
         n, q = self.n, self.q
         si = Permutation.transposition(n, i)
         terms: dict[Permutation, Fraction] = {}
         for sigma, c in self.terms.items():
             tau = sigma * si
-            if tau.length() == sigma.length() + 1:
+            if sigma.word[i - 1] < sigma.word[i]:
                 axpy(terms, {tau: c}, 1)
             else:
                 axpy(terms, {tau: c}, q)
@@ -212,8 +213,7 @@ class HeckeElement:
         for sigma, c in self.terms.items():
             piece = HeckeElement.one(n, q).scale(c)
             for i in sigma.reduced_word():
-                gen_image = HeckeElement.one(n, q).scale(q - 1) - HeckeElement.generator(n, q, i)
-                piece = piece * gen_image
+                piece = piece.scale(q - 1) - piece._times_generator(i)
             out = out + piece
         return out
 

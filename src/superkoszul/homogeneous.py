@@ -61,7 +61,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .hecke import YangBaxterOperator, supersymmetry_operator, symmetrizer_image
+from .hecke import Permutation, YangBaxterOperator, _act, supersymmetry_operator, symmetrizer_image
 from .tensorspace import (
     Subspace,
     SuperSpace,
@@ -495,27 +495,27 @@ class HomogAlgebra:
 # ---------------------------------------------------------------------------
 
 
-def _interleave_rows(fmt1, fmt2, d2, rows1, rows2):
-    """Rows of c_{pi_N}(span(rows1) x span(rows2)) inside (V x V')^(x N).
+def _interleave_rows(fmt1, fmt2, N, rows1, rows2):
+    """Rows of c_sigma(span(rows1) x span(rows2)) inside (V x V')^(x N).
 
-    rows1/rows2 iterate dicts over words of V^(x N) / V'^(x N).  The shuffle
-    sends v_1..v_N v'_1..v'_N to (v_1 v'_1)..(v_N v'_N), where v'_k passes
-    v_{k+1}..v_N: the sign is (-1)^(sum over k < l of fmt2[b_k] fmt1[a_l]),
-    and a pair (a, b) becomes the letter (a-1)*d2 + b of V x V'.  Distinct
-    word pairs give distinct words, so each term is written once.
+    rows1/rows2 iterate dicts over words of V^(x N) / V'^(x N).  A pair of
+    words is one word of (V + V')^(x 2N), the letters of V' shifted by d1,
+    and the shuffle sigma = (1, 3, ..., 2N-1, 2, 4, ..., 2N) in one-line
+    notation sends v_1..v_N v'_1..v'_N to (v_1 v'_1)..(v_N v'_N) with the
+    rule of signs (:func:`hecke._act` on the supersymmetry of V + V').  A
+    pair (a, b) then becomes the letter (a-1)*d2 + b - d1 of V x V'.
     """
+    d1, d2 = len(fmt1), len(fmt2)
+    c = supersymmetry_operator(SuperSpace(fmt1 + fmt2))
+    shuffle = [(Permutation([*range(1, 2 * N, 2), *range(2, 2 * N + 1, 2)]).reduced_word(), 1)]
     out = []
     for r1 in rows1:
         for r2 in rows2:
-            vec: dict = {}
-            for w1, c1 in r1.items():
-                for w2, c2 in r2.items():
-                    swaps = passed = 0  # passed: odd letters among v_{k+1}..v_N
-                    for a, b in zip(reversed(w1), reversed(w2)):
-                        swaps += fmt2[b - 1] * passed
-                        passed += fmt1[a - 1]
-                    letters = tuple((a - 1) * d2 + b for a, b in zip(w1, w2))
-                    vec[letters] = -c1 * c2 if swaps % 2 else c1 * c2
+            seed = {w1 + tuple(b + d1 for b in w2): x1 * x2
+                    for w1, x1 in r1.items() for w2, x2 in r2.items()}
+            vec = {}
+            for w, x in _act(c, shuffle, seed).items():
+                vec[tuple((a - 1) * d2 + b - d1 for a, b in zip(w[::2], w[1::2]))] = x
             out.append(vec)
     return out
 
@@ -540,17 +540,17 @@ def homog_product(kind: str, A: HomogAlgebra, B: HomogAlgebra) -> HomogAlgebra:
         raise ValueError("products are defined only for equal relation degrees N")
     N = A.N
     W = product_space(A.space, B.space)
-    fmt1, fmt2, d2 = A.space.format, B.space.format, B.space.dim
+    fmt1, fmt2 = A.space.format, B.space.format
     full_A = [{w: 1} for w in A.space.words(N)]
     full_B = [{w: 1} for w in B.space.words(N)]
     rows_A = list(A.R.rows.values())
     rows_B = list(B.R.rows.values())
     if kind == "white":
-        rows = _interleave_rows(fmt1, fmt2, d2, rows_A, full_B)
-        rows += _interleave_rows(fmt1, fmt2, d2, full_A, rows_B)
+        rows = _interleave_rows(fmt1, fmt2, N, rows_A, full_B)
+        rows += _interleave_rows(fmt1, fmt2, N, full_A, rows_B)
         symbol = "o"
     elif kind == "black":
-        rows = _interleave_rows(fmt1, fmt2, d2, rows_A, rows_B)
+        rows = _interleave_rows(fmt1, fmt2, N, rows_A, rows_B)
         symbol = "*"
     else:
         raise ValueError(f"unknown product kind {kind!r}")
@@ -581,7 +581,9 @@ def tensor_algebra(fmt, N: int = 2, label: str = "") -> HomogAlgebra:
 
 def quantum_superspace(fmt, q_table=None, label: str = "") -> HomogAlgebra:
     """Quadratic superalgebra with relations x_i x_i (i odd) and
-    x_j x x_i - q_ij (-1)^(i^ j^) x_i x x_j for i < j.
+    x_j x x_i - q_ij (-1)^(i^ j^) x_i x x_j = (1 - q_ij T_1)(x_j x x_i) for
+    i < j, T_1 the rule-of-signs flip (:func:`hecke._act` on the
+    supersymmetry).
 
     ``q_table`` maps pairs (i, j), 1 <= i < j <= d, to nonzero rationals;
     omitted pairs default to 1, and any other key raises ValueError.
@@ -592,6 +594,7 @@ def quantum_superspace(fmt, q_table=None, label: str = "") -> HomogAlgebra:
     for i, j in q_table:
         if not 1 <= i < j <= d:
             raise ValueError(f"q-table key ({i},{j}) out of range for d={d}")
+    c = supersymmetry_operator(space)
     rows = []
     for i in range(1, d + 1):
         if space.parity(i) == 1:
@@ -601,8 +604,7 @@ def quantum_superspace(fmt, q_table=None, label: str = "") -> HomogAlgebra:
             qij = Fraction(q_table.get((i, j), 1))
             if qij == 0:
                 raise ValueError(f"quantum parameter q[{i},{j}] must be nonzero")
-            sign = -1 if space.parity(i) * space.parity(j) else 1
-            rows.append({(j, i): Fraction(1), (i, j): -qij * sign})
+            rows.append(_act(c, [((), 1), ((1,), -qij)], {(j, i): Fraction(1)}))
     return HomogAlgebra(
         space, 2, Subspace(space, 2, rows), label=label or f"Sq({space.p}|{space.q})"
     )
@@ -613,7 +615,11 @@ def yang_mills(fmt, G=None, label: str = "") -> HomogAlgebra:
 
         sum over i, k of G[i][k] [x_i, [x_k, x_j]] = 0,
 
-    supercommutators throughout (Connes and Dubois-Violette).  ``G`` is either
+    supercommutators throughout (Connes and Dubois-Violette).  With T_2 the
+    rule-of-signs swap of the last two letters and C = T_2 T_1, which moves
+    the first letter to the end, [x_i, [x_k, x_j]] = (1 - C)(1 - T_2) x_i x_k
+    x_j, so each relation is :func:`hecke._act` of (1 - C)(1 - T_2) for the
+    supersymmetry on sum G[i][k] x_i x_k x_j.  ``G`` is either
     a list of d nonzero diagonal entries (default all ones) or a symmetric
     invertible d x d matrix vanishing across parities.  It is used as given,
     so the change of generators x -> Px carries the presentation of G to that
@@ -639,23 +645,10 @@ def yang_mills(fmt, G=None, label: str = "") -> HomogAlgebra:
         raise ValueError("metric must vanish between different parities")
     if matrix_rank(dict(enumerate(row)) for row in M) < d:
         raise ValueError("metric is singular")
-    # [x_i, [x_k, x_j]] = x_i x_k x_j - s_kj x_i x_j x_k - s_i x_k x_j x_i
-    #                    + s_i s_kj x_j x_k x_i,
-    # s_kj = (-1)^(k^ j^) and s_i = (-1)^(i^ (k^ + j^))
-    par = space.parity
-    rows = []
-    for j in range(1, d + 1):
-        row: dict = {}
-        for k in range(1, d + 1):
-            s_kj = -1 if par(k) * par(j) else 1
-            for i in range(1, d + 1):
-                g = M[i - 1][k - 1]
-                if g:
-                    s_i = -1 if par(i) * (par(k) + par(j)) % 2 else 1
-                    for word, sign in (((i, k, j), 1), ((i, j, k), -s_kj),
-                                       ((k, j, i), -s_i), ((j, k, i), s_i * s_kj)):
-                        axpy(row, {word: sign}, g)
-        rows.append(row)
+    c = supersymmetry_operator(space)
+    brackets = [((), 1), ((2,), -1), ((2, 1), -1), ((2, 1, 2), 1)]  # (1 - C)(1 - T_2)
+    seed = {(i + 1, k + 1): g for i, row in enumerate(M) for k, g in enumerate(row) if g}
+    rows = [_act(c, brackets, {ik + (j,): g for ik, g in seed.items()}) for j in range(1, d + 1)]
     return HomogAlgebra(
         space, 3, Subspace(space, 3, rows), label=label or f"YM({space.p}|{space.q})"
     )

@@ -71,7 +71,7 @@ from .superpoly import (
     axpy,
     newton_elementary,
 )
-from .tensorspace import SuperSpace, check_entry_parities, wedge_dimension
+from .tensorspace import SuperSpace, wedge_dimension
 
 
 class GenericSupermatrix:
@@ -269,6 +269,42 @@ def char_function(X: GenericSupermatrix, K: int) -> list[SuperPolynomial]:
 # ---------------------------------------------------------------------------
 
 
+def check_entry_parities(matrix, fmt) -> None:
+    """Raise ValueError if a nonzero polynomial entry (i, j) of the matrix
+    does not have parity i^+j^ in the given format.  Only SuperPolynomial
+    entries are checked: a scalar entry is accepted at any position, so a
+    scalar matrix may be even or odd."""
+    for i, row in enumerate(matrix):
+        for j, entry in enumerate(row):
+            if isinstance(entry, SuperPolynomial):
+                par = entry.parity()
+                if par is not None and par != (fmt[i] + fmt[j]) % 2:
+                    raise ValueError(
+                        f"entry ({i + 1},{j + 1}) has parity {par}, "
+                        f"expected {(fmt[i] + fmt[j]) % 2}"
+                    )
+
+
+def supertrace(matrix, fmt) -> object:
+    """Supertrace sum_i (-1)^(i^) M[i][i] of a square matrix.
+
+    Entries may be rationals or SuperPolynomials.  A polynomial entry (i, j)
+    must have parity i^+j^, else ValueError; scalar entries are not checked,
+    so scalar matrices of either parity are accepted (an odd one, with zero
+    diagonal blocks, has supertrace 0).
+    """
+    fmt = tuple(fmt)
+    d = len(matrix)
+    if any(len(row) != d for row in matrix) or d != len(fmt):
+        raise ValueError("matrix shape does not match the format")
+    check_entry_parities(matrix, fmt)
+    total = None
+    for i in range(d):
+        term = matrix[i][i] if fmt[i] == 0 else -matrix[i][i]
+        total = term if total is None else total + term
+    return total
+
+
 def supercharacter(b, F, fmt) -> SuperPolynomial:
     """chi^s(f) = sum (-1)^(i^ j^) b[i][j] F[j][i] for a coaction matrix b and
     an endomorphism matrix F over a comodule with the given format."""
@@ -297,7 +333,7 @@ def _signed_kronecker(A, B, negate):
     ]
 
 
-def coaction_tensor(b1, fmt1, b2, fmt2, table):
+def coaction_tensor(b1, fmt1, b2, fmt2):
     """Coaction matrix of a tensor product of comodules.
 
     Entry ((i,k), (j,l)) = (-1)^((i^+j^) k^) b1[i][j] b2[k][l]: the first
@@ -307,7 +343,7 @@ def coaction_tensor(b1, fmt1, b2, fmt2, table):
     return _signed_kronecker(b1, b2, lambda i, j, k: (fmt1[i] + fmt1[j]) % 2 and fmt2[k]), fmt
 
 
-def endo_tensor(F, fmt1, G, fmt2, parity_G: int):
+def endo_tensor(F, fmt1, G, parity_G: int):
     """Matrix of f (x) g on the tensor product: entries pick up the sign
     (-1)^(g^ j^) from moving g past the first factor's basis vector."""
     return _signed_kronecker(F, G, lambda i, j, k: parity_G and fmt1[j])
@@ -325,7 +361,7 @@ def coaction_power(X: GenericSupermatrix, n: int):
     b, fmt = generic_coaction(X)
     out, ofmt = b, list(fmt)
     for _ in range(n - 1):
-        out, ofmt = coaction_tensor(out, ofmt, b, fmt, X.table)
+        out, ofmt = coaction_tensor(out, ofmt, b, fmt)
     return out, tuple(ofmt)
 
 

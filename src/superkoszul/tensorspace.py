@@ -19,8 +19,9 @@ Duality
 -------
 Dual tensors are stored over the same index words; the order-reversing
 pairing  < x^{j_1}...x^{j_n} , x_{i_1}...x_{i_n} >  is 1 exactly when
-``(j_1..j_n)`` equals the reversal of ``(i_1..i_n)``.  The reversal lives
-only in :func:`dual_complement`, never in the data.
+``(j_1..j_n)`` equals the reversal of ``(i_1..i_n)``.  The reversal is
+never stored in the data: :func:`dual_complement` and
+:meth:`HomogAlgebra.dual_coproduct` apply it where they pair.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import itertools
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-from .superpoly import SuperPolynomial, _integral, axpy
+from .superpoly import _integral, axpy
 
 Word = tuple  # tuple of letters in 1..d
 
@@ -378,39 +379,3 @@ def dual_complement(R: Subspace) -> Subspace:
                 vec[pvt[::-1]] = -c
         out.insert(vec)
     return out
-
-
-def check_entry_parities(matrix, fmt) -> None:
-    """Raise ValueError if a nonzero polynomial entry (i, j) of the matrix
-    does not have parity i^+j^ in the given format.  Only SuperPolynomial
-    entries are checked: a scalar entry is accepted at any position, so a
-    scalar matrix may be even or odd."""
-    for i, row in enumerate(matrix):
-        for j, entry in enumerate(row):
-            if isinstance(entry, SuperPolynomial):
-                par = entry.parity()
-                if par is not None and par != (fmt[i] + fmt[j]) % 2:
-                    raise ValueError(
-                        f"entry ({i + 1},{j + 1}) has parity {par}, "
-                        f"expected {(fmt[i] + fmt[j]) % 2}"
-                    )
-
-
-def supertrace(matrix, fmt) -> object:
-    """Supertrace sum_i (-1)^(i^) M[i][i] of a square matrix.
-
-    Entries may be rationals or SuperPolynomials.  A polynomial entry (i, j)
-    must have parity i^+j^, else ValueError; scalar entries are not checked,
-    so scalar matrices of either parity are accepted (an odd one, with zero
-    diagonal blocks, has supertrace 0).
-    """
-    fmt = tuple(fmt)
-    d = len(matrix)
-    if any(len(row) != d for row in matrix) or d != len(fmt):
-        raise ValueError("matrix shape does not match the format")
-    check_entry_parities(matrix, fmt)
-    total = None
-    for i in range(d):
-        term = matrix[i][i] if fmt[i] == 0 else -matrix[i][i]
-        total = term if total is None else total + term
-    return total

@@ -49,11 +49,11 @@ from superkoszul.macmahon import (
     lambda_set,
     master_verify,
     supercharacter,
+    supertrace,
 )
 from superkoszul.superpoly import TruncatedSeries
 from superkoszul.tensorspace import (
     SuperSpace,
-    supertrace,
     wedge_dimension,
 )
 
@@ -259,7 +259,7 @@ def test_criterion_7_supercharacter_laws():
     for (p, q) in [(1, 1), (2, 1)]:
         X = GenericSupermatrix(p, q)
         b, fmt = generic_coaction(X)
-        bb, ffmt = coaction_tensor(b, fmt, b, fmt, X.table)
+        bb, ffmt = coaction_tensor(b, fmt, b, fmt)
         d = len(fmt)
         zero = X.table.zero()
         big_b = [
@@ -271,7 +271,7 @@ def test_criterion_7_supercharacter_laws():
             pf, pg = rng.randint(0, 1), rng.randint(0, 1)
             F, G = rand_matrix(fmt, pf), rand_matrix(fmt, pg)
             ok &= X.counit(supercharacter(b, F, fmt)) == supertrace(F, fmt)
-            FG = endo_tensor(F, fmt, G, fmt, pg)
+            FG = endo_tensor(F, fmt, G, pg)
             ok &= supercharacter(bb, FG, ffmt) == supercharacter(b, F, fmt) * supercharacter(b, G, fmt)
             H = rand_matrix(fmt, pf)
             upper = rand_matrix(fmt, pf)

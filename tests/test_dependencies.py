@@ -92,6 +92,47 @@ def test_every_private_function_is_referenced():
     assert not unreferenced_private_functions(sorted((ROOT / "src" / "superkoszul").glob("*.py")))
 
 
+def unused_parameters(path):
+    """The parameters, apart from ``self`` and ``cls``, of the functions in
+    one source file that their body never reads, as ``function.parameter``.
+    Lambdas are left out, and so are the ``cli._cmd_*`` handlers, which share
+    the dispatch signature."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if path.stem == "cli" and node.name.startswith("_cmd_"):
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a]
+        read = {
+            n.id
+            for stmt in node.body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        for name in params:
+            if name not in read and name not in ("self", "cls"):
+                yield f"{node.name}.{name}"
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "src" / "superkoszul").glob("*.py")), ids=lambda p: p.name
+)
+def test_every_parameter_is_read(path):
+    # a parameter that nothing reads is API that only misleads its callers
+    assert not list(unused_parameters(path))
+
+
+def test_the_parameter_guard_reads_nested_bodies_and_skips_lambdas(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "def f(a, b, *c, d, **e):\n    def g():\n        return a\n    b = 1\n    return g\n"
+        "class K:\n    def m(self, x):\n        return lambda y: 0\n"
+    )
+    assert sorted(unused_parameters(path)) == ["f.b", "f.c", "f.d", "f.e", "m.x"]
+
+
 MATH_NAMES = {"gcd", "lcm", "comb"}
 
 

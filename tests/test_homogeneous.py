@@ -448,6 +448,98 @@ def test_white_product_rows_are_pinned():
     }
 
 
+def test_black_product_rows_are_pinned_at_n_2():
+    # x_2 and y_1 are odd; the letter (a - 1) * 2 + b is x_a y_b
+    S = n_symmetric((0, 1), 2)
+    T = n_symmetric((1, 0), 2)
+    assert homog_product("black", S, T).R.rows == {
+        (1, 3): {(1, 3): 1, (3, 1): 1},
+        (1, 4): {(1, 4): 1, (2, 3): 1, (3, 2): 1, (4, 1): -1},
+        (3, 3): {(3, 3): 1},
+        (3, 4): {(3, 4): 1, (4, 3): 1},
+    }
+
+
+def test_black_product_rows_are_pinned_at_n_3():
+    S = n_symmetric((0, 1), 3)
+    T = n_symmetric((1, 0), 3)
+    assert homog_product("black", S, T).R.rows == {
+        (1, 3, 3): {(1, 3, 3): 1, (3, 1, 3): 1, (3, 3, 1): 1},
+        (1, 3, 4): {
+            (1, 3, 4): 1, (1, 4, 3): 1, (2, 3, 3): 1, (3, 1, 4): 1, (3, 2, 3): 1,
+            (3, 3, 2): 1, (3, 4, 1): -1, (4, 1, 3): -1, (4, 3, 1): -1,
+        },
+        (3, 3, 3): {(3, 3, 3): 1},
+        (3, 3, 4): {(3, 3, 4): 1, (3, 4, 3): 1, (4, 3, 3): 1},
+    }
+
+
+def test_white_product_rows_are_pinned_at_n_3():
+    S = n_symmetric((0, 1), 3)
+    T = n_symmetric((1, 0), 3)
+    assert homog_product("white", S, T).R.rows == {
+        (1, 1, 1): {(1, 1, 1): 1},
+        (1, 1, 2): {(1, 1, 2): 1, (1, 2, 1): -1, (2, 1, 1): 1},
+        (1, 1, 3): {(1, 1, 3): 1},
+        (1, 1, 4): {(1, 1, 4): 1, (1, 2, 3): 1, (2, 1, 3): -1},
+        (1, 3, 1): {(1, 3, 1): 1},
+        (1, 3, 2): {(1, 3, 2): 1, (1, 4, 1): -1, (2, 3, 1): -1},
+        (1, 3, 3): {(1, 3, 3): 1},
+        (1, 3, 4): {(1, 3, 4): 1, (3, 2, 3): -1, (3, 4, 1): 1, (4, 1, 3): 1, (4, 3, 1): 1},
+        (1, 4, 3): {(1, 4, 3): 1, (3, 2, 3): 1, (3, 4, 1): -1},
+        (1, 4, 4): {(1, 4, 4): 1, (3, 2, 4): 1, (3, 4, 2): -1},
+        (2, 3, 3): {(2, 3, 3): 1, (4, 1, 3): -1, (4, 3, 1): -1},
+        (2, 3, 4): {(2, 3, 4): 1, (4, 1, 4): -1, (4, 3, 2): -1},
+        (2, 4, 3): {(2, 4, 3): 1, (4, 2, 3): -1, (4, 4, 1): 1},
+        (2, 4, 4): {(2, 4, 4): 1, (4, 2, 4): -1, (4, 4, 2): 1},
+        (3, 1, 1): {(3, 1, 1): 1},
+        (3, 1, 2): {(3, 1, 2): 1, (3, 2, 1): -1, (4, 1, 1): 1},
+        (3, 1, 3): {(3, 1, 3): 1},
+        (3, 1, 4): {(3, 1, 4): 1, (3, 2, 3): 1, (4, 1, 3): -1},
+        (3, 3, 1): {(3, 3, 1): 1},
+        (3, 3, 2): {(3, 3, 2): 1, (3, 4, 1): -1, (4, 3, 1): -1},
+        (3, 3, 3): {(3, 3, 3): 1},
+        (3, 3, 4): {(3, 3, 4): 1},
+        (3, 4, 3): {(3, 4, 3): 1},
+        (3, 4, 4): {(3, 4, 4): 1},
+        (4, 3, 3): {(4, 3, 3): 1},
+        (4, 3, 4): {(4, 3, 4): 1},
+        (4, 4, 3): {(4, 4, 3): 1},
+        (4, 4, 4): {(4, 4, 4): 1},
+    }
+
+
+def test_yang_mills_rows_are_pinned_for_a_non_diagonal_metric_and_an_odd_letter():
+    Y = yang_mills((0, 0, 1), [[1, 2, 0], [2, 3, 0], [0, 0, 1]])
+    assert Y.R.rows == {
+        (1, 1, 2): {
+            (1, 1, 2): 1, (1, 2, 1): -2, (1, 3, 3): 2, (2, 1, 1): 1, (2, 3, 3): 3,
+            (3, 3, 1): -2, (3, 3, 2): -3,
+        },
+        (1, 1, 3): {
+            (1, 1, 3): 1, (1, 2, 3): 2, (1, 3, 1): -2, (1, 3, 2): -4, (2, 1, 3): 2,
+            (2, 2, 3): 3, (2, 3, 1): -4, (2, 3, 2): -6, (3, 1, 1): 1, (3, 1, 2): 2,
+            (3, 2, 1): 2, (3, 2, 2): 3,
+        },
+        (1, 2, 2): {
+            (1, 2, 2): 1, (1, 3, 3): 1, (2, 1, 2): -2, (2, 2, 1): 1, (2, 3, 3): 2,
+            (3, 3, 1): -1, (3, 3, 2): -2,
+        },
+    }
+
+
+def test_quantum_superspace_rows_are_pinned_with_every_parameter_set():
+    # x_3 x_2 - q_23 (-1) x_2 x_3 with q_23 = -5 reduces to x_2 x_3 - x_3 x_2 / 5
+    A = quantum_superspace((0, 1, 1), {(1, 2): 2, (1, 3): Fraction(1, 3), (2, 3): -5})
+    assert A.R.rows == {
+        (1, 2): {(1, 2): 1, (2, 1): Fraction(-1, 2)},
+        (1, 3): {(1, 3): 1, (3, 1): -3},
+        (2, 2): {(2, 2): 1},
+        (2, 3): {(2, 3): 1, (3, 2): Fraction(-1, 5)},
+        (3, 3): {(3, 3): 1},
+    }
+
+
 @pytest.mark.parametrize("key", [(2, 1), (1, 5), (0, 1), (1, 1)])
 def test_quantum_superspace_rejects_a_key_outside_the_table(key):
     # a key outside 1 <= i < j <= d names no relation; it is never dropped

@@ -22,12 +22,10 @@ from superkoszul.macmahon import (
     lambda_set,
     master_verify,
     supercharacter,
-)
-from superkoszul.superpoly import EXPONENT_BITS, TruncatedSeries
-from superkoszul.tensorspace import (
-    SuperSpace,
     supertrace,
 )
+from superkoszul.superpoly import EXPONENT_BITS, TruncatedSeries
+from superkoszul.tensorspace import SuperSpace
 
 
 def test_generic_supermatrix_parities():
@@ -219,12 +217,12 @@ def test_supercharacter_multiplicativity():
     for (p, q) in [(1, 1), (2, 1)]:
         X = GenericSupermatrix(p, q)
         b, fmt = generic_coaction(X)
-        bb, ffmt = coaction_tensor(b, fmt, b, fmt, X.table)
+        bb, ffmt = coaction_tensor(b, fmt, b, fmt)
         for _ in range(100):
             parity_f, parity_g = rng.randint(0, 1), rng.randint(0, 1)
             F = rand_homog_matrix(rng, fmt, parity_f)
             G = rand_homog_matrix(rng, fmt, parity_g)
-            FG = endo_tensor(F, fmt, G, fmt, parity_g)
+            FG = endo_tensor(F, fmt, G, parity_g)
             assert supercharacter(bb, FG, ffmt) == supercharacter(b, F, fmt) * supercharacter(b, G, fmt)
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from superkoszul.homogeneous import n_symmetric
 from superkoszul.koszul import koszul_duality_check
-from superkoszul.macmahon import GenericSupermatrix, closed_form_hilbert
+from superkoszul.macmahon import GenericSupermatrix, check_entry_parities, closed_form_hilbert
 from superkoszul.superpoly import (
     EXPONENT_LIMIT,
     SuperPolynomial,
@@ -16,7 +16,7 @@ from superkoszul.superpoly import (
     VariableTable,
     newton_elementary,
 )
-from superkoszul.tensorspace import SuperSpace, check_entry_parities
+from superkoszul.tensorspace import SuperSpace
 
 
 def make_table(evens, odds):

@@ -16,6 +16,7 @@ from superkoszul.hecke import (
     supersymmetry_operator,
     symmetrizer_image,
 )
+from superkoszul.macmahon import supertrace
 from superkoszul.superpoly import VariableTable, axpy
 from superkoszul.tensorspace import (
     RankCounter,
@@ -25,7 +26,6 @@ from superkoszul.tensorspace import (
     kernel_of_vectors,
     matrix_rank,
     subspace_intersection,
-    supertrace,
     wedge_dimension,
 )
 
