@@ -39,27 +39,19 @@ from .tensorspace import SuperSpace
 
 MACHINE_PREFIX = "#machine/v1:"
 FAMILIES = ("tensor", "quantum", "yang_mills", "n_symmetric", "lambda_RN", "s_RN", "custom")
-COMMANDS = ("dims", "dual", "koszul", "tor", "confluence", "mt", "hilbert", "hecke-verify")
 DEFAULT_TRUNCATION_CEILING = 10  # the highest mt order admitted without --ceiling
 
 
 class SpecError(ValueError):
     def __init__(self, message, line=None):
-        self.line = line
         prefix = f"line {line}: " if line is not None else ""
         super().__init__(prefix + message)
-
-
-def default_N(family: str) -> int:
-    """The relation degree of a spec that names none: Yang-Mills algebras
-    are cubic, every other family defaults to quadratic."""
-    return 3 if family == "yang_mills" else 2
 
 
 @dataclass
 class AlgebraSpec:
     family: str
-    N: int | None = None  # None: default_N(family)
+    N: int | None = None  # None: the family's default, set below
     fmt: tuple = ()
     q_table: dict = field(default_factory=dict)  # (i, j) -> Fraction, i < j
     g_diag: list = field(default_factory=list)
@@ -67,8 +59,9 @@ class AlgebraSpec:
     relations: list = field(default_factory=list)  # list of [(coeff, word), ...]
 
     def __post_init__(self):
+        # Yang-Mills algebras are cubic, every other family defaults to quadratic
         if self.N is None:
-            self.N = default_N(self.family)
+            self.N = 3 if self.family == "yang_mills" else 2
 
 
 def _parse_fraction(text: str, line=None) -> Fraction:
@@ -246,14 +239,13 @@ class Report:
         chunk = " ".join(f"{k}={v}" for k, v in kv.items())
         self.machine.append(f"{MACHINE_PREFIX} {self.command} {chunk}")
 
-    def print(self, stream=None):
-        stream = stream or sys.stdout
+    def print(self):
         elapsed = time.perf_counter() - self.started
         for line in self.human:
-            print(line, file=stream)
+            print(line)
         for line in self.machine:
-            print(line, file=stream)
-        print(f"{MACHINE_PREFIX} {self.command} elapsed_s={elapsed:.3f}", file=stream)
+            print(line)
+        print(f"{MACHINE_PREFIX} {self.command} elapsed_s={elapsed:.3f}")
 
 
 def run(command: str, spec: AlgebraSpec | None, options: dict) -> tuple[Report, int]:
@@ -262,11 +254,7 @@ def run(command: str, spec: AlgebraSpec | None, options: dict) -> tuple[Report, 
     order = options.get("order")
     if order is None:
         order = 6
-    try:
-        handler = _HANDLERS[command]
-    except KeyError:
-        raise SpecError(f"unknown command {command!r}")
-    handler(report, spec, options, order)
+    _HANDLERS[command](report, spec, options, order)
     return report, (1 if report.verdict_fail else 0)
 
 
@@ -380,10 +368,8 @@ def _cmd_hecke_verify(report, spec, options, order):
     p, q = options["p"], options["q"]
     if kind == "dj":
         op = dj_operator(p, q, options.get("q_param", Fraction(1)))
-    elif kind == "supersymmetry":
+    else:  # --operator admits only dj and supersymmetry
         op = supersymmetry_operator(SuperSpace.standard(p, q))
-    else:
-        raise SpecError(f"unknown operator kind {kind!r}")
     result = verify_hecke_operator(op)
     report.say(f"checks for {op.label} (associated q = {op.q})")
     report.say(str(result))
@@ -406,6 +392,7 @@ _HANDLERS = {
     "hilbert": _cmd_hilbert,
     "hecke-verify": _cmd_hecke_verify,
 }
+COMMANDS = tuple(_HANDLERS)
 
 _NEEDS_ALGEBRA = {"dims", "dual", "koszul", "tor", "confluence", "hilbert"}
 

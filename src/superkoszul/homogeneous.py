@@ -48,10 +48,10 @@ counted call checks the count against elimination in each of them.
 
 Placements.  R's rows placed at window i are already the reduced echelon
 basis of the placement V^(x i) x R x V^(x j), so a placement is never
-eliminated: :meth:`HomogAlgebra.reduce_at` reduces modulo it by rewriting
-window i, in one pass, with the same rewrite map as the normal forms.  The
-dual components D_n and the confluence and extra-condition tests go through
-it; only R_n, the sum of the placements, is eliminated.
+eliminated: :meth:`HomogAlgebra.reduce_at` reduces modulo it in one pass,
+subtracting R's rows placed at window i from the words whose window is a
+pivot.  The dual components D_n and the confluence and extra-condition
+tests go through it; only R_n, the sum of the placements, is eliminated.
 """
 
 from __future__ import annotations
@@ -62,10 +62,10 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .hecke import Permutation, YangBaxterOperator, _act, supersymmetry_operator, symmetrizer_image
+from .superpoly import _integral, axpy
 from .tensorspace import (
     Subspace,
     SuperSpace,
-    axpy,
     dual_complement,
     matrix_rank,
     rescale,
@@ -189,7 +189,7 @@ class HomogAlgebra:
     def placement_rows(self, i: int, j: int):
         """Rows of V^(x i) x R x V^(x j): R's rows placed at window i.  They
         are already a reduced echelon basis, so a placement is never
-        eliminated; :meth:`reduce_at` reduces modulo it by window rewriting."""
+        eliminated; :meth:`reduce_at` subtracts them in one pass."""
         sp = self.space
         for prefix in sp.words(i):
             for row in self.R.rows.values():
@@ -199,21 +199,19 @@ class HomogAlgebra:
     def reduce_at(self, vec: dict, i: int) -> dict:
         """Residual of ``vec`` modulo the placement V^(x i) x R x V^(x j).
 
-        Each word whose window [i, i+N) is a pivot loses its coefficient
-        times that pivot's row placed at window i: the word drops out (every
-        pivot coefficient of R's rows is 1) and c times the rewrite map's
-        tail lands on the placed tail words.  Row tails avoid every pivot, so
-        one pass suffices and every pivot coefficient is read from ``vec``
+        From each word w whose window [i, i+N) is a pivot, with coefficient
+        c, subtract c times that pivot's row placed at window i; the row's
+        pivot coefficient is 1, so w drops out.  Row tails avoid every pivot,
+        so one pass suffices and every pivot coefficient is read from ``vec``
         itself.
         """
-        rewrite, N = self.rewrite_map(), self.N
+        rows, N = self.R.rows, self.N
         residual = dict(vec)
         for w, c in vec.items():
-            tail = rewrite.get(w[i : i + N])
-            if tail is not None:
+            row = rows.get(w[i : i + N])
+            if row is not None:
                 prefix, suffix = w[:i], w[i + N :]
-                del residual[w]
-                axpy(residual, {prefix + t + suffix: a for t, a in tail.items()}, c)
+                axpy(residual, {prefix + t + suffix: a for t, a in row.items()}, -c)
         return residual
 
     def graded_component(self, n: int):
@@ -520,16 +518,6 @@ def _interleave_rows(fmt1, fmt2, N, rows1, rows2):
     return out
 
 
-def product_space(V: SuperSpace, W: SuperSpace) -> SuperSpace:
-    """V x W with basis (a, b) -> letter (a-1)*dim(W) + b and parity a^+b^."""
-    fmt = [
-        (V.format[a] + W.format[b]) % 2
-        for a in range(V.dim)
-        for b in range(W.dim)
-    ]
-    return SuperSpace(fmt)
-
-
 def homog_product(kind: str, A: HomogAlgebra, B: HomogAlgebra) -> HomogAlgebra:
     """The white (kind='white') or black (kind='black') product of A and B.
 
@@ -539,8 +527,9 @@ def homog_product(kind: str, A: HomogAlgebra, B: HomogAlgebra) -> HomogAlgebra:
     if A.N != B.N:
         raise ValueError("products are defined only for equal relation degrees N")
     N = A.N
-    W = product_space(A.space, B.space)
     fmt1, fmt2 = A.space.format, B.space.format
+    # V x V': the pair (a, b) is the letter (a-1)*d2 + b, of parity a^ + b^
+    W = SuperSpace([(x + y) % 2 for x in fmt1 for y in fmt2])
     full_A = [{w: 1} for w in A.space.words(N)]
     full_B = [{w: 1} for w in B.space.words(N)]
     rows_A = list(A.R.rows.values())
@@ -574,12 +563,12 @@ def end_algebra(A: HomogAlgebra) -> HomogAlgebra:
 # ---------------------------------------------------------------------------
 
 
-def tensor_algebra(fmt, N: int = 2, label: str = "") -> HomogAlgebra:
+def tensor_algebra(fmt, N: int = 2) -> HomogAlgebra:
     space = fmt if isinstance(fmt, SuperSpace) else SuperSpace(fmt)
-    return HomogAlgebra(space, N, Subspace(space, N), label=label or f"T({space.p}|{space.q})")
+    return HomogAlgebra(space, N, Subspace(space, N), label=f"T({space.p}|{space.q})")
 
 
-def quantum_superspace(fmt, q_table=None, label: str = "") -> HomogAlgebra:
+def quantum_superspace(fmt, q_table=None) -> HomogAlgebra:
     """Quadratic superalgebra with relations x_i x_i (i odd) and
     x_j x x_i - q_ij (-1)^(i^ j^) x_i x x_j = (1 - q_ij T_1)(x_j x x_i) for
     i < j, T_1 the rule-of-signs flip (:func:`hecke._act` on the
@@ -598,19 +587,17 @@ def quantum_superspace(fmt, q_table=None, label: str = "") -> HomogAlgebra:
     rows = []
     for i in range(1, d + 1):
         if space.parity(i) == 1:
-            rows.append({(i, i): Fraction(1)})
+            rows.append({(i, i): 1})
     for i in range(1, d + 1):
         for j in range(i + 1, d + 1):
             qij = Fraction(q_table.get((i, j), 1))
             if qij == 0:
                 raise ValueError(f"quantum parameter q[{i},{j}] must be nonzero")
-            rows.append(_act(c, [((), 1), ((1,), -qij)], {(j, i): Fraction(1)}))
-    return HomogAlgebra(
-        space, 2, Subspace(space, 2, rows), label=label or f"Sq({space.p}|{space.q})"
-    )
+            rows.append(_act(c, [((), 1), ((1,), -qij)], {(j, i): 1}))
+    return HomogAlgebra(space, 2, Subspace(space, 2, rows), label=f"Sq({space.p}|{space.q})")
 
 
-def yang_mills(fmt, G=None, label: str = "") -> HomogAlgebra:
+def yang_mills(fmt, G=None) -> HomogAlgebra:
     """Cubic superalgebra with one relation per generator x_j,
 
         sum over i, k of G[i][k] [x_i, [x_k, x_j]] = 0,
@@ -647,26 +634,23 @@ def yang_mills(fmt, G=None, label: str = "") -> HomogAlgebra:
         raise ValueError("metric is singular")
     c = supersymmetry_operator(space)
     brackets = [((), 1), ((2,), -1), ((2, 1), -1), ((2, 1, 2), 1)]  # (1 - C)(1 - T_2)
-    seed = {(i + 1, k + 1): g for i, row in enumerate(M) for k, g in enumerate(row) if g}
+    seed = {(i + 1, k + 1): _integral(g) for i, row in enumerate(M) for k, g in enumerate(row) if g}
     rows = [_act(c, brackets, {ik + (j,): g for ik, g in seed.items()}) for j in range(1, d + 1)]
-    return HomogAlgebra(
-        space, 3, Subspace(space, 3, rows), label=label or f"YM({space.p}|{space.q})"
-    )
+    return HomogAlgebra(space, 3, Subspace(space, 3, rows), label=f"YM({space.p}|{space.q})")
 
 
-def n_symmetric(fmt, N: int, label: str = "") -> HomogAlgebra:
-    """The N-symmetric superalgebra: relations are the antisymmetric
-    N-tensors, the image of Y_N for the supersymmetry of V at q = 1."""
+def n_symmetric(fmt, N: int) -> HomogAlgebra:
+    """The N-symmetric superalgebra S_{R,N} of the supersymmetry R of V
+    (q = 1): relations are the antisymmetric N-tensors, the image of Y_N."""
     space = fmt if isinstance(fmt, SuperSpace) else SuperSpace(fmt)
-    rel = symmetrizer_image(supersymmetry_operator(space), N, "Y")
-    return HomogAlgebra(space, N, rel, label=label or f"S_{N}({space.p}|{space.q})")
+    return s_operator_algebra(supersymmetry_operator(space), N, f"S_{N}({space.p}|{space.q})")
 
 
-def lambda_operator_algebra(R: YangBaxterOperator, N: int, label: str = "") -> HomogAlgebra:
+def lambda_operator_algebra(R: YangBaxterOperator, N: int) -> HomogAlgebra:
     """Grassmann-type algebra of a Hecke operator: relations are the image
     of the q-symmetrizer in the operator's tensor representation."""
     rel = symmetrizer_image(R, N, "X")
-    return HomogAlgebra(R.space, N, rel, label=label or f"Lambda_{N}[{R.label}]")
+    return HomogAlgebra(R.space, N, rel, label=f"Lambda_{N}[{R.label}]")
 
 
 def s_operator_algebra(R: YangBaxterOperator, N: int, label: str = "") -> HomogAlgebra:

@@ -218,11 +218,13 @@ def koszul_check(A: HomogAlgebra, deg_max: int) -> KoszulVerdict:
       column of xi_b is xi_b split in V^(x k) x D_{n-k}: the map is the
       inclusion.
     * a slice with an empty source, nu(i) > n among them, has rank 0.
+
+    Each assembled slice is eliminated once: the rank of delta_{i+1} at n
+    carries to the next i as its rank below.
     """
     if deg_max < 0:
         raise ValueError("deg_max must be nonnegative")
     failures = []
-    rank_cache: dict = {}
     dual = A.dual_algebra()
 
     def source_dim(i: int, n: int) -> int:
@@ -240,19 +242,22 @@ def koszul_check(A: HomogAlgebra, deg_max: int) -> KoszulVerdict:
             return len(dual.reduced_words(n))
         if not source_dim(i, n):
             return 0
-        key = (i, n)
-        if key not in rank_cache:
-            rank_cache[key] = koszul_matrix(A, i, n).rank()
-        return rank_cache[key]
+        return koszul_matrix(A, i, n).rank()
 
     for n in range(1, deg_max + 1):
-        i = 1
+        i, below = 1, None  # below: rank(delta_i at n), carried from i - 1
         while jump(A.N, i) <= n:
             middle = source_dim(i, n)
             if middle:
-                defect = middle - rank_of(i, n) - rank_of(i + 1, n)
+                if below is None:
+                    below = rank_of(i, n)
+                above = rank_of(i + 1, n)
+                defect = middle - below - above
                 if defect:
                     failures.append((i, n, defect))
+                below = above
+            else:
+                below = None
             i += 1
     return KoszulVerdict(not failures, deg_max, failures)
 

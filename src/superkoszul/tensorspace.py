@@ -89,14 +89,6 @@ class SuperSpace:
 # ---------------------------------------------------------------------------
 
 
-def integral_as_int(vec: dict) -> dict:
-    """``vec`` with each integral number as an int.  Sums and products of
-    Fractions can be integral; a vec with no Fraction is returned as is."""
-    if Fraction in set(map(type, vec.values())):
-        return {w: _integral(c) for w, c in vec.items()}
-    return vec
-
-
 def scaled_ints(vec: dict) -> tuple:
     """(ints, den) with vec = ints/den: den, the lcm of vec's denominators, is
     coprime to the gcd of the ints, and zero entries are dropped."""
@@ -124,7 +116,7 @@ def rescale(ints: dict, den: int, other: int) -> int:
 
 def _reduce(rows: dict, vector: dict) -> dict:
     """Residual of a vector against fully reduced rows, each number an int
-    when it is integral.
+    when it is integral (sums and products of Fractions can be).
 
     One pass over the vector's pivot words suffices: row tails avoid
     every pivot, so subtracting a row never creates another pivot hit.
@@ -132,7 +124,9 @@ def _reduce(rows: dict, vector: dict) -> dict:
     residual = {w: c for w, c in vector.items() if c}
     for p in [w for w in residual if w in rows]:
         axpy(residual, rows[p], -_integral(residual[p]))
-    return integral_as_int(residual)
+    if Fraction in set(map(type, residual.values())):
+        return {w: _integral(c) for w, c in residual.items()}
+    return residual
 
 
 class Subspace:

@@ -1,6 +1,7 @@
 """The package runs on the standard library alone: every import in
-``src/superkoszul`` is relative or names a standard-library module, and
-``pyproject.toml`` declares no runtime dependency.  Static guards on the
+``src/superkoszul`` is relative or names one of a pinned set of
+standard-library modules, and ``pyproject.toml`` declares no runtime
+dependency.  Static guards on the
 source ride along: no unused import or private function, no float, and every
 name that the README or a docstring gives for code resolves."""
 
@@ -32,6 +33,19 @@ def absolute_imports(path):
 def test_every_import_is_relative_or_standard_library(path):
     outside = {name for name in absolute_imports(path) if name not in sys.stdlib_module_names}
     assert not outside
+
+
+# a new import costs every start-up of the package: adding one is a
+# deliberate edit of this set
+STANDARD_LIBRARY_IMPORTS = {
+    "__future__", "argparse", "dataclasses", "fractions", "functools", "itertools", "math",
+    "sys", "time", "typing",
+}
+
+
+def test_the_standard_library_imports_are_the_pinned_set():
+    paths = sorted((ROOT / "src" / "superkoszul").glob("*.py"))
+    assert {name for path in paths for name in absolute_imports(path)} == STANDARD_LIBRARY_IMPORTS
 
 
 def unused_imports(path):

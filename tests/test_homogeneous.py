@@ -1,6 +1,7 @@
 """Presentations, graded components, duals, products, and rewriting."""
 
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
@@ -560,6 +561,17 @@ def test_hecke_operator_algebras_match_the_symmetric_family():
     sp = SuperSpace.standard(1, 1)
     S = s_operator_algebra(supersymmetry_operator(sp), 2)
     assert S.R == n_symmetric(sp, 2).R
+
+
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize(
+    "fmt", [fmt for d in (1, 2, 3) for fmt in product((0, 1), repeat=d)], ids=str
+)
+def test_n_symmetric_is_the_s_algebra_of_the_supersymmetry(fmt, N):
+    A = n_symmetric(fmt, N)
+    S = s_operator_algebra(supersymmetry_operator(SuperSpace(fmt)), N)
+    assert A.R.rows == S.R.rows
+    assert A.label == f"S_{N}({fmt.count(0)}|{fmt.count(1)})"
 
 
 def test_lambda_algebra_of_a_scalar_operator():

@@ -1,7 +1,10 @@
 """The package's public names are pinned: adding or removing one is a
 deliberate edit of the list below."""
 
+import inspect
 import types
+
+import pytest
 
 import superkoszul
 
@@ -59,3 +62,22 @@ def test_public_names_are_the_pinned_list():
         if not isinstance(getattr(superkoszul, name), types.ModuleType)
     ]
     assert sorted(names) == PUBLIC
+
+
+# the builders' parameters are pinned too: an option comes back only by a
+# deliberate edit of this table
+BUILDER_PARAMETERS = {
+    "tensor_algebra": ["fmt", "N"],
+    "quantum_superspace": ["fmt", "q_table"],
+    "yang_mills": ["fmt", "G"],
+    "n_symmetric": ["fmt", "N"],
+    "lambda_operator_algebra": ["R", "N"],
+    "s_operator_algebra": ["R", "N", "label"],
+    "custom_algebra": ["fmt", "N", "relations", "label"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDER_PARAMETERS))
+def test_builder_parameters_are_the_pinned_list(name):
+    params = inspect.signature(getattr(superkoszul, name)).parameters
+    assert list(params) == BUILDER_PARAMETERS[name]
