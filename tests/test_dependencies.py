@@ -1,9 +1,9 @@
 """The package runs on the standard library alone: every import in
 ``src/superkoszul`` is relative or names one of a pinned set of
 standard-library modules, and ``pyproject.toml`` declares no runtime
-dependency.  Static guards on the
-source ride along: no unused import or private function, no float, and every
-name that the README or a docstring gives for code resolves."""
+dependency.  Static guards on the source ride along: no unused import or
+private function, no float, and every name that the README or a docstring
+gives for code resolves."""
 
 import ast
 import builtins
