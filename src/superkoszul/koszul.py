@@ -54,9 +54,31 @@ eliminating:
   is A_k x D_{n-k} with k < N, where every word u is a basis word with
   nf(u) = {u: 1}, so it is the inclusion of D_n in V^(x k) x D_{n-k}.
 
-Only the interior slices, i > 2, with a nonzero source are assembled and
-eliminated; :func:`koszul_matrix` still builds every slice when it is called
-directly.
+Only the interior slices, i > 2 with nu(i) < n and a nonzero source and
+target, are assembled.  In each total degree they are taken top-down, from
+the top index t (the largest i with nu(i) <= n) to i = 3, and each hands
+the slice below the leads of vectors of its image; the lead of a vector is
+its smallest key (word of A, word of A^!), the order :class:`RankCounter`
+pivots on.  Two facts about a complex make most of the elimination
+unnecessary:
+
+* skip lemma.  Let vectors z of im delta_{i+1}, which lies in ker delta_i,
+  have pairwise distinct leads L.  Then the columns of delta_i at the
+  source elements outside L span im delta_i.  For z with lead l,
+  delta_i z = 0 gives delta_i e_l = -(1/z_l) sum_{k > l} z_k delta_i e_k,
+  so by decreasing induction on l each e_l with l in L maps into the span
+  of the columns outside L.
+* lead certificate.  Nonzero columns with pairwise distinct leads are an
+  echelon, so their count is their rank, exactly, and their leads are the
+  set L the slice below skips.  Where two leads collide, a
+  :class:`RankCounter` eliminates the same columns; its rank is exact, and
+  the distinct leads of its rows are handed down instead.
+
+The top slice, nu(t) = n, is not assembled: its rank is read as above, and
+the column of xi_b is the sum of u (x) tail_u(b), u its own normal form, so
+its leads are read off :meth:`HomogAlgebra.dual_coproduct` (none are handed
+down where two collide).  :func:`koszul_matrix` still builds every full
+slice when it is called directly.
 """
 
 from __future__ import annotations
@@ -148,6 +170,28 @@ def _slice_bases(A: HomogAlgebra, i: int, n: int):
     return m, [(w, b) for w in A.reduced_words(n - m) for b in dual_words]
 
 
+def _slice_columns(A: HomogAlgebra, i: int, n: int, skip) -> tuple:
+    """The column loop of delta_i at n: (source basis, {source index: int
+    column}, {source index: scale, where it is not 1}), with the zero columns
+    and the columns of the source elements in ``skip`` left out.  The column
+    of (w, b) is :func:`_times_ints` of w and b's entry in the integer
+    coproduct table, over its scale times the table's."""
+    m, source = _slice_bases(A, i, n)
+    columns, scales = {}, {}
+    if not source:  # no column reads D_m, so it is not built
+        return source, columns, scales
+    table, table_scale = A.dual_coproduct(m, m - jump(A.N, i - 1))
+    for idx, (w, b) in enumerate(source):
+        if (w, b) in skip:
+            continue
+        col, scale = _times_ints(A, w, table[b])
+        if col:
+            columns[idx] = col
+            if scale * table_scale > 1:
+                scales[idx] = scale * table_scale
+    return source, columns, scales
+
+
 def koszul_matrix(A: HomogAlgebra, i: int, n: int) -> KoszulSlice:
     """The differential delta_i : A_{n-nu(i)} x D_{nu(i)} -> previous slot.
 
@@ -156,25 +200,13 @@ def koszul_matrix(A: HomogAlgebra, i: int, n: int) -> KoszulSlice:
     The differential contracts the first ``steps`` letters of xi_b into A,
     steps = nu(i) - nu(i-1).  Each xi_b splits once, in the coproduct table
     :meth:`HomogAlgebra.dual_coproduct`, as the sum of u (x) tail_u with the
-    tails in coordinates on the xi_c; the column of (w, b) is then
-    :func:`_times_ints` of w and b's entry in the integer table, over its
-    scale times the table's.
+    tails in coordinates on the xi_c; every column is then read by
+    :func:`_slice_columns`, with nothing skipped.
     """
     if i < 1:
         raise ValueError("differentials start at homological degree 1")
-    m, source = _slice_bases(A, i, n)
-    m_prev, target = _slice_bases(A, i - 1, n)
-    if not source:  # no column reads D_m, so it is not built
-        return KoszulSlice(source, target, {}, {})
-    table, table_scale = A.dual_coproduct(m, m - m_prev)
-    columns, scales = {}, {}
-    for idx, (w, b) in enumerate(source):
-        col, scale = _times_ints(A, w, table[b])
-        if col:
-            columns[idx] = col
-            if scale * table_scale > 1:
-                scales[idx] = scale * table_scale
-    return KoszulSlice(source, target, columns, scales)
+    source, columns, scales = _slice_columns(A, i, n, ())
+    return KoszulSlice(source, _slice_bases(A, i - 1, n)[1], columns, scales)
 
 
 @dataclass
@@ -195,9 +227,9 @@ def koszul_check(A: HomogAlgebra, deg_max: int) -> KoszulVerdict:
     degree n <= deg_max: rank(delta_i) + rank(delta_{i+1}) must exhaust the
     middle term.  The verdict claims nothing beyond the truncation.
 
-    Only the interior slices, 2 < i with 0 < n - nu(i) and a nonzero source,
-    are assembled and eliminated with exact rank arithmetic.  The other ranks
-    are read from the presentation:
+    Only the interior slices, 2 < i with 0 < n - nu(i) and a nonzero source
+    and target, are assembled.  The other ranks are read from the
+    presentation:
 
     * rank(delta_1 at n) = dim A_n.  A basis word v = v'x of A_n has a basis
       word v' of A_{n-1} as prefix (a prefix of a reduced word is reduced; a
@@ -217,10 +249,31 @@ def koszul_check(A: HomogAlgebra, deg_max: int) -> KoszulVerdict:
       A_k x D_{n-k} with k = 1 or N-1 < N, where nf(u) = {u: 1}, so the
       column of xi_b is xi_b split in V^(x k) x D_{n-k}: the map is the
       inclusion.
-    * a slice with an empty source, nu(i) > n among them, has rank 0.
+    * a slice with an empty source or an empty target has rank 0.
 
-    Each assembled slice is eliminated once: the rank of delta_{i+1} at n
-    carries to the next i as its rank below.
+    The interior ranks are taken top-down, from the top index t, the largest
+    i with nu(i) <= n, to i = 3.  Slice i gets from slice i + 1 a set L of
+    pairwise distinct leads of vectors of im delta_{i+1}, the lead of a
+    vector being its smallest key (word of A, word of A^!), and skips the
+    columns at L:
+
+    * skip lemma: the columns of delta_i at the source elements outside L
+      span im delta_i.  Each z of im delta_{i+1} lies in ker delta_i, so for
+      z with lead l, delta_i e_l = -(1/z_l) sum_{k > l} z_k delta_i e_k.
+      Taking l in L in decreasing order, every e_k on the right is outside L
+      or a larger lead, already in the span of the columns outside L.
+    * lead certificate: if the nonzero columns left have pairwise distinct
+      leads, they are an echelon, so the rank is their count, exactly, and
+      their leads are the L handed to slice i - 1.  If two leads collide, a
+      :class:`RankCounter` eliminates the same columns: its rank is exact,
+      and its rows, combinations of the columns, have pairwise distinct
+      leads, which are handed down instead.
+
+    The top slice, nu(t) = n, is not assembled: the column of xi_b is the
+    sum of u (x) tail_u(b), as words u shorter than N are their own normal
+    forms, so its leads are read off the coproduct table, and none are
+    handed down if two collide.  A slice with a read rank below the top
+    hands down none.  The defects are then taken in ascending i.
     """
     if deg_max < 0:
         raise ValueError("deg_max must be nonnegative")
@@ -233,32 +286,49 @@ def koszul_check(A: HomogAlgebra, deg_max: int) -> KoszulVerdict:
             return 0
         return len(A.reduced_words(n - m)) * len(dual.reduced_words(m))
 
-    def rank_of(i: int, n: int) -> int:
+    def top_leads(n: int, k: int):
+        """The leads of the top slice at n, whose target is A_k x D_{n-k}:
+        the column of xi_b is keyed (u, c) over b's entries in the table."""
+        table, _ = A.dual_coproduct(n, k)
+        leads = {min((u, min(coords)) for u, coords in parts) for parts in table.values()}
+        return leads if len(leads) == len(table) else ()
+
+    def rank_and_leads(i: int, n: int, above) -> tuple:
+        """rank(delta_i at n) and the leads it hands down, given those of
+        delta_{i+1}, ``above``."""
         if i == 1:
-            return len(A.reduced_words(n))
+            return len(A.reduced_words(n)), ()
         if i == 2:
-            return A.dim_V * len(A.reduced_words(n - 1)) - len(A.reduced_words(n))
-        if jump(A.N, i) == n:
-            return len(dual.reduced_words(n))
-        if not source_dim(i, n):
-            return 0
-        return koszul_matrix(A, i, n).rank()
+            return A.dim_V * len(A.reduced_words(n - 1)) - len(A.reduced_words(n)), ()
+        m = jump(A.N, i)
+        if m == n:
+            return len(dual.reduced_words(n)), ()
+        if not source_dim(i, n) or not source_dim(i - 1, n):
+            return 0, ()
+        if jump(A.N, i + 1) == n:  # the slice above is the top slice
+            above = top_leads(n, n - m)
+        columns = _slice_columns(A, i, n, above)[1].values()
+        leads = {min(col) for col in columns}
+        if len(leads) == len(columns):
+            return len(leads), leads
+        echelon = RankCounter()
+        for col in columns:
+            echelon.insert(col)
+        return echelon.rank, echelon.rows
 
     for n in range(1, deg_max + 1):
-        i, below = 1, None  # below: rank(delta_i at n), carried from i - 1
-        while jump(A.N, i) <= n:
+        t = 1
+        while jump(A.N, t + 1) <= n:
+            t += 1
+        ranks, leads = {t + 1: 0}, ()
+        for i in range(t, 0, -1):
+            ranks[i], leads = rank_and_leads(i, n, leads)
+        for i in range(1, t + 1):
             middle = source_dim(i, n)
             if middle:
-                if below is None:
-                    below = rank_of(i, n)
-                above = rank_of(i + 1, n)
-                defect = middle - below - above
+                defect = middle - ranks[i] - ranks[i + 1]
                 if defect:
                     failures.append((i, n, defect))
-                below = above
-            else:
-                below = None
-            i += 1
     return KoszulVerdict(not failures, deg_max, failures)
 
 

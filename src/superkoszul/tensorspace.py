@@ -161,7 +161,12 @@ class Subspace:
         return cls(space, degree, rows)
 
     def insert(self, row) -> bool:
-        """Insert one vector; True if the rank grew."""
+        """Insert one vector; True if the rank grew.  A word whose length is
+        not the degree is a ValueError."""
+        degree = self.degree
+        for w in row:
+            if len(w) != degree:
+                raise ValueError(f"every word of a row must have length {degree}")
         grew = self._forward.insert(row)
         self._stale = self._stale or grew
         return grew
@@ -204,8 +209,6 @@ class Subspace:
     def is_parity_homogeneous(self) -> bool:
         sp = self.space
         for row in self.rows.values():
-            if set(map(len, row)) - {self.degree}:
-                raise ValueError(f"every word of a row must have length {self.degree}")
             if len({sp.word_parity(w) for w in row}) > 1:
                 return False
         return True

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from superkoszul import homogeneous
+from superkoszul import homogeneous, koszul
 from superkoszul.hecke import dj_operator
 from superkoszul.homogeneous import (
     HomogAlgebra,
@@ -25,7 +25,7 @@ from superkoszul.koszul import (
     tor_dims,
 )
 from superkoszul.superpoly import TruncatedSeries
-from superkoszul.tensorspace import Subspace, SuperSpace, axpy, scaled_view
+from superkoszul.tensorspace import Subspace, SuperSpace, axpy, matrix_rank, scaled_view
 
 
 def test_jump_function():
@@ -208,35 +208,42 @@ def test_koszul_check_runs_without_confluence():
 ])
 def test_koszul_check_eliminates_only_interior_slices(A, deg_max, interior, monkeypatch):
     # delta_1, delta_2, the top slices nu(i) = n and the slices with an empty
-    # source have ranks read from the presentation, so none of them is built
-    built = []
-
-    def counting_koszul_matrix(A, i, n):
-        built.append((i, n))
-        return koszul_matrix(A, i, n)
-
-    monkeypatch.setattr("superkoszul.koszul.koszul_matrix", counting_koszul_matrix)
-    koszul_check(A, deg_max)
+    # source or target have ranks read from the presentation, so none of
+    # them is built
+    built = [key for key, _ in assembled_slices(A, deg_max, monkeypatch)]
     assert bool(built) == interior
     assert len(set(built)) == len(built)
+    dual = A.dual_algebra()
     for i, n in built:
-        m = jump(A.N, i)
+        m, m_prev = jump(A.N, i), jump(A.N, i - 1)
         assert 2 < i and m < n, (i, n)
-        assert A.reduced_words(n - m) and A.dual_algebra().reduced_words(m), (i, n)
+        assert A.reduced_words(n - m) and dual.reduced_words(m), (i, n)
+        assert A.reduced_words(n - m_prev) and dual.reduced_words(m_prev), (i, n)
+
+
+def assembled_slices(A, deg_max, monkeypatch):
+    """[((i, n), columns)] of every slice that koszul_check assembles, in
+    its order, with the columns it assembles there, the skipped ones left
+    out."""
+    built = []
+
+    def recording_slice_columns(A, i, n, skip):
+        source, columns, scales = slice_columns(A, i, n, skip)
+        built.append(((i, n), columns))
+        return source, columns, scales
+
+    slice_columns = koszul._slice_columns
+    with monkeypatch.context() as patch:
+        patch.setattr(koszul, "_slice_columns", recording_slice_columns)
+        koszul_check(A, deg_max)
+    return built
 
 
 def slice_ranks(A, deg_max, monkeypatch):
-    """{(i, n): rank} of every slice that koszul_check assembles."""
-    ranks = {}
-
-    def recording_koszul_matrix(A, i, n):
-        sl = koszul_matrix(A, i, n)
-        ranks[(i, n)] = sl.rank()
-        return sl
-
-    monkeypatch.setattr("superkoszul.koszul.koszul_matrix", recording_koszul_matrix)
-    koszul_check(A, deg_max)
-    return ranks
+    """{(i, n): rank} of the columns koszul_check assembles, the skipped ones
+    left out: by the skip lemma, the rank of the whole slice."""
+    built = assembled_slices(A, deg_max, monkeypatch)
+    return {key: matrix_rank(columns.values()) for key, columns in built}
 
 
 # taken from the Fraction slice assembly, before the slices were built in ints
@@ -307,7 +314,9 @@ def test_mixed_yang_mills_1_1_is_not_exact_where_duality_breaks():
     n_symmetric(SuperSpace.standard(2, 2), 3),
     lambda_operator_algebra(dj_operator(2, 2, 2), 3),
 ], ids=lambda A: A.label)
-def test_cubic_algebras_on_four_letters_are_koszul_through_degree_9(A):
+def test_cubic_algebras_on_four_letters_are_koszul_through_degree_9(A, monkeypatch):
+    # every interior slice is certified by its column leads: none is eliminated
+    monkeypatch.setattr(koszul, "RankCounter", None)
     assert koszul_check(A, 9).failures == []
 
 

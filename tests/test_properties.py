@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from superkoszul import koszul
 from superkoszul.hecke import (
     HeckeElement,
     all_permutations,
@@ -40,7 +41,7 @@ from superkoszul.tensorspace import (
     matrix_rank,
     subspace_intersection,
 )
-from test_koszul import dual_basis_vectors, reassembled
+from test_koszul import assembled_slices, dual_basis_vectors, reassembled
 
 MAX_WORDS = 729
 COEFFS = [Fraction(c) for c in (-2, -1, 1, 2)] + [Fraction(1, 2), Fraction(-3, 2)]
@@ -637,6 +638,36 @@ def test_koszul_check_matches_the_route_that_eliminates_every_slice(A):
 def test_yang_mills_koszul_check_matches_the_route_that_eliminates_every_slice(fmt, deg_max):
     A = yang_mills(SuperSpace.standard(*fmt))
     assert koszul_check(A, deg_max).failures == eliminating_koszul_failures(A, deg_max)
+
+
+@PROPERTY_SETTINGS
+@given(presentations())
+def test_the_columns_left_by_the_leads_above_have_the_rank_of_the_slice(A):
+    # skip lemma: the columns at the leads handed down from the slice above
+    # are redundant; lead certificate: distinct leads count the rank
+    deg_max = min(max(degrees(A)), 2 * A.N + 1)
+    for (i, n), columns in assembled_slices(A, deg_max, pytest.MonkeyPatch()):
+        rank = koszul_matrix(A, i, n).rank()
+        assert matrix_rank(columns.values()) == rank, (i, n)
+        if len({min(col) for col in columns.values()}) == len(columns):
+            assert len(columns) == rank, (i, n)
+
+
+def test_a_lead_collision_sends_one_slice_to_the_rank_counter(monkeypatch):
+    # two column leads of delta_3 at n = 6 collide, so that slice alone is
+    # eliminated; the verdict is the one that eliminates every slice
+    A = custom_algebra((0, 1), 3, [[(-1, (1, 2, 2)), (-1, (2, 1, 2))], [(-1, (2, 2, 2))]])
+    eliminated = []
+
+    class CountingRankCounter(RankCounter):
+        def __init__(self):
+            eliminated.append(1)
+            super().__init__()
+
+    monkeypatch.setattr(koszul, "RankCounter", CountingRankCounter)
+    assert koszul_check(A, 6).failures == [(2, 5, 2), (2, 6, 4), (3, 6, 1)]
+    assert len(eliminated) == 1
+    assert eliminating_koszul_failures(A, 6) == [(2, 5, 2), (2, 6, 4), (3, 6, 1)]
 
 
 # -- the Hecke representation --------------------------------------------------

@@ -62,6 +62,8 @@ def test_words_of_the_wrong_length_are_rejected():
     # unchecked, an algebra on such rows reported dims 1, 2, 3, 4
     with pytest.raises(ValueError, match="length 2"):
         Subspace(SuperSpace((0, 1)), 2, [{(1, 2, 1): 1}])
+    with pytest.raises(ValueError, match="length 2"):
+        Subspace(SuperSpace((0, 1)), 2).insert({(1, 2, 1): 1})
 
 
 def signed_action(sp, sigma):
