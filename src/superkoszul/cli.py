@@ -496,6 +496,8 @@ def main(argv=None) -> int:
             raise SpecError("this command needs an algebra: give --family or --spec")
         if args.command in ("mt", "hecke-verify") and (args.p is None or args.q is None):
             raise SpecError("this command needs --p and --q")
+        if args.command == "hecke-verify" and args.p + args.q == 0:
+            raise SpecError("need p, q >= 0 with p + q >= 1")
         # command-only flags keep their argparse defaults; None where absent
         options = {
             key: getattr(args, key, None)

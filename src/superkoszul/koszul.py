@@ -37,30 +37,28 @@ F_2 = A x R with no kernel of A x V -> A eliminated (:func:`tor_dims`).
 
 Exactness in positive homological degrees, checked per total degree by exact
 rank arithmetic, is the Koszul property; the checker only ever claims it up
-to the requested truncation.  Three ranks in each total degree n are
-theorems about the presentation, so the checker reads them instead of
-eliminating:
+to the requested truncation.  Two facts hold for every presentation, so the
+checker neither assembles delta_1 nor eliminates delta_2:
 
-* delta_1 is onto, rank = dim A_n: the prefix v' of a basis word v = v'x of
-  A_n is a basis word of A_{n-1} (a prefix of a reduced word is reduced, and
-  a pivot v' of R_{n-1} would make v'x a pivot of R_n), and nf(v'x) = {v: 1}.
 * delta_2 : A_{n-N} x R -> A_{n-1} x V has image the kernel of the
   multiplication mu : A_{n-1} x V -> A_n, so rank = d dim A_{n-1} - dim A_n,
   for every N-homogeneous algebra, Koszul or not.  D_N = R and D_1 = V, and
   delta_2 contracts the first N-1 letters of r in R into A, so its image is
   the image of T_{n-N} x R in A_{n-1} x V.  As
   (R)_n = (R)_{n-1} x V + T_{n-N} x R, that image is ker mu, and mu is onto.
-* the top differential, nu(i) = n, is one to one, rank = dim D_n: its target
-  is A_k x D_{n-k} with k < N, where every word u is a basis word with
-  nf(u) = {u: 1}, so it is the inclusion of D_n in V^(x k) x D_{n-k}.
+* the i = 1 defect is zero.  delta_1 is onto, rank = dim A_n: the prefix v'
+  of a basis word v = v'x of A_n is a basis word of A_{n-1} (a prefix of a
+  reduced word is reduced, and a pivot v' of R_{n-1} would make v'x a pivot
+  of R_n), and nf(v'x) = {v: 1}.  So the defect at i = 1 is
+  d dim A_{n-1} - dim A_n - (d dim A_{n-1} - dim A_n) = 0.
 
-Only the interior slices, i > 2 with nu(i) < n and a nonzero source and
-target, are assembled.  In each total degree they are taken top-down, from
-the top index t (the largest i with nu(i) <= n) to i = 3, and each hands
-the slice below the leads of vectors of its image; the lead of a vector is
-its smallest key (word of A, word of A^!), the order :class:`RankCounter`
-pivots on.  Two facts about a complex make most of the elimination
-unnecessary:
+Every other slice, i > 2 with a nonzero source and target, the top slice
+nu(i) = n included, is assembled.  In each total degree they are taken
+top-down, from the top index t (the largest i with nu(i) <= n) to i = 3,
+and each hands the slice below the leads of vectors of its image; the lead
+of a vector is its smallest key (word of A, word of A^!), the order
+:class:`RankCounter` pivots on.  Two facts about a complex make most of the
+elimination unnecessary:
 
 * skip lemma.  Let vectors z of im delta_{i+1}, which lies in ker delta_i,
   have pairwise distinct leads L.  Then the columns of delta_i at the
@@ -74,11 +72,9 @@ unnecessary:
   :class:`RankCounter` eliminates the same columns; its rank is exact, and
   the distinct leads of its rows are handed down instead.
 
-The top slice, nu(t) = n, is not assembled: its rank is read as above, and
-the column of xi_b is the sum of u (x) tail_u(b), u its own normal form, so
-its leads are read off :meth:`HomogAlgebra.dual_coproduct` (none are handed
-down where two collide).  :func:`koszul_matrix` still builds every full
-slice when it is called directly.
+The top slice skips nothing, so its certified rank is the injectivity of
+the top differential, rank = dim A^!_n, checked rather than assumed.
+:func:`koszul_matrix` builds every full slice when it is called directly.
 """
 
 from __future__ import annotations
@@ -227,14 +223,9 @@ def koszul_check(A: HomogAlgebra, deg_max: int) -> KoszulVerdict:
     degree n <= deg_max: rank(delta_i) + rank(delta_{i+1}) must exhaust the
     middle term.  The verdict claims nothing beyond the truncation.
 
-    Only the interior slices, 2 < i with 0 < n - nu(i) and a nonzero source
-    and target, are assembled.  The other ranks are read from the
-    presentation:
+    Two ranks are read from the presentation, not assembled, and delta_1 is
+    not needed at all:
 
-    * rank(delta_1 at n) = dim A_n.  A basis word v = v'x of A_n has a basis
-      word v' of A_{n-1} as prefix (a prefix of a reduced word is reduced; a
-      pivot v' of R_{n-1} would make v'x a pivot of R_n), and nf(v'x) =
-      {v: 1}, so the column of (v', x) is the unit vector of v in A_n x D_0.
     * rank(delta_2 at n) = d dim A_{n-1} - dim A_n, Koszul or not.  D_N = R
       and D_1 = V; delta_2 sends w (x) r, r = sum of u (x) x with u of length
       N-1, to the sum of nf(w u) (x) x, the image of w r under the projection
@@ -243,19 +234,22 @@ def koszul_check(A: HomogAlgebra, deg_max: int) -> KoszulVerdict:
       image of T_{n-N} x R.  As (R)_n = (R)_{n-1} x V + T_{n-N} x R, that is
       the kernel of the multiplication A_{n-1} x V -> A_n, which is onto.  At
       n < N this reads 0, the empty source, and at n = N it reads dim R, the
-      top slice.  With delta_1 read too, the i = 1 defect is zero by
-      construction: exactness there is the statement A = T(V)/(R).
-    * rank(delta_i at n = nu(i)) = dim D_n = dim A^!_n.  The target is
-      A_k x D_{n-k} with k = 1 or N-1 < N, where nf(u) = {u: 1}, so the
-      column of xi_b is xi_b split in V^(x k) x D_{n-k}: the map is the
-      inclusion.
+      top slice.
+    * the i = 1 defect is zero, so it is not taken.  A basis word v = v'x of
+      A_n has a basis word v' of A_{n-1} as prefix (a prefix of a reduced
+      word is reduced; a pivot v' of R_{n-1} would make v'x a pivot of R_n),
+      and nf(v'x) = {v: 1}, so the column of (v', x) is the unit vector of v
+      in A_n x D_0 and rank(delta_1 at n) = dim A_n.  The defect is
+      d dim A_{n-1} - dim A_n - (d dim A_{n-1} - dim A_n) = 0: exactness
+      there is the statement A = T(V)/(R).
     * a slice with an empty source or an empty target has rank 0.
 
-    The interior ranks are taken top-down, from the top index t, the largest
-    i with nu(i) <= n, to i = 3.  Slice i gets from slice i + 1 a set L of
-    pairwise distinct leads of vectors of im delta_{i+1}, the lead of a
-    vector being its smallest key (word of A, word of A^!), and skips the
-    columns at L:
+    Every other slice, 2 < i with a nonzero source and target, the top
+    slice nu(i) = n included, is assembled.  The ranks are taken top-down,
+    from the top index t, the largest i with nu(i) <= n, to i = 3.  Slice i
+    gets from slice i + 1 a set L of pairwise distinct leads of vectors of
+    im delta_{i+1}, the lead of a vector being its smallest key (word of A,
+    word of A^!), and skips the columns at L:
 
     * skip lemma: the columns of delta_i at the source elements outside L
       span im delta_i.  Each z of im delta_{i+1} lies in ker delta_i, so for
@@ -269,11 +263,8 @@ def koszul_check(A: HomogAlgebra, deg_max: int) -> KoszulVerdict:
       and its rows, combinations of the columns, have pairwise distinct
       leads, which are handed down instead.
 
-    The top slice, nu(t) = n, is not assembled: the column of xi_b is the
-    sum of u (x) tail_u(b), as words u shorter than N are their own normal
-    forms, so its leads are read off the coproduct table, and none are
-    handed down if two collide.  A slice with a read rank below the top
-    hands down none.  The defects are then taken in ascending i.
+    The top slice skips nothing, and a slice of rank 0 hands down no leads.
+    The defects are then taken in ascending i, from i = 2.
     """
     if deg_max < 0:
         raise ValueError("deg_max must be nonnegative")
@@ -286,27 +277,13 @@ def koszul_check(A: HomogAlgebra, deg_max: int) -> KoszulVerdict:
             return 0
         return len(A.reduced_words(n - m)) * len(dual.reduced_words(m))
 
-    def top_leads(n: int, k: int):
-        """The leads of the top slice at n, whose target is A_k x D_{n-k}:
-        the column of xi_b is keyed (u, c) over b's entries in the table."""
-        table, _ = A.dual_coproduct(n, k)
-        leads = {min((u, min(coords)) for u, coords in parts) for parts in table.values()}
-        return leads if len(leads) == len(table) else ()
-
     def rank_and_leads(i: int, n: int, above) -> tuple:
         """rank(delta_i at n) and the leads it hands down, given those of
         delta_{i+1}, ``above``."""
-        if i == 1:
-            return len(A.reduced_words(n)), ()
         if i == 2:
             return A.dim_V * len(A.reduced_words(n - 1)) - len(A.reduced_words(n)), ()
-        m = jump(A.N, i)
-        if m == n:
-            return len(dual.reduced_words(n)), ()
         if not source_dim(i, n) or not source_dim(i - 1, n):
             return 0, ()
-        if jump(A.N, i + 1) == n:  # the slice above is the top slice
-            above = top_leads(n, n - m)
         columns = _slice_columns(A, i, n, above)[1].values()
         leads = {min(col) for col in columns}
         if len(leads) == len(columns):
@@ -321,9 +298,9 @@ def koszul_check(A: HomogAlgebra, deg_max: int) -> KoszulVerdict:
         while jump(A.N, t + 1) <= n:
             t += 1
         ranks, leads = {t + 1: 0}, ()
-        for i in range(t, 0, -1):
+        for i in range(t, 1, -1):
             ranks[i], leads = rank_and_leads(i, n, leads)
-        for i in range(1, t + 1):
+        for i in range(2, t + 1):
             middle = source_dim(i, n)
             if middle:
                 defect = middle - ranks[i] - ranks[i + 1]

@@ -503,6 +503,9 @@ def test_negative_bounds_are_input_errors(argv, capsys):
      "input error: --q applies only to"),
     # the default ceiling, with no --ceiling given
     (["mt", "--p", "1", "--q", "1", "--order", "11"], "exceeds the cost ceiling 10"),
+    # a zero-dimensional space, as mt rejects it
+    (["hecke-verify", "--p", "0", "--q", "0"], "input error: need p, q >= 0 with p + q >= 1"),
+    (["mt", "--p", "0", "--q", "0"], "input error: need p, q >= 0 with p + q >= 1"),
 ])
 def test_out_of_range_inputs_are_rejected_not_substituted(argv, message, capsys):
     assert main(argv) == 2

@@ -199,26 +199,28 @@ def test_koszul_check_runs_without_confluence():
     assert koszul_duality_check(A, 6).passed
 
 
-@pytest.mark.parametrize("A, deg_max, interior", [
+@pytest.mark.parametrize("A, deg_max, assembles", [
     (n_symmetric(SuperSpace.standard(2, 1), 3), 8, True),
-    # YM(1|1) has D_4 = 0, so every slice with a nonzero source is delta_1,
-    # delta_2 or a top slice, and nothing is built
+    # YM(1|1) has D_4 = 0, so every slice with a nonzero source is delta_1
+    # or delta_2, and nothing is built
     (yang_mills(SuperSpace.standard(1, 1)), 7, False),
     (n_symmetric(SuperSpace.standard(1, 0), 2), 6, False),  # k[x]: D_2 = 0
 ])
-def test_koszul_check_eliminates_only_interior_slices(A, deg_max, interior, monkeypatch):
-    # delta_1, delta_2, the top slices nu(i) = n and the slices with an empty
-    # source or target have ranks read from the presentation, so none of
-    # them is built
+def test_koszul_check_eliminates_only_interior_slices(A, deg_max, assembles, monkeypatch):
+    # delta_1 is never needed and delta_2 has its rank read from the Hilbert
+    # function; every (i, n) with i > 2 and a nonzero source and target, the
+    # top slices nu(i) = n included, is built exactly once
     built = [key for key, _ in assembled_slices(A, deg_max, monkeypatch)]
-    assert bool(built) == interior
-    assert len(set(built)) == len(built)
+    assert bool(built) == assembles
     dual = A.dual_algebra()
-    for i, n in built:
-        m, m_prev = jump(A.N, i), jump(A.N, i - 1)
-        assert 2 < i and m < n, (i, n)
-        assert A.reduced_words(n - m) and dual.reduced_words(m), (i, n)
-        assert A.reduced_words(n - m_prev) and dual.reduced_words(m_prev), (i, n)
+
+    def nonempty(i, n):
+        m = jump(A.N, i)
+        return m <= n and bool(A.reduced_words(n - m)) and bool(dual.reduced_words(m))
+
+    expected = [(i, n) for n in range(1, deg_max + 1) for i in range(n + 1, 2, -1)
+                if nonempty(i, n) and nonempty(i - 1, n)]
+    assert built == expected
 
 
 def assembled_slices(A, deg_max, monkeypatch):
@@ -252,13 +254,17 @@ PINNED_SLICE_RANKS = [
      {(2, 4): 4, (2, 5): 6, (2, 6): 8, (2, 7): 10}),
     (lambda_operator_algebra(dj_operator(2, 1, Fraction(2)), 3), 8,
      {(2, 4): 12, (2, 5): 36, (3, 5): 27, (2, 6): 72, (3, 6): 68, (2, 7): 180,
-      (3, 7): 156, (4, 7): 24, (2, 8): 396, (3, 8): 360, (4, 8): 72, (5, 8): 45}),
+      (3, 7): 156, (4, 7): 24, (2, 8): 396, (3, 8): 360, (4, 8): 72, (5, 8): 45,
+      # the top slices, each of rank dim A^!_n
+      (3, 4): 9, (4, 6): 13, (5, 7): 15}),
 ]
 
 
 @pytest.mark.parametrize("A, deg_max, ranks", PINNED_SLICE_RANKS, ids=["YM(1|1)", "L3 dj(2|1)"])
 def test_interior_slice_ranks_are_pinned(A, deg_max, ranks, monkeypatch):
     assert {key: koszul_matrix(A, *key).rank() for key in ranks} == ranks
+    dual = A.dual_algebra()
+    assert all(r == len(dual.reduced_words(n)) for (i, n), r in ranks.items() if jump(A.N, i) == n)
     # the delta_2 ranks are read from the Hilbert function, not assembled
     assert slice_ranks(A, deg_max, monkeypatch) == {(i, n): r for (i, n), r in ranks.items() if i > 2}
 
@@ -297,6 +303,14 @@ def test_seeded_dual_meets_match_the_meets_through_the_double_dual(A):
         seeded = 2 * A.R.dim <= d ** N
         assert (("_overlap_meet_dim", i) in dual._cache) == seeded
         assert dual._overlap_meet_dim(i) == fresh._overlap_meet_dim(i), i
+
+
+@pytest.mark.parametrize("A", SWEEP_ALGEBRAS, ids=lambda A: A.label)
+def test_sweep_algebras_certify_every_slice_without_elimination(A, monkeypatch):
+    # no two column leads collide on these algebras to degree 8, the top
+    # slices included
+    monkeypatch.setattr(koszul, "RankCounter", None)
+    assert koszul_check(A, 8).passed
 
 
 def test_mixed_yang_mills_1_1_is_not_exact_where_duality_breaks():

@@ -575,8 +575,9 @@ def test_slices_have_the_rank_of_the_echelon_row_slices(A):
 @PROPERTY_SETTINGS
 @given(presentations())
 def test_first_and_top_slice_ranks_are_read_from_the_presentation(A):
-    # delta_1 is onto A_n, and the top differential out of A_0 x D_m is the
-    # inclusion of D_m in V^(x k) x D_{m-k}
+    # delta_1 is onto A_n, so the i = 1 defect is zero, and the top
+    # differential out of A_0 x D_m is the inclusion of D_m in
+    # V^(x k) x D_{m-k}, the rank koszul_check certifies for it
     top = max(degrees(A))
     for n in range(1, top + 1):
         assert koszul_matrix(A, 1, n).rank() == len(A.reduced_words(n)), n
@@ -644,13 +645,17 @@ def test_yang_mills_koszul_check_matches_the_route_that_eliminates_every_slice(f
 @given(presentations())
 def test_the_columns_left_by_the_leads_above_have_the_rank_of_the_slice(A):
     # skip lemma: the columns at the leads handed down from the slice above
-    # are redundant; lead certificate: distinct leads count the rank
+    # are redundant; lead certificate: distinct leads count the rank.  A top
+    # slice, nu(i) = n, skips nothing, and its rank is dim A^!_n: the top
+    # differential is one to one
     deg_max = min(max(degrees(A)), 2 * A.N + 1)
     for (i, n), columns in assembled_slices(A, deg_max, pytest.MonkeyPatch()):
         rank = koszul_matrix(A, i, n).rank()
         assert matrix_rank(columns.values()) == rank, (i, n)
         if len({min(col) for col in columns.values()}) == len(columns):
             assert len(columns) == rank, (i, n)
+        if jump(A.N, i) == n:
+            assert rank == len(A.dual_algebra().reduced_words(n)), (i, n)
 
 
 def test_a_lead_collision_sends_one_slice_to_the_rank_counter(monkeypatch):
