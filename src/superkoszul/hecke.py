@@ -160,17 +160,11 @@ class HeckeElement:
             raise ValueError("Hecke elements have mismatched n or q")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = HeckeElement.one(self.n, self.q).scale(other)
         self._check(other)
         terms = axpy(dict(self.terms), other.terms, 1)
         return HeckeElement(self.n, self.q, terms)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = HeckeElement.one(self.n, self.q).scale(other)
         return self + other.scale(-1)
 
     def scale(self, c) -> "HeckeElement":
@@ -195,8 +189,6 @@ class HeckeElement:
         return HeckeElement(n, q, terms)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         self._check(other)
         out = HeckeElement(self.n, self.q)
         for tau, c in other.terms.items():

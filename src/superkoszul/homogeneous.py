@@ -31,7 +31,8 @@ slices read it; :meth:`HomogAlgebra.normal_form_word` is its exact view.
 Normal forms without confluence.  u - nf(u) lies in R_|u|, so the residual
 of a word modulo the echelon of R_n is an exact normal form and the
 non-pivot words of R_n are a basis of A_n (a degree-truncated Groebner basis;
-Bergman 1978, Mora 1994).  The algebra picks the route itself, from its
+Bergman 1978, Mora 1994), each one of R_(n-1) and a letter, as a pivot v of
+R_(n-1) makes vx one of R_n.  The algebra picks the route itself, from its
 cached confluence test: :meth:`HomogAlgebra.normal_form_word`,
 :meth:`HomogAlgebra.reduced_words` and :meth:`HomogAlgebra.dim_component`
 take this one when rewriting is not confluent, and no caller asks.
@@ -44,7 +45,7 @@ system is confluent, the reduced words are a basis of A in every degree
 with a transfer count over the last N-1 letters that needs no elimination
 and no word list.  Below 2N it eliminates (N+1 reads the overlap meet); the
 overlap degrees N+1..2N-1 are where the confluence test works, and the first
-counted call checks the count against elimination in each of them.
+counted call checks the count by elimination in each, to the first zero.
 
 Placements.  R's rows placed at window i are already the reduced echelon
 basis of the placement V^(x i) x R x V^(x j), so a placement is never
@@ -113,8 +114,6 @@ class ConfluenceReport:
         self.passed = self.passed and lhs <= rhs
 
     def __str__(self):
-        if not self.entries:
-            return "confluence: PASS (no overlaps to check)"
         lines = []
         for i, lhs, rhs in self.entries:
             verdict = "PASS" if lhs <= rhs else "FAIL"
@@ -225,8 +224,8 @@ class HomogAlgebra:
         """dim A_n: the number of reduced words when n >= 2N and the rewriting
         system is confluent (the diamond lemma makes them a basis), the
         elimination d^n - dim R_n otherwise.  The first counted call checks
-        the count against elimination in every degree below 2N and raises
-        :class:`InternalInconsistencyError` on a mismatch.
+        the count against elimination below 2N, up to the first zero, and
+        raises :class:`InternalInconsistencyError` on a mismatch.
 
         Elimination stops at the first zero: past degree N, A_(n-1) = 0 means
         R_(n-1) = V^(x n-1), so R_n, which holds R_(n-1) x V, is all of
@@ -244,7 +243,9 @@ class HomogAlgebra:
 
     @_cached
     def _check_counts(self) -> None:
-        """The count check of :meth:`dim_component`; the memo runs it once."""
+        """The count check of :meth:`dim_component`, run once by the memo.  It
+        stops at the first zero: a reduced word has a reduced prefix, and
+        R_k holds R_(k-1) x V, so both sides stay 0."""
         for m in range(2 * self.N):
             counted, eliminated = self.count_reduced_words(m), self.graded_component(m)[1]
             if counted != eliminated:
@@ -252,6 +253,8 @@ class HomogAlgebra:
                     f"{self.label}: {counted} reduced words of length {m} "
                     f"but dim A_{m} = {eliminated} by elimination"
                 )
+            if not counted:
+                break
 
     def dims(self, deg_max: int) -> list[int]:
         if deg_max < 0:
@@ -361,25 +364,24 @@ class HomogAlgebra:
 
     @_cached
     def reduced_words(self, n: int) -> list:
-        """The basis words of A_n in lexicographic order: the reduced words,
-        built letter by letter from those of A_(n-1), when the rewriting
-        system is confluent, else the non-pivot words of R_n, none if
-        dim A_n = 0 above degree N."""
+        """The basis words of A_n in lexicographic order: the words wx, w one
+        of A_(n-1), whose last N letters are no pivot of R when the rewriting
+        system is confluent, else that are no pivot of R_n, none if A_n = 0
+        above degree N."""
         if n < 0:
             raise ValueError(f"the degree n={n} must be nonnegative")
+        if n == 0:
+            return [()]
+        pivots, k = self.R.rows, self.N
         if not self.confluence_report().passed:
             if n > self.N and self.dim_component(n) == 0:
                 return []
-            Rn = self._graded_relations(n).rows
-            return [w for w in self.space.words(n) if w not in Rn]
-        if n == 0:
-            return [()]
-        pivots, N = self.R.rows, self.N
+            pivots, k = self._graded_relations(n).rows, n
         return [
             w + (letter,)
             for w in self.reduced_words(n - 1)
             for letter in range(1, self.dim_V + 1)
-            if w[1 - N :] + (letter,) not in pivots
+            if w[1 - k :] + (letter,) not in pivots
         ]
 
     @_cached
@@ -569,10 +571,10 @@ def tensor_algebra(fmt, N: int = 2) -> HomogAlgebra:
 
 
 def quantum_superspace(fmt, q_table=None) -> HomogAlgebra:
-    """Quadratic superalgebra with relations x_i x_i (i odd) and
-    x_j x x_i - q_ij (-1)^(i^ j^) x_i x x_j = (1 - q_ij T_1)(x_j x x_i) for
-    i < j, T_1 the rule-of-signs flip (:func:`hecke._act` on the
-    supersymmetry).
+    """Quadratic superalgebra with relations (1 - q_ij T_1)(x_j x x_i) =
+    x_j x x_i - q_ij (-1)^(i^ j^) x_i x x_j for i <= j, q_ii = 1, T_1 the
+    rule-of-signs flip (:func:`hecke._act` on the supersymmetry); at i = j
+    that is 2 x_i x x_i for x_i odd and 0 for x_i even.
 
     ``q_table`` maps pairs (i, j), 1 <= i < j <= d, to nonzero rationals;
     omitted pairs default to 1, and any other key raises ValueError.
@@ -586,10 +588,7 @@ def quantum_superspace(fmt, q_table=None) -> HomogAlgebra:
     c = supersymmetry_operator(space)
     rows = []
     for i in range(1, d + 1):
-        if space.parity(i) == 1:
-            rows.append({(i, i): 1})
-    for i in range(1, d + 1):
-        for j in range(i + 1, d + 1):
+        for j in range(i, d + 1):
             qij = Fraction(q_table.get((i, j), 1))
             if qij == 0:
                 raise ValueError(f"quantum parameter q[{i},{j}] must be nonzero")

@@ -273,8 +273,6 @@ def koszul_check(A: HomogAlgebra, deg_max: int) -> KoszulVerdict:
 
     def source_dim(i: int, n: int) -> int:
         m = jump(A.N, i)
-        if m > n:
-            return 0
         return len(A.reduced_words(n - m)) * len(dual.reduced_words(m))
 
     def rank_and_leads(i: int, n: int, above) -> tuple:

@@ -198,9 +198,6 @@ class SuperPolynomial:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -369,29 +366,17 @@ class TruncatedSeries:
         K = min(self.order, other.order)
         return K, self.coeffs[: K + 1], other.coeffs[: K + 1]
 
-    def __add__(self, other):
-        K, a, b = self._match(other)
-        return TruncatedSeries(K, [x + y for x, y in zip(a, b)])
-
     def __sub__(self, other):
         K, a, b = self._match(other)
         return TruncatedSeries(K, [x - y for x, y in zip(a, b)])
 
-    def __neg__(self):
-        return TruncatedSeries(self.order, [-x for x in self.coeffs])
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = _integral(Fraction(other))
-            return TruncatedSeries(self.order, [c * other for c in self.coeffs])
         K, a, b = self._match(other)
         zero = self._zero_like()
         return TruncatedSeries(K, [
             _signed_products(zero, ((1, a[n], b[k - n]) for n in range(k + 1)))
             for k in range(K + 1)
         ])
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -243,8 +243,6 @@ def subspace_intersection(A: Subspace, B: Subspace) -> Subspace:
     """A cap B via the kernel of the residual map of A's basis modulo B."""
     if A.space != B.space or A.degree != B.degree:
         raise ValueError("subspaces live in different ambient tensor powers")
-    if A.dim > B.dim:
-        A, B = B, A
     return span_meet(A.space, A.degree, A.rows.values(), B.reduce)
 
 

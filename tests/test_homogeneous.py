@@ -317,6 +317,21 @@ def test_count_is_cross_checked_against_elimination(monkeypatch):
         A.dim_component(4)
 
 
+@pytest.mark.parametrize("p, top, dims", [
+    (3, 4, [1, 3, 9, 1, 0, 0, 0, 0, 0]),
+    (2, 3, [1, 2, 4, 0, 0, 0, 0, 0, 0]),
+])
+def test_count_check_stops_at_the_first_zero(p, top, dims, monkeypatch):
+    # past A_m = 0 every word of V^(x n) is a pivot of R_n, so neither side
+    # of the check is eliminated there
+    A = n_symmetric(SuperSpace.standard(p, 0), 3).dual_algebra()
+    asked = []
+    graded_component = A.graded_component
+    monkeypatch.setattr(A, "graded_component", lambda n: asked.append(n) or graded_component(n))
+    assert A.dims(8) == dims
+    assert max(asked) == top
+
+
 def test_internal_inconsistency_error_is_still_importable_from_macmahon():
     from superkoszul import macmahon
 

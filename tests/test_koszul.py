@@ -206,7 +206,7 @@ def test_koszul_check_runs_without_confluence():
     (yang_mills(SuperSpace.standard(1, 1)), 7, False),
     (n_symmetric(SuperSpace.standard(1, 0), 2), 6, False),  # k[x]: D_2 = 0
 ])
-def test_koszul_check_eliminates_only_interior_slices(A, deg_max, assembles, monkeypatch):
+def test_koszul_check_assembles_every_slice_above_delta_2_once(A, deg_max, assembles, monkeypatch):
     # delta_1 is never needed and delta_2 has its rank read from the Hilbert
     # function; every (i, n) with i > 2 and a nonzero source and target, the
     # top slices nu(i) = n included, is built exactly once

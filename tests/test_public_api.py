@@ -81,3 +81,23 @@ BUILDER_PARAMETERS = {
 def test_builder_parameters_are_the_pinned_list(name):
     params = inspect.signature(getattr(superkoszul, name)).parameters
     assert list(params) == BUILDER_PARAMETERS[name]
+
+
+# the arithmetic of the number types is pinned too: an operator comes back
+# only by a deliberate edit of this table
+ARITHMETIC = {
+    f"__{side}{op}__"
+    for op in ("add", "sub", "mul", "matmul", "truediv", "floordiv", "mod", "divmod", "pow")
+    for side in ("", "r", "i")
+} | {"__neg__", "__pos__", "__abs__", "__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__"}
+
+OPERATORS = {
+    "SuperPolynomial": ["__add__", "__eq__", "__mul__", "__neg__", "__radd__", "__rmul__", "__sub__"],
+    "TruncatedSeries": ["__eq__", "__mul__", "__sub__"],
+    "HeckeElement": ["__add__", "__eq__", "__mul__", "__sub__"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPERATORS))
+def test_number_type_operators_are_the_pinned_list(name):
+    assert sorted(set(vars(getattr(superkoszul, name))) & ARITHMETIC) == OPERATORS[name]
