@@ -160,11 +160,15 @@ class HeckeElement:
             raise ValueError("Hecke elements have mismatched n or q")
 
     def __add__(self, other):
+        if not isinstance(other, HeckeElement):
+            return NotImplemented
         self._check(other)
         terms = axpy(dict(self.terms), other.terms, 1)
         return HeckeElement(self.n, self.q, terms)
 
     def __sub__(self, other):
+        if not isinstance(other, HeckeElement):
+            return NotImplemented
         return self + other.scale(-1)
 
     def scale(self, c) -> "HeckeElement":
@@ -189,6 +193,8 @@ class HeckeElement:
         return HeckeElement(n, q, terms)
 
     def __mul__(self, other):
+        if not isinstance(other, HeckeElement):
+            return NotImplemented
         self._check(other)
         out = HeckeElement(self.n, self.q)
         for tau, c in other.terms.items():

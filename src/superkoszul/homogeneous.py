@@ -620,7 +620,7 @@ def yang_mills(fmt, G=None) -> HomogAlgebra:
     if all(not isinstance(row, (list, tuple)) for row in G):
         diag = [Fraction(x) for x in G]
         if len(diag) != d or 0 in diag:
-            raise ValueError("diagonal metric must list d nonzero entries")
+            raise ValueError(f"diagonal metric must list d={d} nonzero entries")
         G = [[x if i == k else 0 for k in range(d)] for i, x in enumerate(diag)]
     M = [[Fraction(x) for x in row] for row in G]
     if len(M) != d or any(len(row) != d for row in M):
@@ -672,6 +672,5 @@ def custom_algebra(fmt, N: int, relations, label: str = "") -> HomogAlgebra:
             if any(not 1 <= i <= space.dim for i in word):
                 raise ValueError(f"letters of {word} must lie in 1..{space.dim}")
             axpy(vec, {word: Fraction(coeff)}, 1)
-        if vec:
-            rows.append(vec)
+        rows.append(vec)
     return HomogAlgebra(space, N, Subspace(space, N, rows), label=label or "custom")

@@ -46,6 +46,7 @@ checker neither assembles delta_1 nor eliminates delta_2:
   delta_2 contracts the first N-1 letters of r in R into A, so its image is
   the image of T_{n-N} x R in A_{n-1} x V.  As
   (R)_n = (R)_{n-1} x V + T_{n-N} x R, that image is ker mu, and mu is onto.
+  At n = N it reads dim R.
 * the i = 1 defect is zero.  delta_1 is onto, rank = dim A_n: the prefix v'
   of a basis word v = v'x of A_n is a basis word of A_{n-1} (a prefix of a
   reduced word is reduced, and a pivot v' of R_{n-1} would make v'x a pivot
@@ -73,7 +74,12 @@ elimination unnecessary:
   the distinct leads of its rows are handed down instead.
 
 The top slice skips nothing, so its certified rank is the injectivity of
-the top differential, rank = dim A^!_n, checked rather than assumed.
+the top differential, rank = dim A^!_n, checked rather than assumed.  A
+slice with an empty source or target has rank 0, and a slice of rank 0
+hands down no leads.  Where the middle term A_{n-nu(i)} x D_{nu(i)} is 0,
+the defect is 0: delta_i has an empty source and delta_{i+1} an empty
+target, and at i = 2 (so n >= N) delta_2's formula reads 0 too, as either
+R = 0, or A_{n-N} = 0 with n - N >= 1, which forces A_{n-1} = A_n = 0.
 :func:`koszul_matrix` builds every full slice when it is called directly.
 """
 
@@ -221,50 +227,17 @@ class KoszulVerdict:
 def koszul_check(A: HomogAlgebra, deg_max: int) -> KoszulVerdict:
     """Exactness of the Koszul complex in homological degrees >= 1, per total
     degree n <= deg_max: rank(delta_i) + rank(delta_{i+1}) must exhaust the
-    middle term.  The verdict claims nothing beyond the truncation.
+    middle term.  The verdict claims nothing beyond the truncation; its
+    failures (i, n, defect) are in ascending n and, within n, ascending i.
 
-    Two ranks are read from the presentation, not assembled, and delta_1 is
-    not needed at all:
-
-    * rank(delta_2 at n) = d dim A_{n-1} - dim A_n, Koszul or not.  D_N = R
-      and D_1 = V; delta_2 sends w (x) r, r = sum of u (x) x with u of length
-      N-1, to the sum of nf(w u) (x) x, the image of w r under the projection
-      T_{n-1} x V -> A_{n-1} x V, which kills (R)_{n-1} x V.  Any w of
-      T_{n-N} differs from nf(w) by an element of (R), so im delta_2 is the
-      image of T_{n-N} x R.  As (R)_n = (R)_{n-1} x V + T_{n-N} x R, that is
-      the kernel of the multiplication A_{n-1} x V -> A_n, which is onto.  At
-      n < N this reads 0, the empty source, and at n = N it reads dim R, the
-      top slice.
-    * the i = 1 defect is zero, so it is not taken.  A basis word v = v'x of
-      A_n has a basis word v' of A_{n-1} as prefix (a prefix of a reduced
-      word is reduced; a pivot v' of R_{n-1} would make v'x a pivot of R_n),
-      and nf(v'x) = {v: 1}, so the column of (v', x) is the unit vector of v
-      in A_n x D_0 and rank(delta_1 at n) = dim A_n.  The defect is
-      d dim A_{n-1} - dim A_n - (d dim A_{n-1} - dim A_n) = 0: exactness
-      there is the statement A = T(V)/(R).
-    * a slice with an empty source or an empty target has rank 0.
-
-    Every other slice, 2 < i with a nonzero source and target, the top
-    slice nu(i) = n included, is assembled.  The ranks are taken top-down,
-    from the top index t, the largest i with nu(i) <= n, to i = 3.  Slice i
-    gets from slice i + 1 a set L of pairwise distinct leads of vectors of
-    im delta_{i+1}, the lead of a vector being its smallest key (word of A,
-    word of A^!), and skips the columns at L:
-
-    * skip lemma: the columns of delta_i at the source elements outside L
-      span im delta_i.  Each z of im delta_{i+1} lies in ker delta_i, so for
-      z with lead l, delta_i e_l = -(1/z_l) sum_{k > l} z_k delta_i e_k.
-      Taking l in L in decreasing order, every e_k on the right is outside L
-      or a larger lead, already in the span of the columns outside L.
-    * lead certificate: if the nonzero columns left have pairwise distinct
-      leads, they are an echelon, so the rank is their count, exactly, and
-      their leads are the L handed to slice i - 1.  If two leads collide, a
-      :class:`RankCounter` eliminates the same columns: its rank is exact,
-      and its rows, combinations of the columns, have pairwise distinct
-      leads, which are handed down instead.
-
-    The top slice skips nothing, and a slice of rank 0 hands down no leads.
-    The defects are then taken in ascending i, from i = 2.
+    Each total degree is one top-down pass, from the top index t, the
+    largest i with nu(i) <= n, to i = 2.  Step i takes rank(delta_i) as the
+    module docstring proves it: delta_2's from the Hilbert function, 0 for
+    an empty source or target, and every other slice assembled without the
+    columns at the leads that step i + 1 hands down, its rank certified by
+    distinct leads or eliminated.  The defect of slice i is taken in the
+    same step, with rank(delta_{i+1}) carried from the step before (0 above
+    t).  The i = 1 defect is zero for every presentation and is not taken.
     """
     if deg_max < 0:
         raise ValueError("deg_max must be nonnegative")
@@ -295,15 +268,12 @@ def koszul_check(A: HomogAlgebra, deg_max: int) -> KoszulVerdict:
         t = 1
         while jump(A.N, t + 1) <= n:
             t += 1
-        ranks, leads = {t + 1: 0}, ()
+        defects, rank_above, leads = [], 0, ()
         for i in range(t, 1, -1):
-            ranks[i], leads = rank_and_leads(i, n, leads)
-        for i in range(2, t + 1):
-            middle = source_dim(i, n)
-            if middle:
-                defect = middle - ranks[i] - ranks[i + 1]
-                if defect:
-                    failures.append((i, n, defect))
+            rank, leads = rank_and_leads(i, n, leads)
+            defects.append((i, n, source_dim(i, n) - rank - rank_above))
+            rank_above = rank
+        failures.extend(entry for entry in reversed(defects) if entry[2])
     return KoszulVerdict(not failures, deg_max, failures)
 
 

@@ -240,7 +240,7 @@ def berezinian_series(X: GenericSupermatrix, K: int) -> TruncatedSeries:
         ]
         for i in range(1, X.d + 1)
     ]
-    ber = TruncatedSeries.one(K, one=one, zero=zero)
+    ber = TruncatedSeries.one(K, one)
     for k in range(X.d):
         inverse = M[k][k].inverse()
         ber = ber * (inverse if X.space.parity(k + 1) else M[k][k])
@@ -629,7 +629,7 @@ def master_verify(p: int, q: int, N: int, K: int) -> SeriesIdentityReport:
     left = bosonic_factor(X, N, K)
     right = fermionic_factor(X, N, K)
     product = left * right
-    one = TruncatedSeries.one(K, one=X.table.one(), zero=X.table.zero())
+    one = TruncatedSeries.one(K, X.table.one())
     return SeriesIdentityReport(K, left, right, product, product == one)
 
 

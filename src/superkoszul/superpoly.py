@@ -353,8 +353,8 @@ class TruncatedSeries:
         self.coeffs = coeffs
 
     @classmethod
-    def one(cls, order: int, one=1, zero=0):
-        return cls(order, [one] + [zero] * order)
+    def one(cls, order: int, one=1):
+        return cls(order, [one] + [one * 0] * order)
 
     def _zero_like(self):
         c0 = self.coeffs[0]
@@ -367,10 +367,14 @@ class TruncatedSeries:
         return K, self.coeffs[: K + 1], other.coeffs[: K + 1]
 
     def __sub__(self, other):
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
         K, a, b = self._match(other)
         return TruncatedSeries(K, [x - y for x, y in zip(a, b)])
 
     def __mul__(self, other):
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
         K, a, b = self._match(other)
         zero = self._zero_like()
         return TruncatedSeries(K, [
@@ -380,9 +384,7 @@ class TruncatedSeries:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            if any(self.coeffs[n] != 0 for n in range(1, self.order + 1)):
-                return False
-            return self.coeffs[0] == other
+            other = TruncatedSeries.one(self.order, other)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return self.order == other.order and all(
@@ -416,16 +418,11 @@ class TruncatedSeries:
     def __str__(self):
         chunks = []
         for n, c in enumerate(self.coeffs):
-            if isinstance(c, SuperPolynomial):
-                if c.is_zero():
-                    continue
-                cs = str(c)
-                if " " in cs:
-                    cs = f"({cs})"
-            else:
-                if c == 0:
-                    continue
-                cs = str(c)
+            if c == 0:
+                continue
+            cs = str(c)
+            if " " in cs:
+                cs = f"({cs})"
             if n == 0:
                 chunks.append(cs)
             elif n == 1:

@@ -199,10 +199,25 @@ def test_every_family_key_round_trips(text):
     ("q[1,5]", "q-table key (1,5) out of range for d=2"),
 ])
 def test_q_table_key_out_of_range_is_an_input_error(key, message, tmp_path, capsys):
-    # the spec check names the key before the library would reject it
+    # the parser names the line of a key with i >= j; a key out of range for
+    # d is rejected by quantum_superspace, before anything is printed
     path = tmp_path / "algebra.spec"
     path.write_text(f"family = quantum\nformat = 0 1\n{key} = 2\n")
     assert main(["dims", "--spec", str(path), "--order", "2"]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and not captured.out
+
+
+@pytest.mark.parametrize("text, message", [
+    ("family = n_symmetric\nN = 1\nformat = 0 1\n", "the relation degree N must be at least 2"),
+    ("family = yang_mills\nformat = 0 0\nG = 1 0\n", "diagonal metric must list d=2 nonzero entries"),
+    ("family = yang_mills\nformat = 0 0\nG = 1 1 1\n", "diagonal metric must list d=2 nonzero entries"),
+    ("family = custom\nformat = 0 0\nrelation = 1 : 1 3\n", "letters of (1, 3) must lie in 1..2"),
+])
+def test_builder_checks_are_input_errors(text, message, monkeypatch, capsys):
+    # the spec parser leaves these to the builder, which runs before any output
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["dims", "--spec", "-", "--order", "2"]) == 2
     captured = capsys.readouterr()
     assert message in captured.err and not captured.out
 

@@ -839,7 +839,7 @@ def test_series_inverse_with_int_coefficients_matches_fraction_coefficients(c0, 
     inverse = s.inverse()
     assert inverse == TruncatedSeries(3, [as_fractions(c) for c in s.coeffs]).inverse()
     assert all(normalised(c) for c in inverse.coeffs)
-    assert s * inverse == TruncatedSeries.one(3, one=RING.one(), zero=RING.zero())
+    assert s * inverse == TruncatedSeries.one(3, one=RING.one())
 
 
 # -- relabelling the letters of a generic supermatrix -------------------------

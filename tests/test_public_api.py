@@ -83,6 +83,11 @@ def test_builder_parameters_are_the_pinned_list(name):
     assert list(params) == BUILDER_PARAMETERS[name]
 
 
+def test_series_one_parameters_are_the_pinned_list():
+    # the zero of the coefficients is built from ``one``, never passed
+    assert list(inspect.signature(superkoszul.TruncatedSeries.one).parameters) == ["order", "one"]
+
+
 # the arithmetic of the number types is pinned too: an operator comes back
 # only by a deliberate edit of this table
 ARITHMETIC = {
@@ -101,3 +106,11 @@ OPERATORS = {
 @pytest.mark.parametrize("name", sorted(OPERATORS))
 def test_number_type_operators_are_the_pinned_list(name):
     assert sorted(set(vars(getattr(superkoszul, name))) & ARITHMETIC) == OPERATORS[name]
+
+
+def test_a_foreign_operand_raises_type_error():
+    # a scalar operand gets NotImplemented back, so Python raises TypeError
+    h, s = superkoszul.HeckeElement.one(2, 1), superkoszul.TruncatedSeries.one(3)
+    for expression in (lambda: h + 1, lambda: h * 2, lambda: h - 1, lambda: s * 3, lambda: s - 1):
+        with pytest.raises(TypeError):
+            expression()

@@ -165,7 +165,7 @@ def test_inverse_with_odd_coefficient():
     assert inv.coeffs[0] == table.one()
     assert inv.coeffs[1] == -u
     assert inv.coeffs[2].is_zero()
-    assert s * inv == TruncatedSeries.one(2, one=table.one(), zero=table.zero())
+    assert s * inv == TruncatedSeries.one(2, one=table.one())
 
 
 def test_inverse_of_quartic_denominator():
